@@ -10,7 +10,6 @@ environment variable) controls all randomness.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -83,8 +82,6 @@ def _load_sections(args) -> dict:
     for section in cfg.values():
         if hasattr(section, "seed"):
             section.seed = seed
-    if getattr(args, "workers", None):
-        cfg["search"].parallel_workers = args.workers
     return cfg
 
 
@@ -277,12 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="machine-readable output",
     )
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="evaluator parallelism",
-    )
     p = argparse.ArgumentParser(
         prog="rnndsl",
         description="recurrent-cell DSL: parse, compile, evaluate, search",
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, default in (("seed", None), ("json", False), ("workers", None)):
+    for name, default in (("seed", None), ("json", False)):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:

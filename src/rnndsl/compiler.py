@@ -8,7 +8,7 @@ output is sliced back apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,8 @@ SLOT_XM1 = 1
 SLOT_HM1 = 2
 SLOT_CM1 = 3
 SLOT_POSENC = 4
+# timesteps past the end of the positional-encoding table reuse its last row
+POSENC_ROWS = 2048
 _SOURCE_SLOTS = {
     OpKind.X: SLOT_X,
     OpKind.XM1: SLOT_XM1,
@@ -62,7 +64,6 @@ class CellProgram:
     input_size: int
     n_slots: int
     fused_groups: dict[OpKind, list[int]]  # source leaf -> fused node indices
-    gate3_inner_sigmoid: bool
     posenc_table: np.ndarray
     node_param_names: dict[int, tuple[str, ...]]  # node number -> param names
 
@@ -101,8 +102,6 @@ def compile(
     hidden_size: int,
     fuse: bool = True,
     rng: Optional[np.random.Generator] = None,
-    gate3_inner_sigmoid: bool = False,
-    max_seq_len: int = 2048,
 ) -> CellProgram:
     """Allocate parameters and build the per-timestep instruction list."""
     root = arch.root
@@ -239,8 +238,7 @@ def compile(
         input_size=input_size,
         n_slots=next_slot,
         fused_groups=fused_groups,
-        gate3_inner_sigmoid=gate3_inner_sigmoid,
-        posenc_table=en.positional_encoding_table(max_seq_len, hidden_size),
+        posenc_table=en.positional_encoding_table(POSENC_ROWS, hidden_size),
         node_param_names=node_param_names,
     )
 
@@ -307,9 +305,7 @@ def step(
                 )
             slots[ins.outputs[0]] = _BINARY_FNS[ins.op](args[0], args[1])
         elif ins.kind == "gate3":
-            slots[ins.outputs[0]] = en.gate3(
-                args[0], args[1], args[2], inner_sigmoid=prog.gate3_inner_sigmoid
-            )
+            slots[ins.outputs[0]] = en.gate3(args[0], args[1], args[2])
         else:  # pragma: no cover
             raise DivergenceError(f"unknown instruction kind {ins.kind}")
         out_t = slots[ins.outputs[0]]

@@ -8,9 +8,8 @@ immutable; every operation here is a pure function.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, Optional
 
 

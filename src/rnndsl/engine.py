@@ -12,8 +12,8 @@ import json
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -87,28 +84,6 @@ class Tensor:
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
 
-    # convenience arithmetic (floats allowed)
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
@@ -125,10 +100,6 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.shape})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,16 +141,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         a.accumulate(_unbroadcast(g * b.data, a.data.shape))
         b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, (a, b), bw)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def bw(g):
-        a.accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b.accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return Tensor(out_data, (a, b), bw)
 
@@ -292,42 +253,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(out_data, (x, gain, bias), bw)
 
 
-def gate3(x: Tensor, y: Tensor, f: Tensor, inner_sigmoid: bool = False) -> Tensor:
-    """f*x + (1-f)*y; with inner_sigmoid, the gate is sigmoid(f) first."""
-    gate = sigmoid(f) if inner_sigmoid else f
-    return add(mul(gate, x), mul(sub(_as_tensor(1.0), gate), y))
-
-
-def lstm_step(z: Tensor, c: Tensor) -> Tensor:
-    """Fused LSTM gate update.
-
-    ``z`` [B, 4w] holds the pre-activation gate blocks i|f|o|u and ``c``
-    [B, w] the previous cell state. Returns [B, 2w] with the new hidden
-    state in columns [0, w) and the new cell state in [w, 2w). Equivalent
-    to the sigmoid/tanh/mul composition, collapsed into one graph node.
-    """
-    w = c.data.shape[-1]
-    i = 1.0 / (1.0 + np.exp(-z.data[..., :w]))
-    f = 1.0 / (1.0 + np.exp(-z.data[..., w : 2 * w]))
-    o = 1.0 / (1.0 + np.exp(-z.data[..., 2 * w : 3 * w]))
-    u = np.tanh(z.data[..., 3 * w :])
-    c2 = f * c.data + i * u
-    th = np.tanh(c2)
-    out_data = np.concatenate([o * th, c2], axis=-1)
-
-    def bw(g):
-        gh = g[..., :w]
-        gc = g[..., w:]
-        dc2 = gc + gh * o * (1.0 - th * th)
-        gz = np.empty_like(z.data)
-        gz[..., :w] = dc2 * u * i * (1.0 - i)
-        gz[..., w : 2 * w] = dc2 * c.data * f * (1.0 - f)
-        gz[..., 2 * w : 3 * w] = gh * th * o * (1.0 - o)
-        gz[..., 3 * w :] = dc2 * i * (1.0 - u * u)
-        z.accumulate(gz)
-        c.accumulate(dc2 * f)
-
-    return Tensor(out_data, (z, c), bw)
+def gate3(x: Tensor, y: Tensor, f: Tensor) -> Tensor:
+    """f*x + (1-f)*y."""
+    return add(mul(f, x), mul(sub(Tensor(1.0), f), y))
 
 
 def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
@@ -336,8 +264,8 @@ def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
     ``x`` [B, w_in] is the input, ``hc`` [B, 2w] packs the previous hidden
     state in columns [0, w) and the cell state in [w, 2w); ``W`` [4w, w_in],
     ``U`` [4w, w], and ``b`` [4w] parameterize the i|f|o|u gate blocks.
-    Returns the packed next state [B, 2w]. Equivalent to
-    ``lstm_step(linear(x, W) + linear(h, U) + b, c)`` in a single graph node.
+    Returns the packed next state [B, 2w]. Equivalent to the sigmoid/tanh/mul
+    composition over ``linear(x, W) + linear(h, U) + b``, in one graph node.
     """
     w = hc.data.shape[-1] // 2
     hprev = hc.data[..., :w]
@@ -367,18 +295,6 @@ def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         hc.accumulate(np.concatenate([gz @ U.data, dc2 * f], axis=-1))
 
     return Tensor(out_data, (x, hc, W, U, b), bw)
-
-
-def softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        x.accumulate(s * (g - dot))
-
-    return Tensor(s, (x,), bw)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -440,16 +356,6 @@ def tsum(x: Tensor) -> Tensor:
 
     def bw(g):
         x.accumulate(np.broadcast_to(g, x.data.shape).copy())
-
-    return Tensor(out_data, (x,), bw)
-
-
-def tmean(x: Tensor) -> Tensor:
-    n = x.data.size
-    out_data = np.asarray(x.data.mean())
-
-    def bw(g):
-        x.accumulate(np.broadcast_to(g / n, x.data.shape).copy())
 
     return Tensor(out_data, (x,), bw)
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from . import engine as en
 from .compiler import (
-    CellProgram,
-    CellState,
     CompileError,
     DivergenceError,
     compile,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

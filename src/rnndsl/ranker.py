@@ -10,7 +10,7 @@ h_{t-1}/c_{t-1} reflects the cell's own graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

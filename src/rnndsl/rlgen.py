@@ -10,7 +10,7 @@ with a multinomial under an epsilon-greedy scheme.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dsl import (
     EXTENDED_OPERATORS,
     EXTENDED_SOURCES,
     OpKind,
-    canonicalize,
+    canonicalize,  # noqa: F401  (the benchmark tracer wraps rlgen.canonicalize)
     tree_height,
 )
 
@@ -36,7 +36,6 @@ TARGET_TOKEN = "target"
 class RLConfig:
     width: int = 32
     epsilon: float = 0.05
-    min_depth: int = 3  # prior only; not masked
     max_depth: int = 11
     max_nodes: int = 21
     extended_dsl: bool = False

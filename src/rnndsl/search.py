@@ -3,7 +3,7 @@
 Two loops are provided: random generation filtered through the learned
 ranking function, and REINFORCE episodes with batch-composition rules.
 Every evaluation appends exactly one JSONL record to an append-only
-store; with fixed seeds and sequential workers, reruns are byte-identical.
+store; with fixed seeds, reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,21 +12,15 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
 from . import engine as en
+from . import rlgen
 from .compiler import compile, run_sequence
-from .dsl import (
-    Architecture,
-    OpKind,
-    builtin,
-    parse,
-    subtree_uses,
-)
+from .dsl import OpKind, builtin, parse
 from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, train_and_score
 from .randgen import GenConfig, arch_id, expand_ct_variants, generate_batch
 from .ranker import Ranker, RankerConfig, select
@@ -49,7 +43,6 @@ class SearchConfig:
     k_top: int = 28
     k_sampled: int = 4
     ct_enable_after: int = 750
-    parallel_workers: int = 1
     # rl batch composition
     min_good: int = 3
     max_failing: int = 1
@@ -58,7 +51,6 @@ class SearchConfig:
     # stop criteria
     max_steps: int = 5
     max_evaluations: int = 200  # rl mode
-    wall_clock_budget: float = math.inf
     # ranking
     warm_start_ranker: bool = True
     temperature: float = 1.0
@@ -73,13 +65,6 @@ class SearchConfig:
             raise ValueError("k_top + k_sampled must not exceed candidates_per_step")
         if self.min_good + self.max_failing > self.min_batch:
             raise ValueError("min_good + max_failing must not exceed min_batch")
-
-    @classmethod
-    def desk_scale(cls, **overrides) -> "SearchConfig":
-        base = dict(candidates_per_step=2_000, k_top=8, k_sampled=2)
-        base.update(overrides)
-        return cls(**base)
-
 
 # ---------------------------------------------------------------------------
 # record store
@@ -147,32 +132,6 @@ class RecordStore:
 # shared evaluation plumbing
 # ---------------------------------------------------------------------------
 
-def _evaluate_many(
-    archs: Sequence[Architecture],
-    task: Task,
-    train_cfg: TrainConfig,
-    source: str,
-    batch_index: int,
-    cfg: SearchConfig,
-) -> list[ArchPerfRecord]:
-    """Evaluate candidates, preserving input order in the result list."""
-
-    def one(arch: Architecture) -> ArchPerfRecord:
-        return train_and_score(
-            arch,
-            task,
-            train_cfg,
-            source=source,
-            batch_index=batch_index,
-            deterministic=cfg.deterministic,
-        )
-
-    if cfg.parallel_workers > 1 and len(archs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallel_workers) as pool:
-            return list(pool.map(one, archs))
-    return [one(a) for a in archs]
-
-
 def _seed_baselines(
     store: RecordStore, cfg: SearchConfig, task: Task, train_cfg: TrainConfig
 ) -> None:
@@ -180,8 +139,12 @@ def _seed_baselines(
         arch = builtin(name)
         if arch_id(arch) in store:
             continue
-        rec = _evaluate_many([arch], task, train_cfg, "seed", 0, cfg)[0]
-        store.append(rec)
+        store.append(
+            train_and_score(
+                arch, task, train_cfg, source="seed", batch_index=0,
+                deterministic=cfg.deterministic,
+            )
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +189,13 @@ def run_random_search(
             idx = rng.choice(len(cands), size=take, replace=False)
             chosen = [cands[i] for i in idx]
         chosen = [a for a in chosen if arch_id(a) not in store]
-        for rec in _evaluate_many(chosen, task, train_cfg, "random", step, cfg):
-            store.append(rec)
+        for arch in chosen:
+            store.append(
+                train_and_score(
+                    arch, task, train_cfg, source="random", batch_index=step,
+                    deterministic=cfg.deterministic,
+                )
+            )
     return store, store.best()
 
 
@@ -270,7 +238,11 @@ def _episode_result(
             results.append(store.by_id[vid])
         else:
             todo.append(v)
-    for rec in _evaluate_many(todo, task, train_cfg, "rl", batch_index, cfg):
+    for v in todo:
+        rec = train_and_score(
+            v, task, train_cfg, source="rl", batch_index=batch_index,
+            deterministic=cfg.deterministic,
+        )
         store.append(rec)
         results.append(rec)
         dispatched += 1
@@ -337,17 +309,10 @@ def run_rl_search(
             good_pending, fail_pending = [], []
             relaxed += 1
         if batch:
-            reinforce_ok = _safe_update(policy, batch, opt)
-            if reinforce_ok:
+            if rlgen.reinforce_update(policy, batch, opt):
                 batches += 1
             since_update = 0
     return RLSearchResult(store, store.best(), rewards_seen, batches, relaxed)
-
-
-def _safe_update(policy: Policy, batch: list[Episode], opt: en.Optimizer) -> bool:
-    from .rlgen import reinforce_update
-
-    return reinforce_update(policy, batch, opt)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,6 @@ class TestPrimitiveValues:
         f = en.Tensor([0.5])
         np.testing.assert_allclose(en.gate3(x, y, f).data, [3.0])
 
-    def test_gate3_inner_sigmoid_flag(self):
-        x, y = en.Tensor([2.0]), en.Tensor([4.0])
-        f = en.Tensor([0.0])  # sigmoid(0) = 0.5
-        np.testing.assert_allclose(
-            en.gate3(x, y, f, inner_sigmoid=True).data, [3.0]
-        )
-
     def test_safe_div_clamps_near_zero(self):
         out = en.safe_div(en.Tensor([1.0]), en.Tensor([1e-12]))
         np.testing.assert_allclose(out.data, [1e7])
@@ -53,14 +46,6 @@ class TestPrimitiveValues:
         out = en.layer_norm(x, g, b).data
         assert abs(out.mean()) < 1e-12
         assert out.std() == pytest.approx(1.0, abs=1e-4)
-
-    def test_softmax_normalized_positive(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = en.Tensor(rng.standard_normal((3, 7)) * 5)
-            p = en.softmax(x).data
-            np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-            assert (p > 0).all()
 
     def test_positional_encoding(self):
         table = en.positional_encoding_table(64, 8)
@@ -127,25 +112,6 @@ class TestGradients:
 
         check(f, [a, b])
 
-    def test_lstm_step(self, rng):
-        z = en.Parameter(rng.standard_normal((2, 20)), "z")
-        c = en.Parameter(rng.standard_normal((2, 5)), "c")
-        check(lambda: en.tsum(en.lstm_step(z, c)), [z, c])
-
-    def test_lstm_step_matches_unfused(self, rng):
-        w = 5
-        z = en.Tensor(rng.standard_normal((2, 4 * w)))
-        c = en.Tensor(rng.standard_normal((2, w)))
-        i = en.sigmoid(en.slice_last(z, 0, w))
-        f = en.sigmoid(en.slice_last(z, w, 2 * w))
-        o = en.sigmoid(en.slice_last(z, 2 * w, 3 * w))
-        u = en.tanh(en.slice_last(z, 3 * w, 4 * w))
-        c2 = en.add(en.mul(f, c), en.mul(i, u))
-        h2 = en.mul(o, en.tanh(c2))
-        fused = en.lstm_step(z, c)
-        np.testing.assert_array_equal(fused.data[:, :w], h2.data)
-        np.testing.assert_array_equal(fused.data[:, w:], c2.data)
-
     def test_lstm_cell(self, rng):
         x = en.Parameter(rng.standard_normal((2, 3)), "x")
         hc = en.Parameter(rng.standard_normal((2, 10)), "hc")
@@ -164,21 +130,27 @@ class TestGradients:
         h = en.slice_last(hc, 0, w)
         c = en.slice_last(hc, w, 2 * w)
         z = en.add(en.add(en.linear(x, W), en.linear(h, U)), b)
-        np.testing.assert_array_equal(
-            en.lstm_cell(x, hc, W, U, b).data, en.lstm_step(z, c).data
-        )
+        i = en.sigmoid(en.slice_last(z, 0, w))
+        f = en.sigmoid(en.slice_last(z, w, 2 * w))
+        o = en.sigmoid(en.slice_last(z, 2 * w, 3 * w))
+        u = en.tanh(en.slice_last(z, 3 * w, 4 * w))
+        c2 = en.add(en.mul(f, c), en.mul(i, u))
+        h2 = en.mul(o, en.tanh(c2))
+        fused = en.lstm_cell(x, hc, W, U, b).data
+        np.testing.assert_array_equal(fused[:, :w], h2.data)
+        np.testing.assert_array_equal(fused[:, w:], c2.data)
 
     def test_constant_has_zero_error(self):
         p = en.Parameter(np.ones(3), "p")
         assert en.gradient_check(lambda: en.Tensor(np.array(1.0)), [p]) == 0.0
 
     def test_non_finite_gradient_reported(self):
-        p = en.Parameter(np.zeros(2), "p")
+        p = en.Parameter(np.full(2, 1000.0), "p")  # exp overflows to inf
 
         def f():
-            return en.tsum(en.div(en.Tensor([1.0, 1.0]), p))
+            return en.tsum(en.exp(p))
 
-        with pytest.raises(FloatingPointError):
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             en.gradient_check(f, [p])
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import rnndsl.rlgen as rlgen
 import rnndsl.search as search
 from rnndsl.dsl import OpKind, builtin, render
 from rnndsl.evaluator import ArchPerfRecord, TaskSpec, TrainConfig, make_task
@@ -74,12 +75,6 @@ class TestSearchConfig:
     def test_batch_rule_consistency(self):
         with pytest.raises(ValueError):
             SearchConfig(min_good=4, max_failing=2, min_batch=4)
-
-    def test_desk_scale_defaults(self):
-        cfg = SearchConfig.desk_scale()
-        assert cfg.candidates_per_step == 2000
-        assert cfg.k_top == 8
-        assert cfg.k_sampled == 2
 
 
 class TestRecordStore:
@@ -154,7 +149,7 @@ class TestRLBatchComposition:
             return True
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
-        monkeypatch.setattr(search, "_safe_update", fake_update)
+        monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
         cfg = SearchConfig(
             mode="rl", max_evaluations=5, min_good=3, max_failing=1, min_batch=4
         )
@@ -176,7 +171,7 @@ class TestRLBatchComposition:
             return True
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
-        monkeypatch.setattr(search, "_safe_update", fake_update)
+        monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
         cfg = SearchConfig(mode="rl", max_evaluations=8, starvation_limit=4)
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
@@ -188,7 +183,7 @@ class TestRLBatchComposition:
             return 0.5, True, 1
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
-        monkeypatch.setattr(search, "_safe_update", lambda p, b, o: True)
+        monkeypatch.setattr(rlgen, "reinforce_update", lambda p, b, o: True)
         cfg = SearchConfig(mode="rl", max_evaluations=7)
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
