@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -527,34 +528,69 @@ _MAGIC = b"RNDL\x01\x00"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint atomically: a failed save leaves `path` as it was."""
     header = {}
     offset = 0
     for name, arr in arrays.items():
         header[name] = {"shape": list(arr.shape), "offset": offset}
         offset += arr.size * 8
     hbytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(hbytes)))
-        fh.write(hbytes)
-        for arr in arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<Q", len(hbytes)))
+            fh.write(hbytes)
+            for arr in arrays.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; truncation or a malformed header is a ValueError
+    that gives the byte offset in the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not a rnndsl checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        payload = fh.read()
+        blob = fh.read()
+    if not blob.startswith(_MAGIC):
+        raise ValueError(f"{path}: not a rnndsl checkpoint")
+    pos = len(_MAGIC)
+    if len(blob) < pos + 8:
+        raise ValueError(f"{path}: truncated at byte {len(blob)}, inside the header length")
+    (hlen,) = struct.unpack_from("<Q", blob, pos)
+    pos += 8
+    if len(blob) < pos + hlen:
+        raise ValueError(
+            f"{path}: truncated at byte {len(blob)}, inside the {hlen}-byte "
+            f"header that starts at byte {pos}"
+        )
+    try:
+        header = json.loads(blob[pos:pos + hlen].decode())
+        metas = {
+            name: (tuple(int(n) for n in meta["shape"]), int(meta["offset"]))
+            for name, meta in header.items()
+        }
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed header at byte {pos}: {exc}") from None
+    if any(min(shape, default=0) < 0 or off < 0 for shape, off in metas.values()):
+        raise ValueError(f"{path}: malformed header at byte {pos}: negative size")
+    pos += hlen
     out = {}
-    for name, meta in header.items():
-        shape = tuple(meta["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = meta["offset"]
-        arr = np.frombuffer(payload[start:start + size * 8], dtype="<f8")
+    for name, (shape, offset) in metas.items():
+        size = math.prod(shape)
+        start = pos + offset
+        end = start + size * 8
+        if end > len(blob):
+            raise ValueError(
+                f"{path}: parameter {name!r} needs bytes {start}..{end} "
+                f"but the file ends at byte {len(blob)}"
+            )
+        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
         out[name] = arr.reshape(shape).astype(np.float64)
     return out
 
@@ -564,10 +600,15 @@ def save_params(path, params: Sequence[Parameter]) -> None:
 
 
 def load_params(path, params: Sequence[Parameter]) -> None:
+    """Assign every parameter from a checkpoint, or none of them."""
     arrays = load_arrays(path)
     for p in params:
         if p.name not in arrays:
             raise KeyError(f"checkpoint missing parameter {p.name}")
         if arrays[p.name].shape != p.data.shape:
-            raise ValueError(f"shape mismatch for {p.name}")
+            raise ValueError(
+                f"shape mismatch for {p.name}: checkpoint "
+                f"{arrays[p.name].shape}, parameter {p.data.shape}"
+            )
+    for p in params:
         p.data[...] = arrays[p.name]

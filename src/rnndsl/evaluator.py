@@ -202,7 +202,32 @@ class ArchPerfRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ArchPerfRecord":
-        return cls(**json.loads(line))
+        data = json.loads(line)
+        if not isinstance(data, dict):
+            raise TypeError("a record must be a JSON object")
+        for name, value in data.items():
+            allowed = _RECORD_FIELD_TYPES.get(name, object)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise TypeError(f"field {name!r} holds {type(value).__name__} {value!r}")
+        return cls(**data)
+
+
+# the JSON value types each record field accepts; booleans are never numbers
+_NUMBER = (int, float)
+_RECORD_FIELD_TYPES = {
+    "id": str,
+    "dsl": str,
+    "ct_node": (int, type(None)),
+    "source": str,
+    "task": str,
+    "status": str,
+    "valid_metric": (*_NUMBER, type(None)),
+    "test_metric": (*_NUMBER, type(None)),
+    "epochs_run": int,
+    "wall_seconds": _NUMBER,
+    "batch_index": int,
+    "timestamp": str,
+}
 
 
 class SequenceModel:

@@ -75,30 +75,44 @@ class StoreError(Exception):
 
 
 class RecordStore:
-    """Append-only JSONL file with an in-memory index by canonical id."""
+    """Append-only JSONL file with an in-memory index by canonical id.
+
+    A final line without its newline that does not parse is a torn write
+    from an interrupted append: `load` leaves it out, and the first
+    `append` after that load cuts it off before writing."""
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
         self.records: list[ArchPerfRecord] = []
         self.by_id: dict[str, ArchPerfRecord] = {}
+        # (byte length to keep, bytes to add) before the next append writes
+        self._repair: Optional[tuple[int, bytes]] = None
 
     @classmethod
     def load(cls, path: str) -> "RecordStore":
         store = cls(path)
         if not os.path.exists(path):
             return store
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+        end = 0
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                start, end = end, end + len(raw)
+                if not raw.strip():
                     continue
                 try:
-                    rec = ArchPerfRecord.from_json(line)
-                except (json.JSONDecodeError, TypeError) as exc:
+                    rec = ArchPerfRecord.from_json(raw.decode("utf-8"))
+                except (ValueError, TypeError) as exc:
+                    if not raw.endswith(b"\n"):
+                        store._repair = (start, b"")
+                        break
                     raise StoreError(f"{path}:{lineno}: malformed record: {exc}")
                 if rec.id in store.by_id:
                     raise StoreError(f"{path}:{lineno}: duplicate id {rec.id}")
                 store.records.append(rec)
                 store.by_id[rec.id] = rec
+            else:  # no torn line; a parsed last line may still lack its newline
+                if end and not raw.endswith(b"\n"):
+                    store._repair = (end, b"\n")
         return store
 
     def __contains__(self, rec_id: str) -> bool:
@@ -111,8 +125,13 @@ class RecordStore:
         if rec.id in self.by_id:
             raise StoreError(f"duplicate id {rec.id} rejected")
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(rec.to_json() + "\n")
+            with open(self.path, "ab") as fh:
+                if self._repair is not None:
+                    keep, prefix = self._repair
+                    fh.truncate(keep)
+                    fh.write(prefix)
+                    self._repair = None
+                fh.write((rec.to_json() + "\n").encode("utf-8"))
                 fh.flush()
         self.records.append(rec)
         self.by_id[rec.id] = rec

@@ -218,3 +218,31 @@ class TestSearchAndReport:
         )
         assert code == 1
         assert "error[" in err
+
+
+class TestRemovedOptions:
+    """The evaluator thread pool and the config fields nothing read are
+    refused rather than ignored."""
+
+    def test_workers_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "random", "--workers", "2",
+                  "--out", str(tmp_path / "r.jsonl")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "section,name,cls",
+        [("search", "parallel_workers", "SearchConfig"),
+         ("search", "wall_clock_budget", "SearchConfig"),
+         ("rl", "min_depth", "RLConfig")],
+    )
+    def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {name: 2}}))
+        code, _, err = run_cli(
+            capsys, "search", "random", "--config", str(cfg),
+            "--out", str(tmp_path / "r.jsonl"),
+        )
+        assert code == 1
+        assert f"unknown {cls} fields: ['{name}']" in err

@@ -250,6 +250,38 @@ class TestCheckpoints:
         with open(path, "rb") as fh:
             assert fh.read(6) == b"RNDL\x01\x00"
 
+    def test_missing_parameter_leaves_others_untouched(self, tmp_path):
+        path = tmp_path / "one.bin"
+        en.save_arrays(path, {"p0": np.ones((2, 2))})
+        qs = [en.Parameter(np.zeros((2, 2)), f"p{i}") for i in range(2)]
+        with pytest.raises(KeyError, match="p1"):
+            en.load_params(path, qs)
+        np.testing.assert_array_equal(qs[0].data, np.zeros((2, 2)))
+
+    def test_truncated_payload_names_parameter_and_byte(self, tmp_path, rng):
+        path = tmp_path / "cut.bin"
+        en.save_arrays(path, {"a": rng.standard_normal(3), "b": rng.standard_normal(4)})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])
+        with pytest.raises(ValueError, match=rf"'b' .* ends at byte {len(blob) - 8}"):
+            en.load_arrays(path)
+
+    def test_truncated_header_gives_byte(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        en.save_arrays(path, {"a": np.zeros(3)})
+        path.write_bytes(path.read_bytes()[:20])
+        with pytest.raises(ValueError, match="truncated at byte 20"):
+            en.load_arrays(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "c.bin"
+        en.save_arrays(path, {"x": np.arange(3.0)})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            en.save_arrays(path, {"x": np.arange(3.0), "y": np.array(["not", "numbers"])})
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]
+
 
 class TestInit:
     def test_mm_weight_range(self, rng):

@@ -106,6 +106,47 @@ class TestRecordStore:
         with pytest.raises(StoreError, match="bad.jsonl:2"):
             RecordStore.load(str(path))
 
+    def test_torn_last_line_left_out_then_cut_on_append(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        recs = [make_record(builtin(n), 1.0) for n in ("tanh_rnn", "gru", "lstm")]
+        whole = "".join(r.to_json() + "\n" for r in recs[:2])
+        torn = whole + recs[2].to_json()[:40]
+        path.write_text(torn)
+        store = RecordStore.load(str(path))
+        assert store.records == recs[:2]
+        assert path.read_text() == torn  # loading never writes
+        store.append(recs[2])
+        assert path.read_text() == whole + recs[2].to_json() + "\n"
+        assert RecordStore.load(str(path)).records == recs
+
+    def test_unterminated_whole_last_line_kept(self, tmp_path):
+        path = tmp_path / "nonl.jsonl"
+        recs = [make_record(builtin(n), 1.0) for n in ("tanh_rnn", "gru", "lstm")]
+        path.write_text(recs[0].to_json() + "\n" + recs[1].to_json())
+        store = RecordStore.load(str(path))
+        assert store.records == recs[:2]
+        store.append(recs[2])
+        assert path.read_text() == "".join(r.to_json() + "\n" for r in recs)
+
+    def test_terminated_malformed_last_line_raises(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        rec = make_record(builtin("gru"), 0.9)
+        path.write_text(rec.to_json() + "\n" + rec.to_json()[:40] + "\n")
+        with pytest.raises(StoreError, match="bad.jsonl:2"):
+            RecordStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "field,value", [("valid_metric", "NaN"), ("epochs_run", True), ("ct_node", 1.5)]
+    )
+    def test_wrong_field_type_reports_lineno(self, tmp_path, field, value):
+        path = tmp_path / "typed.jsonl"
+        rec = make_record(builtin("gru"), 0.9)
+        bad = json.loads(make_record(builtin("lstm"), 0.8).to_json())
+        bad[field] = value
+        path.write_text(rec.to_json() + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(StoreError, match=f"typed.jsonl:2: .*{field}"):
+            RecordStore.load(str(path))
+
     def test_missing_file_is_empty_store(self, tmp_path):
         store = RecordStore.load(str(tmp_path / "absent.jsonl"))
         assert len(store) == 0
