@@ -66,6 +66,7 @@ class SearchConfig:
         if self.min_good + self.max_failing > self.min_batch:
             raise ValueError("min_good + max_failing must not exceed min_batch")
 
+
 # ---------------------------------------------------------------------------
 # record store
 # ---------------------------------------------------------------------------
@@ -248,7 +249,6 @@ def _episode_result(
     if not variants:
         # uses c_tm1 but offers no valid tap node: nothing to evaluate
         return reward(reward_cfg, None, "invalid"), False, 0
-    dispatched = 0
     results: list[ArchPerfRecord] = []
     todo = []
     for v in variants:
@@ -264,7 +264,6 @@ def _episode_result(
         )
         store.append(rec)
         results.append(rec)
-        dispatched += 1
     best_rec = min(
         results,
         key=lambda r: r.valid_metric
@@ -273,7 +272,7 @@ def _episode_result(
     )
     good = best_rec.status == "ok"
     loss = best_rec.valid_metric if good else None
-    return reward(reward_cfg, loss, best_rec.status), good, dispatched
+    return reward(reward_cfg, loss, best_rec.status), good, len(todo)
 
 
 def run_rl_search(
