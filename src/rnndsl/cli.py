@@ -170,11 +170,11 @@ def cmd_eval(args) -> int:
     spec = cfg["task"]
     spec.kind = args.task
     task = make_task(spec)
+    # a malformed store is reported before the candidate is trained
+    store = RecordStore.load(args.out) if args.out else None
     rec = train_and_score(parse(args.dsl), task, cfg["train"], source="human")
-    if args.out:
-        store = RecordStore.load(args.out)
-        if rec.id not in store:
-            store.append(rec)
+    if store is not None and rec.id not in store:
+        store.append(rec)
     _emit(
         args,
         json.loads(rec.to_json()),

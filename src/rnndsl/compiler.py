@@ -8,6 +8,7 @@ output is sliced back apart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +45,14 @@ _SOURCE_SLOTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _posenc_table(hidden_size: int) -> np.ndarray:
+    """The positional-encoding table of one width, built once and read-only."""
+    table = en.positional_encoding_table(POSENC_ROWS, hidden_size)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class Instr:
     kind: str  # "mm", "fused_mm", "unary", "binary", "gate3", "layernorm"
@@ -64,7 +73,7 @@ class CellProgram:
     input_size: int
     n_slots: int
     fused_groups: dict[OpKind, list[int]]  # source leaf -> fused node indices
-    posenc_table: np.ndarray
+    posenc_table: Optional[np.ndarray]  # None when the cell never reads posenc
     node_param_names: dict[int, tuple[str, ...]]  # node number -> param names
 
     def parameters(self) -> list[en.Parameter]:
@@ -238,86 +247,143 @@ def compile(
         input_size=input_size,
         n_slots=next_slot,
         fused_groups=fused_groups,
-        posenc_table=en.positional_encoding_table(POSENC_ROWS, hidden_size),
+        posenc_table=(
+            _posenc_table(hidden_size) if subtree_uses(root, OpKind.POSENC) else None
+        ),
         node_param_names=node_param_names,
     )
 
 
-_UNARY_FNS = {
-    OpKind.SIGMOID: en.sigmoid,
-    OpKind.TANH: en.tanh,
-    OpKind.RELU: en.relu,
-    OpKind.SIN: en.sin,
-    OpKind.COS: en.cos,
-    OpKind.SELU: en.selu,
-}
-
-_BINARY_FNS = {
-    OpKind.ADD: en.add,
-    OpKind.MULT: en.mul,
-    OpKind.SUB: en.sub,
-    OpKind.DIV: en.safe_div,
+# op -> (forward, backward) array kernels, as in engine: forward(*inputs,
+# *params) returns the value and what backward(g, inputs, saved) needs to
+# give one gradient per input and parameter
+_KERNELS = {
+    OpKind.SIGMOID: (en.sigmoid_fwd, en.unary_bwd),
+    OpKind.TANH: (en.tanh_fwd, en.unary_bwd),
+    OpKind.RELU: (en.relu_fwd, en.unary_bwd),
+    OpKind.SIN: (en.sin_fwd, en.unary_bwd),
+    OpKind.COS: (en.cos_fwd, en.unary_bwd),
+    OpKind.SELU: (en.selu_fwd, en.unary_bwd),
+    OpKind.DIV: (en.safe_div_fwd, en.safe_div_bwd),
+    OpKind.GATE3: (en.gate3_fwd, en.gate3_bwd),
+    OpKind.LAYERNORM: (en.layer_norm_fwd, en.layer_norm_bwd),
+    OpKind.ADD: (lambda a, b: (a + b, None), lambda g, ab, _: (g, g)),
+    OpKind.SUB: (lambda a, b: (a - b, None), lambda g, ab, _: (g, -g)),
+    OpKind.MULT: (lambda a, b: (a * b, None), lambda g, ab, _: (g * ab[1], g * ab[0])),
+    OpKind.MM: (
+        lambda x, w, b: (x @ w.T + b, None),
+        lambda g, xwb, _: (g @ xwb[1], g.T @ xwb[0], g.sum(axis=0)),
+    ),
 }
 
 
 def step(
     prog: CellProgram, x_t: en.Tensor, state: CellState
 ) -> tuple[en.Tensor, CellState]:
-    """One timestep: returns h_t and the advanced state."""
-    batch = x_t.data.shape[0]
-    slots: list[Optional[en.Tensor]] = [None] * prog.n_slots
-    slots[SLOT_X] = x_t
-    slots[SLOT_XM1] = state.x_prev
-    slots[SLOT_HM1] = state.h
-    slots[SLOT_CM1] = state.c
-    t_idx = min(state.t, prog.posenc_table.shape[0] - 1)
-    slots[SLOT_POSENC] = en.Tensor(
-        np.broadcast_to(prog.posenc_table[t_idx], (batch, prog.hidden_size)).copy()
-    )
+    """One timestep: returns h_t and the advanced state.
 
-    for i, ins in enumerate(prog.instructions):
-        args = [slots[s] for s in ins.inputs]
-        if any(a is None for a in args):
-            raise DivergenceError(f"instruction {i} reads an unwritten slot")
-        if ins.kind == "mm":
-            out = en.linear(args[0], prog.params[ins.params[0]], prog.params[ins.params[1]])
-            slots[ins.outputs[0]] = out
-        elif ins.kind == "fused_mm":
-            ws = [prog.params[p] for p in ins.params[0::2]]
-            bs = [prog.params[p] for p in ins.params[1::2]]
-            wide_w = en.concat(ws, axis=0)
-            wide_b = en.concat(bs, axis=0)
-            wide = en.linear(args[0], wide_w, wide_b)
-            h = prog.hidden_size
-            for j, out_slot in enumerate(ins.outputs):
-                slots[out_slot] = en.slice_last(wide, j * h, (j + 1) * h)
-        elif ins.kind == "layernorm":
-            slots[ins.outputs[0]] = en.layer_norm(
-                args[0], prog.params[ins.params[0]], prog.params[ins.params[1]]
-            )
-        elif ins.kind == "unary":
-            slots[ins.outputs[0]] = _UNARY_FNS[ins.op](args[0])
-        elif ins.kind == "binary":
-            if ins.op is OpKind.DIV and np.any(args[1].data == 0.0):
+    The instructions run on plain arrays, and the whole step is one tape
+    node whose backward pass walks them in reverse. With a c_t tap that
+    node packs h|c, and h_t and c_t are its two halves.
+    """
+    hid = prog.hidden_size
+    instrs = prog.instructions
+    params = prog.params
+    if state.c is None and prog.ct_slot is not None:
+        for i, ins in enumerate(instrs):
+            if SLOT_CM1 in ins.inputs:
+                raise DivergenceError(f"instruction {i} reads an unwritten slot")
+    sources = (x_t, state.x_prev, state.h, state.c)
+    vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
+    for slot, src in enumerate(sources):
+        vals[slot] = src.data if src is not None else None
+    if prog.posenc_table is not None:
+        row = prog.posenc_table[min(state.t, POSENC_ROWS - 1)]
+        vals[SLOT_POSENC] = np.broadcast_to(row, (x_t.data.shape[0], hid)).copy()
+
+    def args_of(ins: Instr) -> list[np.ndarray]:
+        return [vals[s] for s in ins.inputs] + [params[p].data for p in ins.params]
+
+    saved: list = [None] * len(instrs)  # what each instruction's backward needs
+    for i, ins in enumerate(instrs):
+        if ins.kind == "fused_mm":
+            # one wide MM for the group; each node's output is a column block
+            w = np.concatenate([params[p].data for p in ins.params[0::2]], axis=0)
+            b = np.concatenate([params[p].data for p in ins.params[1::2]], axis=0)
+            out = vals[ins.inputs[0]] @ w.T + b
+            saved[i] = w
+            for j, s in enumerate(ins.outputs):
+                vals[s] = out[..., j * hid:(j + 1) * hid]
+        else:
+            args = args_of(ins)
+            if ins.op is OpKind.DIV and (args[1] == 0.0).any():
                 # exact singularity; the clamp only guards near-zero values
                 raise DivergenceError(
                     f"zero denominator in Div at instruction {i}", timestep=state.t
                 )
-            slots[ins.outputs[0]] = _BINARY_FNS[ins.op](args[0], args[1])
-        elif ins.kind == "gate3":
-            slots[ins.outputs[0]] = en.gate3(args[0], args[1], args[2])
-        else:  # pragma: no cover
-            raise DivergenceError(f"unknown instruction kind {ins.kind}")
-        out_t = slots[ins.outputs[0]]
-        if not np.all(np.isfinite(out_t.data)):
+            out, saved[i] = _KERNELS[ins.op][0](*args)
+            vals[ins.outputs[0]] = out
+        if not np.isfinite(out).all():
             raise DivergenceError(
                 f"non-finite value at instruction {i} ({ins.kind})", timestep=state.t
             )
 
-    h_t = slots[prog.root_slot]
-    c_t = slots[prog.ct_slot] if prog.ct_slot is not None else state.c
-    new_state = CellState(h=h_t, c=c_t, x_prev=x_t, t=state.t + 1)
-    return h_t, new_state
+    def backward(g: np.ndarray) -> None:
+        grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
+
+        def add(slot: int, grad: np.ndarray) -> None:
+            prev = grads[slot]
+            grads[slot] = grad if prev is None else prev + grad
+
+        if prog.ct_slot is None:
+            grads[prog.root_slot] = g
+        else:
+            grads[prog.root_slot] = g[..., :hid]
+            grads[prog.ct_slot] = g[..., hid:]
+        for i in range(len(instrs) - 1, -1, -1):
+            ins = instrs[i]
+            if ins.kind == "fused_mm":
+                outs = [grads[s] for s in ins.outputs]
+                if all(go is None for go in outs):
+                    continue
+                x = vals[ins.inputs[0]]
+                g_out = np.zeros((x.shape[0], hid * len(outs)))
+                for j, go in enumerate(outs):
+                    if go is not None:
+                        g_out[..., j * hid:(j + 1) * hid] = go
+                add(ins.inputs[0], g_out @ saved[i])
+                g_w, g_b = g_out.T @ x, g_out.sum(axis=0)
+                for j, (wname, bname) in enumerate(zip(ins.params[0::2], ins.params[1::2])):
+                    rows = slice(j * hid, (j + 1) * hid)
+                    params[wname].accumulate(g_w[rows])
+                    params[bname].accumulate(g_b[rows])
+                continue
+            go = grads[ins.outputs[0]]
+            if go is None:
+                continue
+            grads_in = _KERNELS[ins.op][1](go, args_of(ins), saved[i])
+            for s, gs in zip(ins.inputs, grads_in):
+                add(s, gs)
+            for name, gp in zip(ins.params, grads_in[len(ins.inputs):]):
+                p = params[name]
+                p.accumulate(gp.sum(axis=0) if gp.ndim > p.data.ndim else gp)
+        for src, grad in zip(sources, grads):
+            if grad is not None:
+                src.accumulate(grad)
+
+    parents = tuple(t for t in sources if t is not None)
+    if prog.ct_slot is None:
+        h_t = en.Tensor(vals[prog.root_slot], parents, backward)
+        c_t = state.c
+    else:
+        packed = en.Tensor(
+            np.concatenate([vals[prog.root_slot], vals[prog.ct_slot]], axis=-1),
+            parents,
+            backward,
+        )
+        h_t = en.slice_last(packed, 0, hid)
+        c_t = en.slice_last(packed, hid, 2 * hid)
+    return h_t, CellState(h=h_t, c=c_t, x_prev=x_t, t=state.t + 1)
 
 
 def run_sequence(

@@ -4,6 +4,11 @@ Everything is double precision. A Tensor wraps a numpy array plus the
 closure needed to push gradients to its parents; `backward()` runs the
 tape in reverse topological order. Gradient construction can be switched
 off with `no_grad()` for cheap inference.
+
+Each cell operator's math lives in one array kernel here (`sigmoid_fwd`,
+`safe_div_bwd`, ...). The Tensor primitives are thin wrappers over them,
+and a compiled cell step (`compiler.step`) calls the same kernels: it is
+one tape node whose backward pass walks the cell's instructions in reverse.
 """
 
 from __future__ import annotations
@@ -113,6 +118,97 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# array kernels of the cell operators: `<op>_fwd(*inputs)` returns the value
+# and what the backward pass needs (for unary ops, the local derivative);
+# `<op>_bwd(g, inputs, saved)` returns one gradient per input. The Tensor
+# primitives below and the compiled cell step (compiler.step) both use them.
+# ---------------------------------------------------------------------------
+
+def sigmoid_fwd(x):
+    s = 1.0 / (1.0 + np.exp(-x))
+    return s, s * (1.0 - s)
+
+
+def tanh_fwd(x):
+    t = np.tanh(x)
+    return t, 1.0 - t * t
+
+
+def relu_fwd(x):
+    return np.maximum(x, 0.0), (x > 0).astype(np.float64)
+
+
+def sin_fwd(x):
+    return np.sin(x), np.cos(x)
+
+
+def cos_fwd(x):
+    return np.cos(x), -np.sin(x)
+
+
+def exp_fwd(x):
+    e = np.exp(x)
+    return e, e
+
+
+def selu_fwd(x):
+    pos = x > 0
+    e = np.exp(np.minimum(x, 0.0))
+    out = SELU_LAMBDA * np.where(pos, x, SELU_ALPHA * (e - 1.0))
+    return out, SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * e)
+
+
+def unary_bwd(g, inputs, dlocal):
+    return (g * dlocal,)
+
+
+def safe_div_fwd(a, b):
+    """a / b with |b| clamped to at least SAFE_DIV_EPS; saves the denominator."""
+    sign = np.where(b >= 0, 1.0, -1.0)
+    denom = sign * np.maximum(np.abs(b), SAFE_DIV_EPS)
+    return a / denom, denom
+
+
+def safe_div_bwd(g, inputs, denom):
+    a, b = inputs
+    # no gradient reaches b inside the clamped band
+    return g / denom, np.where(np.abs(b) < SAFE_DIV_EPS, 0.0, -g * a / (denom * denom))
+
+
+def gate3_fwd(x, y, f):
+    """f*x + (1-f)*y; saves 1-f."""
+    one_minus_f = 1.0 - f
+    return f * x + one_minus_f * y, one_minus_f
+
+
+def gate3_bwd(g, inputs, one_minus_f):
+    x, y, f = inputs
+    return g * f, g * one_minus_f, g * x - g * y
+
+
+def layer_norm_fwd(x, gain, bias):
+    """Per-row normalization over the last axis; saves xhat and 1/std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv)
+
+
+def layer_norm_bwd(g, inputs, saved):
+    """Gradients for x, gain and bias; the last two are per row."""
+    xhat, inv = saved
+    gx_hat = g * inputs[1]
+    gx = inv * (
+        gx_hat
+        - gx_hat.mean(axis=-1, keepdims=True)
+        - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return gx, g * xhat, g
+
+
+# ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
@@ -146,19 +242,56 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, (a, b), bw)
 
 
-def safe_div(a: Tensor, b: Tensor) -> Tensor:
-    """a / b with |denominator| clamped away from zero."""
-    sign = np.where(b.data >= 0, 1.0, -1.0)
-    denom = sign * np.maximum(np.abs(b.data), SAFE_DIV_EPS)
-    out_data = a.data / denom
-    in_band = np.abs(b.data) < SAFE_DIV_EPS
+def _kernel_op(fwd, bwd, *inputs: Tensor) -> Tensor:
+    """One tape node over an array kernel pair."""
+    arrays = [t.data for t in inputs]
+    out_data, saved = fwd(*arrays)
 
     def bw(g):
-        a.accumulate(_unbroadcast(g / denom, a.data.shape))
-        gb = np.where(in_band, 0.0, -g * a.data / (denom * denom))
-        b.accumulate(_unbroadcast(gb, b.data.shape))
+        for t, gt in zip(inputs, bwd(g, arrays, saved)):
+            t.accumulate(_unbroadcast(gt, t.data.shape))
 
-    return Tensor(out_data, (a, b), bw)
+    return Tensor(out_data, inputs, bw)
+
+
+def safe_div(a: Tensor, b: Tensor) -> Tensor:
+    """a / b with |denominator| clamped away from zero."""
+    return _kernel_op(safe_div_fwd, safe_div_bwd, a, b)
+
+
+def gate3(x: Tensor, y: Tensor, f: Tensor) -> Tensor:
+    """f*x + (1-f)*y."""
+    return _kernel_op(gate3_fwd, gate3_bwd, x, y, f)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization over the last axis with learned gain/bias."""
+    return _kernel_op(layer_norm_fwd, layer_norm_bwd, x, gain, bias)
+
+
+def _unary_op(fwd):
+    """The Tensor primitive over a unary kernel."""
+
+    def op(x: Tensor) -> Tensor:
+        out_data, dlocal = fwd(x.data)
+
+        def bw(g):
+            x.accumulate(g * dlocal)
+
+        return Tensor(out_data, (x,), bw)
+
+    # tracebacks, profiles and test ids name the op, not the wrapper
+    op.__name__ = op.__qualname__ = fwd.__name__[: -len("_fwd")]
+    return op
+
+
+sigmoid = _unary_op(sigmoid_fwd)
+tanh = _unary_op(tanh_fwd)
+relu = _unary_op(relu_fwd)
+sin = _unary_op(sin_fwd)
+cos = _unary_op(cos_fwd)
+exp = _unary_op(exp_fwd)
+selu = _unary_op(selu_fwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -185,78 +318,6 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out_data, parents, bw)
-
-
-def _unary(x: Tensor, out_data: np.ndarray, dlocal: np.ndarray) -> Tensor:
-    def bw(g):
-        x.accumulate(g * dlocal)
-
-    return Tensor(out_data, (x,), bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    return _unary(x, s, s * (1.0 - s))
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    return _unary(x, t, 1.0 - t * t)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    return _unary(x, out, (x.data > 0).astype(np.float64))
-
-
-def sin(x: Tensor) -> Tensor:
-    return _unary(x, np.sin(x.data), np.cos(x.data))
-
-
-def cos(x: Tensor) -> Tensor:
-    return _unary(x, np.cos(x.data), -np.sin(x.data))
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-    return _unary(x, e, e)
-
-
-def selu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-    e = np.exp(np.minimum(x.data, 0.0))
-    out = SELU_LAMBDA * np.where(pos, x.data, SELU_ALPHA * (e - 1.0))
-    dl = SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * e)
-    return _unary(x, out, dl)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Per-row normalization over the last axis with learned gain/bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
-    n = x.data.shape[-1]
-
-    def bw(g):
-        gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        bias.accumulate(_unbroadcast(g, bias.data.shape))
-        gx_hat = g * gain.data
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        )
-        x.accumulate(gx)
-
-    return Tensor(out_data, (x, gain, bias), bw)
-
-
-def gate3(x: Tensor, y: Tensor, f: Tensor) -> Tensor:
-    """f*x + (1-f)*y."""
-    return add(mul(f, x), mul(sub(Tensor(1.0), f), y))
 
 
 def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:

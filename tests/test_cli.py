@@ -127,6 +127,21 @@ class TestEval:
         assert len(store) == 1
         assert store.records[0].id == payload["id"]
 
+    def test_malformed_store_fails_before_training(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "records.jsonl"
+        out.write_text("{not json\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("train_and_score called before the store was loaded")
+
+        monkeypatch.setattr("rnndsl.cli.train_and_score", never)
+        code, _, err = run_cli(
+            capsys, "eval", TANH_RNN, "--task", "copy_memory",
+            "--config", self._config(tmp_path), "--out", str(out),
+        )
+        assert code == 1
+        assert "StoreError" in err
+
     def test_zero_epochs_is_timeout_not_crash(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

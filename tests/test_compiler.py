@@ -73,6 +73,14 @@ class TestCompileBasics:
         h, _ = step(prog, x, initial_state(prog, 2))
         np.testing.assert_array_equal(outs[0].data, h.data)
 
+    def test_posenc_table_shared_per_width_and_read_only(self):
+        arch = parse("Add(Tanh(MM(x_t)),Mult(posenc,Tanh(MM(h_tm1))))")
+        a = compile(arch, H, H, rng=np.random.default_rng(1))
+        b = compile(arch, H, H, rng=np.random.default_rng(2))
+        assert a.posenc_table is b.posenc_table
+        assert not a.posenc_table.flags.writeable
+        assert compile(builtin("gru"), D, H).posenc_table is None
+
 
 class TestFusion:
     def test_lstm_fuses_to_two_source_mms(self):
@@ -263,7 +271,9 @@ class TestDivergence:
         xs = _rand_xs(rng, 3, batch=1)
         with pytest.raises(DivergenceError) as err:
             run_sequence(prog, xs)
-        assert err.value.timestep is not None
+        div = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.DIV)
+        assert err.value.timestep == 0
+        assert str(err.value) == f"zero denominator in Div at instruction {div}"
 
 
 class TestGradientsEndToEnd:
@@ -288,3 +298,67 @@ class TestGradientsEndToEnd:
         xs = _rand_xs(rng, 4, dim=H)
         outs, _, _ = run_sequence(prog, xs)
         assert len(outs) == 4
+
+
+# every instruction kind and operator in one cell: fused MM groups over
+# x_t (3), h_tm1 (2), x_tm1 (2) and posenc (1), an unfused MM of a Tanh,
+# and a LayerNorm c_t tap read back through c_tm1
+_CT = "LayerNorm(Add(Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),c_tm1),SeLU(MM(Tanh(MM(x_tm1))))))"
+EVERY_OP = (
+    f"Gate3(Cos(@ct({_CT})),Div(Sin(MM(posenc)),Add(Sigmoid(MM(x_tm1)),ReLU(MM(x_t)))),"
+    "Sigmoid(Sub(MM(h_tm1),MM(x_t))))"
+)
+
+
+class TestEveryOperatorStep:
+    @staticmethod
+    def _prog():
+        return compile(parse(EVERY_OP), H, H, rng=np.random.default_rng(61))
+
+    def test_covers_every_kind(self):
+        prog = self._prog()
+        kinds = {ins.kind for ins in prog.instructions}
+        assert kinds == {"fused_mm", "mm", "unary", "binary", "gate3", "layernorm"}
+        ops = {ins.op for ins in prog.instructions}
+        assert {OpKind.LAYERNORM, OpKind.DIV, OpKind.SELU, OpKind.SIN, OpKind.COS,
+                OpKind.RELU, OpKind.GATE3} <= ops
+        assert set(prog.fused_groups) == {OpKind.X, OpKind.HM1, OpKind.XM1, OpKind.POSENC}
+        assert prog.ct_slot is not None
+
+    def test_gradients_of_parameters_inputs_and_state(self):
+        prog = self._prog()
+        rng = np.random.default_rng(62)
+
+        def param(name, shape):
+            return en.Parameter(rng.standard_normal(shape) * 0.5, name)
+
+        xs = [param(f"x{t}", (2, H)) for t in range(3)]
+        h0, c0, xp0 = param("h0", (2, H)), param("c0", (2, H)), param("xp0", (2, H))
+
+        def loss():
+            st = initial_state(prog, 2)
+            st.h, st.c, st.x_prev = h0, c0, xp0
+            outs, last, _ = run_sequence(prog, xs, init=st)
+            total = en.tsum(last.c)
+            for h in outs:
+                total = en.add(total, en.tsum(h))
+            return total
+
+        checked = prog.parameters() + xs + [h0, c0, xp0]
+        assert en.gradient_check(loss, checked) < 1e-4
+
+    def test_one_step_is_at_most_three_tensors(self, monkeypatch):
+        prog = self._prog()
+        state = initial_state(prog, 2)
+        x = en.Tensor(np.random.default_rng(63).standard_normal((2, H)))
+        made = []
+        init = en.Tensor.__init__
+
+        def counting(obj, *args, **kwargs):
+            made.append(obj)
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(en.Tensor, "__init__", counting)
+        h, new_state = step(prog, x, state)
+        assert len(made) <= 3
+        assert h in made and new_state.c in made

@@ -150,3 +150,29 @@ class TestTrainAndScore:
         rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
         assert rec.valid_metric is not None
         assert 0.0 < rec.valid_metric < math.log(500.0)
+
+
+# (valid_metric, test_metric) of each builtin on the desk copy-memory task
+# (task seed 3, batch 16, 128/64/64 sequences; 2 epochs at hidden size 16,
+# failure check after epoch 1, seed 0), pinned so that a change to the cell
+# step's arithmetic shows
+PINNED_BUILTIN_METRICS = {
+    "bc3": (1.0836203573432086, 1.0847853455498921),
+    "gru": (1.0454133234168306, 1.0472423622748286),
+    "lstm": (1.0640338558821876, 1.0655508607277246),
+    "mgu": (1.007139548601577, 1.0098644765530191),
+    "tanh_rnn": (1.0146898160410898, 1.0181528070879022),
+}
+
+
+class TestPinnedBuiltinMetrics:
+    @pytest.mark.parametrize("name", sorted(PINNED_BUILTIN_METRICS))
+    def test_desk_metrics_reproduced(self, name):
+        task = make_task(TaskSpec(kind="copy_memory", seed=3, batch_size=16,
+                                  train_size=128, valid_size=64, test_size=64))
+        cfg = TrainConfig(epochs=2, hidden_size=16, failure_check_epoch=1, seed=0)
+        rec = train_and_score(builtin(name), task, cfg)
+        valid, test = PINNED_BUILTIN_METRICS[name]
+        assert rec.status == "ok"
+        assert abs(rec.valid_metric - valid) < 1e-10
+        assert abs(rec.test_metric - test) < 1e-10
