@@ -495,24 +495,50 @@ def structural_violations(
     max_height: int = 8,
     require_sources: tuple[OpKind, ...] = (OpKind.X, OpKind.HM1),
 ) -> list[str]:
-    """Named restriction violations; empty means admissible."""
-    flags: list[str] = []
+    """Named restriction violations; empty means admissible.
+
+    One preorder pass collects the leaf sources, the first gate and
+    stacking violations in the order they occur, the operator count and
+    the height.
+    """
     root = arch.root
-    sources = {n.op for n in root.walk() if n.op.is_source}
-    for req in require_sources:
-        if req not in sources:
-            flags.append("missing_x" if req is OpKind.X else "missing_h")
-    for n in root.walk():
-        if n.op is OpKind.GATE3 and n.children[2].op is not OpKind.SIGMOID:
-            if "gate_not_sigmoid" not in flags:
-                flags.append("gate_not_sigmoid")
-        for c in n.children:
-            if not n.op.is_source and c.op is n.op:
-                if "stacked_identical" not in flags:
-                    flags.append("stacked_identical")
-    if operator_count(root) > max_nodes:
+    sources: set[OpKind] = set()
+    found: list[str] = []  # gate_not_sigmoid / stacked_identical, first seen first
+    ops = 0
+    height = 0
+    stack = [(root, 0)]
+    while stack:
+        n, depth = stack.pop()
+        kids = n.children
+        if not kids:
+            sources.add(n.op)
+            continue
+        ops += 1
+        if depth > height:
+            height = depth
+        op = n.op
+        if (
+            op is OpKind.GATE3
+            and kids[2].op is not OpKind.SIGMOID
+            and "gate_not_sigmoid" not in found
+        ):
+            found.append("gate_not_sigmoid")
+        if "stacked_identical" not in found:
+            for c in kids:
+                if c.op is op:
+                    found.append("stacked_identical")
+                    break
+        depth += 1
+        stack.extend([(c, depth) for c in reversed(kids)])
+    flags = [
+        "missing_x" if req is OpKind.X else "missing_h"
+        for req in require_sources
+        if req not in sources
+    ]
+    flags += found
+    if ops > max_nodes:
         flags.append("too_big")
-    if tree_height(root) > max_height:
+    if height > max_height:
         flags.append("too_tall")
     if arch.ct_node is not None:
         tap = node_at_index(root, arch.ct_node)

@@ -66,8 +66,13 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh copy in data's shape: g may be broadcast, and the same
+            # g may be handed to another tensor as well
+            grad = np.empty_like(self.data)
+            grad[...] = g
+            self.grad = grad
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         topo: list[Tensor] = []

@@ -74,29 +74,49 @@ def _weights_for(cfg: GenConfig, kinds: list[OpKind]) -> np.ndarray:
     return w / w.sum()
 
 
-def _cumulative(cfg: GenConfig, kinds: list[OpKind]) -> list[float]:
-    return list(np.cumsum(_weights_for(cfg, kinds)))
+_DrawTable = tuple[list[float], list[OpKind], list[int], list[Optional[ArchNode]]]
+
+
+def _draw_table(cfg: GenConfig, kinds: list[OpKind]) -> _DrawTable:
+    """Cumulative weights, kinds, arities and one shared leaf node per
+    source (None for an operator), indexed by draw position; built once
+    per batch so that a draw does no enum lookups."""
+    return (
+        list(np.cumsum(_weights_for(cfg, kinds))),
+        kinds,
+        [k.arity for k in kinds],
+        [ArchNode(k) if k.is_source else None for k in kinds],
+    )
+
+
+def _draw_tables(cfg: GenConfig) -> tuple[_DrawTable, _DrawTable]:
+    """(every kind, sources only): the choices above and at the height bound."""
+    srcs = cfg.sources()
+    return _draw_table(cfg, cfg.operators() + srcs), _draw_table(cfg, srcs)
 
 
 def _grow_raw(
     cfg: GenConfig,
     rng: np.random.Generator,
-    all_kinds: list[OpKind],
-    cum_all: list[float],
-    srcs: list[OpKind],
-    cum_src: list[float],
+    every: _DrawTable,
+    sources: _DrawTable,
 ) -> ArchNode:
-    # inverse-CDF sampling over precomputed cumulative weights; far
-    # cheaper per node than building a probability vector every draw
+    # inverse-CDF sampling over precomputed cumulative weights, one
+    # rng.random() per node in preorder; children are drawn left to right
+    random = rng.random
+    bisect_left = bisect.bisect_left
+    max_height = cfg.max_height
+
     def draw(depth: int) -> ArchNode:
-        if depth >= cfg.max_height:
-            kinds, cum = srcs, cum_src
-        else:
-            kinds, cum = all_kinds, cum_all
-        idx = min(bisect.bisect_left(cum, rng.random()), len(kinds) - 1)
-        kind = kinds[idx]
-        children = tuple(draw(depth + 1) for _ in range(kind.arity))
-        return ArchNode(kind, children)
+        cum, kinds, arities, leaves = sources if depth >= max_height else every
+        idx = bisect_left(cum, random())
+        if idx >= len(kinds):
+            idx = len(kinds) - 1
+        arity = arities[idx]
+        if arity == 0:
+            return leaves[idx]
+        depth += 1
+        return ArchNode(kinds[idx], tuple([draw(depth) for _ in range(arity)]))
 
     return draw(0)
 
@@ -105,13 +125,7 @@ def grow_random(cfg: GenConfig, rng: Optional[np.random.Generator] = None) -> Ar
     """Draw one tree root-first; result is canonical but unfiltered."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    ops = cfg.operators()
-    srcs = cfg.sources()
-    all_kinds = ops + srcs
-    root = _grow_raw(
-        cfg, rng, all_kinds, _cumulative(cfg, all_kinds), srcs, _cumulative(cfg, srcs)
-    )
-    return canonicalize(Architecture(root))
+    return canonicalize(Architecture(_grow_raw(cfg, rng, *_draw_tables(cfg))))
 
 
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
@@ -145,19 +159,13 @@ def generate_batch(
     seen = set(seen or ())
     out: list[Architecture] = []
     budget = 100 * n
-    ops = cfg.operators()
-    srcs = cfg.sources()
-    all_kinds = ops + srcs
-    cum_all = _cumulative(cfg, all_kinds)
-    cum_src = _cumulative(cfg, srcs)
+    every, sources = _draw_tables(cfg)
     while len(out) < n and budget > 0:
         budget -= 1
         # restriction flags are invariant under canonicalization, so the
         # (frequently rejected) raw tree is checked before the more
         # expensive canonical pass
-        raw = Architecture(
-            _grow_raw(cfg, rng, all_kinds, cum_all, srcs, cum_src)
-        )
+        raw = Architecture(_grow_raw(cfg, rng, every, sources))
         if not check_restrictions(raw, cfg).admissible:
             continue
         cand = canonicalize(raw)

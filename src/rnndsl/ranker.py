@@ -160,18 +160,20 @@ class Ranker:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode(self, node: EvalNode) -> tuple[en.Tensor, en.Tensor]:
-        if not node.children:
-            if node.label not in self.leaf_emb:
-                raise KeyError(f"no embedding for leaf {node.label!r}")
-            emb = self.leaf_emb[node.label]
+    def _cell(
+        self, label: str, kids: list[tuple[en.Tensor, en.Tensor]]
+    ) -> tuple[en.Tensor, en.Tensor]:
+        """(h, c) of one node from its children's (h, c); a leaf has none."""
+        if not kids:
+            if label not in self.leaf_emb:
+                raise KeyError(f"no embedding for leaf {label!r}")
+            emb = self.leaf_emb[label]
             return emb, en.Tensor(np.zeros_like(emb.data))
-        if node.label not in self.cells:
-            raise KeyError(f"no tree cell for operator {node.label!r}")
-        cell = self.cells[node.label]
-        kids = [self._encode(c) for c in node.children]
+        if label not in self.cells:
+            raise KeyError(f"no tree cell for operator {label!r}")
+        cell = self.cells[label]
 
-        if OpKind(node.label) in NARY_OPS:
+        if OpKind(label) in NARY_OPS:
             zi = zo = zu = None
             for j, (hk, _) in enumerate(kids):
                 ti = en.linear(hk, cell[f"Ui{j}"])
@@ -203,6 +205,26 @@ class Ranker:
         hout = en.mul(o, en.tanh(c))
         return hout, c
 
+    def _encode(self, node: EvalNode) -> tuple[en.Tensor, en.Tensor]:
+        return self._cell(node.label, [self._encode(c) for c in node.children])
+
+    def _encode_once(
+        self, node: EvalNode, memo: dict[tuple, tuple]
+    ) -> tuple[int, en.Tensor, en.Tensor]:
+        """(key id, h, c) of a subtree, encoding each distinct subtree once.
+
+        The memo maps a subtree's value (its label and its children's key
+        ids) to its key id and (h, c). For use without a tape only: with
+        one, a shared node would sum its gradients in another order and
+        change the fitted bits.
+        """
+        kids = [self._encode_once(c, memo) for c in node.children]
+        key = (node.label, *[k[0] for k in kids])
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (len(memo), *self._cell(node.label, [k[1:] for k in kids]))
+        return hit
+
     def _eval_tree(self, arch: Architecture) -> EvalNode:
         arch = canonicalize(arch)
         if self.cfg.unroll:
@@ -210,7 +232,11 @@ class Ranker:
         return _to_eval(arch.root)
 
     def _predict(self, tree: EvalNode, train: bool) -> en.Tensor:
-        hroot, _ = self._encode(tree)
+        if en.grad_enabled():
+            hroot, _ = self._encode(tree)
+        else:
+            # the memo lives for this one tree, so its size is bounded by it
+            _, hroot, _ = self._encode_once(tree, {})
         hroot = en.dropout(hroot, self.cfg.head_dropout, self._rng, train)
         return en.add(en.linear(hroot, self.head_w), self.head_b)
 

@@ -440,7 +440,10 @@ def generate_episode(
 def sample_architecture(
     policy: Policy, rng: np.random.Generator, epsilon: float = 0.0
 ) -> Architecture:
-    return generate_episode(policy, rng, epsilon=epsilon).arch
+    """One rolled-out architecture; no tape is built, since only the tree
+    is kept."""
+    with en.no_grad():
+        return generate_episode(policy, rng, epsilon=epsilon).arch
 
 
 def reinforce_update(

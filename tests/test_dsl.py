@@ -20,11 +20,15 @@ from rnndsl.dsl import (
     canonicalize,
     enumerate_ct_taps,
     node_at_index,
+    numbered_operator_nodes,
+    operator_count,
     parse,
     render,
     structural_violations,
+    subtree_uses,
     tree_height,
 )
+from rnndsl.randgen import GenConfig, _draw_tables, _grow_raw
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
@@ -301,6 +305,83 @@ class TestStructuralViolations:
     def test_missing_sources(self):
         flags = structural_violations(parse("Tanh(MM(x_t))"))
         assert "missing_h" in flags
+
+
+def multi_walk_violations(arch, max_nodes, max_height, require_sources):
+    """The former checker, one tree walk per rule, kept as the oracle."""
+    flags = []
+    root = arch.root
+    sources = {n.op for n in root.walk() if n.op.is_source}
+    for req in require_sources:
+        if req not in sources:
+            flags.append("missing_x" if req is OpKind.X else "missing_h")
+    for n in root.walk():
+        if n.op is OpKind.GATE3 and n.children[2].op is not OpKind.SIGMOID:
+            if "gate_not_sigmoid" not in flags:
+                flags.append("gate_not_sigmoid")
+        for c in n.children:
+            if not n.op.is_source and c.op is n.op:
+                if "stacked_identical" not in flags:
+                    flags.append("stacked_identical")
+    if operator_count(root) > max_nodes:
+        flags.append("too_big")
+    if tree_height(root) > max_height:
+        flags.append("too_tall")
+    if arch.ct_node is not None:
+        tap = node_at_index(root, arch.ct_node)
+        if not subtree_uses(tap, OpKind.CM1):
+            flags.append("ct_without_cm1")
+        if tap is root or operator_count(tap) < 3:
+            flags.append("trivial_ct")
+    return flags
+
+
+class TestOnePassMatchesMultiWalk:
+    # (max_nodes, max_height, require_sources): the defaults, then bounds
+    # tight enough that too_big and too_tall fire on raw trees
+    LIMITS = [
+        (21, 8, (OpKind.X, OpKind.HM1)),
+        (6, 3, (OpKind.HM1, OpKind.X, OpKind.CM1)),
+    ]
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_same_flags_in_same_order(self, extended):
+        cfg = GenConfig(extended_dsl=extended)
+        rng = np.random.default_rng(11 + extended)
+        tables = _draw_tables(cfg)
+        seen_flags = set()
+        n_taps = 0
+        for _ in range(2500):
+            arch = Architecture(_grow_raw(cfg, rng, *tables))
+            variants = [arch]
+            if subtree_uses(arch.root, OpKind.CM1):
+                variants += enumerate_ct_taps(arch)
+                # every operator node of a small tree too, so the c_t
+                # flags fire
+                n = len(numbered_operator_nodes(arch.root))
+                if n <= 12:
+                    variants += [Architecture(arch.root, i) for i in range(1, n + 1)]
+            n_taps += len(variants) - 1
+            for v in variants:
+                for limits in self.LIMITS:
+                    want = multi_walk_violations(v, *limits)
+                    assert structural_violations(v, *limits) == want
+                    seen_flags.update(want)
+        assert n_taps > 1000
+        assert seen_flags == {
+            "missing_x", "missing_h", "gate_not_sigmoid", "stacked_identical",
+            "too_big", "too_tall", "ct_without_cm1", "trivial_ct",
+        }
+
+    def test_gate_and_stacking_flags_keep_tree_order(self):
+        gate_first = parse("Gate3(MM(MM(x_t)),h_tm1,Tanh(x_t))")
+        stack_first = parse("Add(MM(MM(x_t)),Gate3(x_t,h_tm1,Tanh(h_tm1)))")
+        for arch, want in [
+            (gate_first, ["gate_not_sigmoid", "stacked_identical"]),
+            (stack_first, ["stacked_identical", "gate_not_sigmoid"]),
+        ]:
+            assert structural_violations(arch) == want
+            assert multi_walk_violations(arch, 21, 8, (OpKind.X, OpKind.HM1)) == want
 
 
 def test_tree_height_counts_operator_edges():

@@ -167,6 +167,26 @@ class TestNoGrad:
         assert en.grad_enabled()
 
 
+class TestAccumulate:
+    def test_first_gradient_is_copied_not_aliased(self):
+        g = np.array([[1.0, 2.0]])
+        a = en.Tensor(np.zeros((1, 2)))
+        b = en.Tensor(np.zeros((1, 2)))
+        a.accumulate(g)
+        b.accumulate(g)
+        a.grad += 5.0
+        assert b.grad.tolist() == [[1.0, 2.0]]
+        assert g.tolist() == [[1.0, 2.0]]
+
+    def test_first_gradient_broadcasts_to_data_shape(self):
+        t = en.Tensor(np.zeros((3, 2)))
+        t.accumulate(np.array([1.0, -2.0]))
+        assert t.grad.shape == (3, 2)
+        assert t.grad.tolist() == [[1.0, -2.0]] * 3
+        t.accumulate(np.ones((3, 2)))
+        assert t.grad.tolist() == [[2.0, -1.0]] * 3
+
+
 class TestOptimizer:
     def test_sgd_one_step(self):
         p = en.Parameter(np.array([1.0]), "w")

@@ -1,7 +1,10 @@
 """Random candidate generation, restrictions, dedup, c_t expansion."""
 
+import hashlib
+
 import numpy as np
 
+from rnndsl import randgen
 from rnndsl.dsl import OpKind, analyze, builtin, parse, render
 from rnndsl.randgen import (
     GenConfig,
@@ -112,3 +115,26 @@ class TestGenerateBatch:
 
         for arch in generate_batch(GenConfig(seed=9), 50):
             assert arch_id(arch) == arch_id(canonicalize(arch))
+
+
+class TestDrawStream:
+    """The generator's output and its raw-tree count are pinned: a faster
+    sampler must make the same rng.random() calls in the same order."""
+
+    def test_pinned_ids_and_raw_tree_count(self, monkeypatch):
+        checked = []
+        check = randgen.check_restrictions
+
+        def counted(arch, cfg):
+            checked.append(arch)
+            return check(arch, cfg)
+
+        monkeypatch.setattr(randgen, "check_restrictions", counted)
+        batch = generate_batch(GenConfig(seed=0), 300, rng=np.random.default_rng((0, 2)))
+        ids = "\n".join(arch_id(a) for a in batch)
+        assert len(batch) == 300
+        assert hashlib.sha256(ids.encode()).hexdigest() == (
+            "020397fabd04021c580f0fc5f4b1d57b7ebd806f272195d0349aa08ca0cf08b4"
+        )
+        # one check per raw tree, each a fresh draw
+        assert len(checked) == 12946

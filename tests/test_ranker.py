@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import rnndsl.engine as en
-from rnndsl.dsl import OpKind, analyze, builtin, parse, render
+from rnndsl.dsl import OpKind, analyze, builtin, builtin_names, canonicalize, parse, render
 from rnndsl.evaluator import ArchPerfRecord
 from rnndsl.ranker import (
     C_TM2,
@@ -120,6 +120,49 @@ class TestScore:
         r = tiny_ranker()
         arch = builtin("gru")
         assert r.score(arch) == r.score(arch)
+
+
+class TestEncodeOnce:
+    def test_scores_equal_unshared_encoding_bit_for_bit(self):
+        from rnndsl.randgen import GenConfig, generate_batch
+
+        r = tiny_ranker(hidden=8)
+        cands = generate_batch(GenConfig(seed=4), 100, rng=np.random.default_rng(4))
+        assert sum(a.ct_node is not None for a in cands) >= 10
+        cands += [builtin(name) for name in builtin_names()]
+        # with the tape on, _predict encodes every node: the unshared reference
+        want = [r._predict(r._eval_tree(a), train=False).data.item() for a in cands]
+        assert r.score_many(cands).tolist() == want
+
+    def test_one_score_call_per_candidate(self, monkeypatch):
+        r = tiny_ranker(hidden=4)
+        cands = [builtin(name) for name in builtin_names()]
+        calls = []
+        score = Ranker.score
+
+        def counted(self, arch):
+            calls.append(arch)
+            return score(self, arch)
+
+        monkeypatch.setattr(Ranker, "score", counted)
+        r.score_many(cands)
+        assert calls == cands
+
+    def test_gru_repeated_subtrees_encoded_once(self, monkeypatch):
+        r = tiny_ranker(hidden=4)
+        labels = []
+        cell = Ranker._cell
+
+        def counted(self, label, kids):
+            if kids:
+                labels.append(label)
+            return cell(self, label, kids)
+
+        monkeypatch.setattr(Ranker, "_cell", counted)
+        r.score(builtin("gru"))
+        operators = unroll_once(canonicalize(builtin("gru"))).operator_count()
+        # the h_t copy put in for each h_tm1 leaf is encoded once
+        assert 0 < len(labels) < operators
 
 
 class TestFit:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rnndsl.engine as en
+from rnndsl import rlgen
 from rnndsl.dsl import OpKind, analyze, builtin, canonicalize, parse, render
 from rnndsl.rlgen import (
     Episode,
@@ -214,6 +215,23 @@ class TestEpisodes:
         }
         operators = {a for a in pol.actions if not a.is_source}
         assert roots == operators
+
+
+    def test_sampled_architecture_builds_no_tape(self, monkeypatch):
+        pol = tiny_policy()
+        want = generate_episode(pol, np.random.default_rng(7), epsilon=0.0).arch
+        episodes = []
+        rollout = rlgen.generate_episode
+
+        def kept(*args, **kwargs):
+            episodes.append(rollout(*args, **kwargs))
+            return episodes[-1]
+
+        monkeypatch.setattr(rlgen, "generate_episode", kept)
+        assert sample_architecture(pol, np.random.default_rng(7)) == want
+        (ep,) = episodes
+        assert all(t._parents == () for t in ep.logps + ep.entropies)
+        assert en.grad_enabled()
 
 
 class TestReinforce:
