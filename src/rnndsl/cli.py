@@ -74,21 +74,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_sections(args) -> dict:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = load_config_defaults()
+    cfg = load_config(getattr(args, "config", None))
     seed = _resolve_seed(args)
     for section in cfg.values():
         if hasattr(section, "seed"):
             section.seed = seed
     return cfg
-
-
-def load_config_defaults() -> dict:
-    from .search import CONFIG_SECTIONS
-
-    return {key: cls() for key, cls in CONFIG_SECTIONS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,10 @@ class OpKind(Enum):
     CM1 = "c_tm1"
     POSENC = "posenc"
 
+    # members are singletons compared by identity; Enum.__hash__ is a
+    # Python-level call, and every arity lookup hashes a member
+    __hash__ = object.__hash__
+
     @property
     def arity(self) -> int:
         return _ARITY[self]

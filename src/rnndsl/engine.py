@@ -299,16 +299,6 @@ exp = _unary_op(exp_fwd)
 selu = _unary_op(selu_fwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data @ b.data
-
-    def bw(g):
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
-
-    return Tensor(out_data, (a, b), bw)
-
-
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """x [B, in] @ w.T [in, out] (+ b): the MM primitive."""
     out_data = x.data @ w.data.T

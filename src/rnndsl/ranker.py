@@ -39,9 +39,6 @@ LEAF_LABELS = [
     C_TM2,
 ]
 
-NARY_OPS = (OpKind.GATE3, OpKind.SUB, OpKind.DIV)
-
-
 @dataclass(frozen=True)
 class EvalNode:
     """Architecture-like tree fed to the encoder (labels, not OpKinds)."""
@@ -60,21 +57,16 @@ class EvalNode:
         return out
 
 
-def _to_eval(n: ArchNode) -> EvalNode:
+def _to_eval(n: ArchNode, leaves: dict[OpKind, EvalNode]) -> EvalNode:
+    """Copy of n with OpKinds as labels; a source in `leaves` becomes its
+    value there."""
     if n.op.is_source:
-        return EvalNode(n.op.value)
-    return EvalNode(n.op.value, tuple(_to_eval(c) for c in n.children))
+        return leaves.get(n.op) or EvalNode(n.op.value)
+    return EvalNode(n.op.value, tuple(_to_eval(c, leaves) for c in n.children))
 
 
-def _shifted(n: ArchNode) -> EvalNode:
-    """Copy with h_tm1 -> h_tm2 and c_tm1 -> c_tm2 (x leaves unshifted)."""
-    if n.op is OpKind.HM1:
-        return EvalNode(H_TM2)
-    if n.op is OpKind.CM1:
-        return EvalNode(C_TM2)
-    if n.op.is_source:
-        return EvalNode(n.op.value)
-    return EvalNode(n.op.value, tuple(_shifted(c) for c in n.children))
+# the recurrent leaves one timestep further back (x leaves are not shifted)
+_SHIFTED = {OpKind.HM1: EvalNode(H_TM2), OpKind.CM1: EvalNode(C_TM2)}
 
 
 def unroll_once(arch: Architecture) -> EvalNode:
@@ -83,20 +75,10 @@ def unroll_once(arch: Architecture) -> EvalNode:
     uses_c = subtree_uses(arch.root, OpKind.CM1)
     if uses_c and arch.ct_node is None:
         raise ValueError("cannot unroll: c_tm1 used without a c_t tap")
-    h_sub = _shifted(arch.root)
-    c_sub = _shifted(node_at_index(arch.root, arch.ct_node)) if uses_c else None
-
-    def build(n: ArchNode) -> EvalNode:
-        if n.op is OpKind.HM1:
-            return h_sub
-        if n.op is OpKind.CM1:
-            assert c_sub is not None
-            return c_sub
-        if n.op.is_source:
-            return EvalNode(n.op.value)
-        return EvalNode(n.op.value, tuple(build(c) for c in n.children))
-
-    return build(arch.root)
+    leaves = {OpKind.HM1: _to_eval(arch.root, _SHIFTED)}
+    if uses_c:
+        leaves[OpKind.CM1] = _to_eval(node_at_index(arch.root, arch.ct_node), _SHIFTED)
+    return _to_eval(arch.root, leaves)
 
 
 @dataclass
@@ -142,7 +124,7 @@ class Ranker:
                 continue
             name = op.value
             cell: dict[str, en.Parameter] = {}
-            if op in NARY_OPS:
+            if op.order_sensitive:
                 for j in range(op.arity):
                     for g in ("i", "o", "u", "f"):
                         cell[f"U{g}{j}"] = par(f"{name}_U{g}{j}", (h, h))
@@ -173,7 +155,7 @@ class Ranker:
             raise KeyError(f"no tree cell for operator {label!r}")
         cell = self.cells[label]
 
-        if OpKind(label) in NARY_OPS:
+        if OpKind(label).order_sensitive:
             zi = zo = zu = None
             for j, (hk, _) in enumerate(kids):
                 ti = en.linear(hk, cell[f"Ui{j}"])
@@ -205,20 +187,16 @@ class Ranker:
         hout = en.mul(o, en.tanh(c))
         return hout, c
 
-    def _encode(self, node: EvalNode) -> tuple[en.Tensor, en.Tensor]:
-        return self._cell(node.label, [self._encode(c) for c in node.children])
-
-    def _encode_once(
+    def _encode(
         self, node: EvalNode, memo: dict[tuple, tuple]
     ) -> tuple[int, en.Tensor, en.Tensor]:
         """(key id, h, c) of a subtree, encoding each distinct subtree once.
 
         The memo maps a subtree's value (its label and its children's key
-        ids) to its key id and (h, c). For use without a tape only: with
-        one, a shared node would sum its gradients in another order and
-        change the fitted bits.
+        ids) to its key id and (h, c). With a tape, a shared subtree is one
+        tape node whose gradient sums over the places it appears.
         """
-        kids = [self._encode_once(c, memo) for c in node.children]
+        kids = [self._encode(c, memo) for c in node.children]
         key = (node.label, *[k[0] for k in kids])
         hit = memo.get(key)
         if hit is None:
@@ -229,14 +207,11 @@ class Ranker:
         arch = canonicalize(arch)
         if self.cfg.unroll:
             return unroll_once(arch)
-        return _to_eval(arch.root)
+        return _to_eval(arch.root, {})
 
     def _predict(self, tree: EvalNode, train: bool) -> en.Tensor:
-        if en.grad_enabled():
-            hroot, _ = self._encode(tree)
-        else:
-            # the memo lives for this one tree, so its size is bounded by it
-            _, hroot, _ = self._encode_once(tree, {})
+        # the memo lives for this one tree, so its size is bounded by it
+        _, hroot, _ = self._encode(tree, {})
         hroot = en.dropout(hroot, self.cfg.head_dropout, self._rng, train)
         return en.add(en.linear(hroot, self.head_w), self.head_b)
 

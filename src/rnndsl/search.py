@@ -55,7 +55,6 @@ class SearchConfig:
     warm_start_ranker: bool = True
     temperature: float = 1.0
     seed_baselines: tuple[str, ...] = ("tanh_rnn",)
-    deterministic: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -160,10 +159,7 @@ def _seed_baselines(
         if arch_id(arch) in store:
             continue
         store.append(
-            train_and_score(
-                arch, task, train_cfg, source="seed", batch_index=0,
-                deterministic=cfg.deterministic,
-            )
+            train_and_score(arch, task, train_cfg, source="seed", batch_index=0)
         )
 
 
@@ -212,8 +208,7 @@ def run_random_search(
         for arch in chosen:
             store.append(
                 train_and_score(
-                    arch, task, train_cfg, source="random", batch_index=step,
-                    deterministic=cfg.deterministic,
+                    arch, task, train_cfg, source="random", batch_index=step
                 )
             )
     return store, store.best()
@@ -238,7 +233,6 @@ def _episode_result(
     train_cfg: TrainConfig,
     reward_cfg: RewardConfig,
     store: RecordStore,
-    cfg: SearchConfig,
     batch_index: int,
 ) -> tuple[float, bool, int]:
     """Evaluate every c_t placement of the episode's architecture.
@@ -259,8 +253,7 @@ def _episode_result(
             todo.append(v)
     for v in todo:
         rec = train_and_score(
-            v, task, train_cfg, source="rl", batch_index=batch_index,
-            deterministic=cfg.deterministic,
+            v, task, train_cfg, source="rl", batch_index=batch_index
         )
         store.append(rec)
         results.append(rec)
@@ -304,7 +297,7 @@ def run_rl_search(
     while evaluations < cfg.max_evaluations:
         ep = generate_episode(policy, rng)
         r, good, dispatched = _episode_result(
-            ep, task, train_cfg, reward_cfg, store, cfg, batches
+            ep, task, train_cfg, reward_cfg, store, batches
         )
         ep.reward = r
         rewards_seen.append(r)
@@ -401,14 +394,11 @@ def hidden_dump(
     prog = compile(parse(dsl), input_size, hidden_size, rng=rng)
     xs = [rng.standard_normal((1, input_size)) for _ in range(seq_len)]
     with en.no_grad():
-        outs, _, _ = run_sequence(prog, xs)
-    rows = []
-    for t, h in enumerate(outs):
-        row = {"t": t}
-        for j, v in enumerate(np.asarray(h.data).reshape(-1)):
-            row[f"h{j}"] = float(v)
-        rows.append(row)
-    return rows
+        _, _, trace = run_sequence(prog, xs, collect_trace=True)
+    return [
+        {"t": t, **{f"h{j}": float(v) for j, v in enumerate(h)}}
+        for t, h in enumerate(trace)
+    ]
 
 
 def write_csv(rows: list[dict], path: str) -> None:
@@ -473,10 +463,13 @@ def _build_dataclass(cls, data: dict):
     return cls(**kwargs)
 
 
-def load_config(path: str) -> dict:
-    """One JSON document with optional sections; defaults fill the rest."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+def load_config(path: Optional[str] = None) -> dict:
+    """One JSON document with optional sections; defaults fill the rest
+    (every section, given no path)."""
+    data = {}
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     unknown = set(data) - set(CONFIG_SECTIONS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")

@@ -250,6 +250,7 @@ class TestRemovedOptions:
         "section,name,cls",
         [("search", "parallel_workers", "SearchConfig"),
          ("search", "wall_clock_budget", "SearchConfig"),
+         ("search", "deterministic", "SearchConfig"),
          ("rl", "min_depth", "RLConfig")],
     )
     def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):

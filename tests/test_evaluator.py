@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import rnndsl.engine as en
+from rnndsl.compiler import initial_state, step
 from rnndsl.dsl import builtin, parse
 from rnndsl.evaluator import (
     ArchPerfRecord,
+    SequenceModel,
     TaskSpec,
     TrainConfig,
     make_task,
@@ -150,6 +153,70 @@ class TestTrainAndScore:
         rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
         assert rec.valid_metric is not None
         assert 0.0 < rec.valid_metric < math.log(500.0)
+
+
+class TestSequenceModelLoss:
+    """One output head and one cross-entropy over every timestep of a batch."""
+
+    def _model(self, tie, hidden=3):
+        task = small_copy_task()
+        model = SequenceModel(builtin("gru"), task.vocab_size, hidden, 2, tie,
+                              np.random.default_rng(5))
+        x, y = task.train[0]
+        return model, x, y
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_gradient_check(self, tie):
+        model, x, y = self._model(tie)
+        x, y = x[:2, :6], y[:2, :6]
+        rng = np.random.default_rng(0)
+
+        def loss():
+            return model.loss(x, y, 0.0, rng, train=True)
+
+        assert en.gradient_check(loss, model.params) < 1e-4
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_value_is_mean_of_per_timestep_cross_entropies(self, tie):
+        model, x, y = self._model(tie, hidden=5)
+        p = 0.25
+        got = float(model.loss(x, y, p, np.random.default_rng(1), train=True).data)
+
+        # oracle: a head and a cross-entropy per timestep, the masks drawn
+        # in the same order (the input, then each layer's output)
+        rng = np.random.default_rng(1)
+        batch, seq = x.shape
+        w = model.emb.data if tie else model.out_w.data
+        states = [initial_state(layer, batch) for layer in model.layers]
+        ces = []
+        with en.no_grad():
+            for t in range(seq):
+                h = model.emb.data[x[:, t]]
+                h = h * (rng.random(h.shape) >= p) / (1.0 - p)
+                for li, layer in enumerate(model.layers):
+                    out, states[li] = step(layer, en.Tensor(h), states[li])
+                    h = out.data * (rng.random(out.data.shape) >= p) / (1.0 - p)
+                z = h @ w.T + model.out_b.data
+                z = z - z.max(axis=1, keepdims=True)
+                logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+                ces.append(-logp[np.arange(batch), y[:, t]].mean())
+        assert abs(got - np.mean(ces)) < 1e-12
+
+    def test_desk_gru_evaluation_tensor_count(self, monkeypatch):
+        task = make_task(TaskSpec(kind="copy_memory", seed=3, batch_size=16,
+                                  train_size=128, valid_size=64, test_size=64))
+        cfg = TrainConfig(epochs=2, hidden_size=16, failure_check_epoch=1, seed=0)
+        made = [0]
+        init = en.Tensor.__init__
+
+        def counting(obj, *args, **kwargs):
+            made[0] += 1
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(en.Tensor, "__init__", counting)
+        rec = train_and_score(builtin("gru"), task, cfg)
+        assert rec.status == "ok"
+        assert made[0] <= 900
 
 
 # (valid_metric, test_metric) of each builtin on the desk copy-memory task

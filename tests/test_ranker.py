@@ -122,17 +122,42 @@ class TestScore:
         assert r.score(arch) == r.score(arch)
 
 
+def encode_unshared(ranker, node, memo=None):
+    """(None, h, c) of a subtree with every node encoded on its own: the
+    oracle for the memoized `Ranker._encode`."""
+    kids = [encode_unshared(ranker, c)[1:] for c in node.children]
+    return (None, *ranker._cell(node.label, kids))
+
+
 class TestEncodeOnce:
-    def test_scores_equal_unshared_encoding_bit_for_bit(self):
+    def test_scores_equal_unshared_encoding_bit_for_bit(self, monkeypatch):
         from rnndsl.randgen import GenConfig, generate_batch
 
         r = tiny_ranker(hidden=8)
         cands = generate_batch(GenConfig(seed=4), 100, rng=np.random.default_rng(4))
         assert sum(a.ct_node is not None for a in cands) >= 10
         cands += [builtin(name) for name in builtin_names()]
-        # with the tape on, _predict encodes every node: the unshared reference
-        want = [r._predict(r._eval_tree(a), train=False).data.item() for a in cands]
-        assert r.score_many(cands).tolist() == want
+        got = r.score_many(cands).tolist()
+        monkeypatch.setattr(Ranker, "_encode", encode_unshared)
+        assert got == r.score_many(cands).tolist()
+
+    def test_fit_matches_unshared_fit(self, monkeypatch):
+        # sharing a subtree's tape node only reorders its gradient sums
+        cands = random_architectures(20, seed=11, allow_cm1=True)
+        cands += [builtin(name) for name in builtin_names()]
+        metrics = np.random.default_rng(11).uniform(0.5, 3.0, len(cands))
+        records = [record_for(a, m) for a, m in zip(cands, metrics)]
+
+        def fitted():
+            r = tiny_ranker(hidden=8, epochs=25)
+            return r.fit(records), r.score_many(cands)
+
+        curve, scores = fitted()
+        monkeypatch.setattr(Ranker, "_encode", encode_unshared)
+        want_curve, want_scores = fitted()
+        assert len(curve) == len(want_curve) == 25
+        np.testing.assert_allclose(curve, want_curve, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
 
     def test_one_score_call_per_candidate(self, monkeypatch):
         r = tiny_ranker(hidden=4)
@@ -162,6 +187,11 @@ class TestEncodeOnce:
         r.score(builtin("gru"))
         operators = unroll_once(canonicalize(builtin("gru"))).operator_count()
         # the h_t copy put in for each h_tm1 leaf is encoded once
+        assert 0 < len(labels) < operators
+        # with the tape on too, as in fit
+        labels.clear()
+        assert en.grad_enabled()
+        r._predict(r._eval_tree(builtin("gru")), train=True)
         assert 0 < len(labels) < operators
 
 

@@ -180,7 +180,7 @@ class TestRLBatchComposition:
         calls = {"i": 0}
         batches = []
 
-        def fake_result(ep, task, train_cfg, reward_cfg, store, cfg, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
             r, good = script[calls["i"]]
             calls["i"] += 1
             return r, good, 1
@@ -202,7 +202,7 @@ class TestRLBatchComposition:
         assert result.relaxed_batches == 0
 
     def test_starvation_relaxes_composition(self, monkeypatch):
-        def fake_result(ep, task, train_cfg, reward_cfg, store, cfg, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
             return 0.0, False, 1  # failures only: rule never satisfiable
 
         batches = []
@@ -220,7 +220,7 @@ class TestRLBatchComposition:
         assert batches == [4, 4]
 
     def test_stops_at_max_evaluations(self, monkeypatch):
-        def fake_result(ep, task, train_cfg, reward_cfg, store, cfg, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
             return 0.5, True, 1
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
