@@ -171,6 +171,7 @@ class PartialNode:
 class PartialArch:
     root: PartialNode
     open_slots: list[tuple[PartialNode, int]]  # leftmost-first (node, depth)
+    operator_count: int = 0  # filled slots holding an operator
 
     @classmethod
     def empty(cls) -> "PartialArch":
@@ -189,22 +190,13 @@ class PartialArch:
     def target_depth(self) -> int:
         return self.open_slots[0][1]
 
-    def operator_count(self) -> int:
-        n = 0
-        stack = [self.root]
-        while stack:
-            m = stack.pop()
-            if m.op is not None and not m.op.is_source:
-                n += 1
-            stack.extend(m.children)
-        return n
-
     def fill(self, kind: OpKind) -> PartialNode:
         node, depth = self.open_slots.pop(0)
         node.op = kind
         kids = [PartialNode(parent=node) for _ in range(kind.arity)]
         node.children = kids
         self.open_slots[:0] = [(k, depth + 1) for k in kids]
+        self.operator_count += not kind.is_source
         return node
 
     def to_architecture(self) -> Architecture:
@@ -223,6 +215,8 @@ class Policy:
         w = self.cfg.width
         rng = np.random.default_rng(self.cfg.seed)
         self.actions = self.cfg.action_space()
+        self._sources = np.array([a.is_source for a in self.actions])
+        self._operators = ~self._sources
         self.params: list[en.Parameter] = []
 
         def par(name, shape, zero=False):
@@ -274,67 +268,61 @@ class Policy:
             return node.op.value
         return TARGET_TOKEN if node is target else EMPTY_TOKEN
 
+    def _memo_step(self, memo: dict, key, x: en.Tensor, hc: en.Tensor) -> tuple:
+        """One encoder step, memoized by the key of its prefix: returns the
+        step's interned key, its packed state and its hidden state."""
+        entry = memo.get(key)
+        if entry is None:
+            hc = self._lstm(self.enc, x, hc)
+            entry = memo[key] = (len(memo), hc, en.slice_last(hc, 0, self.cfg.width))
+        return entry
+
     def _node_state(
-        self,
-        node: PartialNode,
-        target: Optional[PartialNode],
-        cache: Optional[dict] = None,
-    ) -> en.Tensor:
-        # shared LSTM over [token, child states], state reset per node
-        if cache is not None and id(node) in cache:
+        self, node: PartialNode, target: Optional[PartialNode], cache: dict, memo: dict
+    ) -> tuple[int, en.Tensor]:
+        """A node's key and state: the shared LSTM over [token, child states],
+        state reset per node. The state after the token and the first j
+        children depends only on the token, those children's keys and the
+        parameters, so ``memo`` holds it by (token) or (key of the previous
+        prefix, key of child j), across episodes when the caller shares it.
+        ``cache`` holds each node's (key, state) by ``id`` until the episode
+        invalidates the node."""
+        if id(node) in cache:
             return cache[id(node)]
         token = self._node_token(node, target)
-        if not node.children:
-            # a childless node's state depends on its token alone, so all
-            # leaves sharing a token share one state within an episode
-            leaf_key = ("leaf", token)
-            if cache is not None and leaf_key in cache:
-                return cache[leaf_key]
-            hc = self._lstm(self.enc, self.tok_emb[token], self._packed_zero())
-            h = en.slice_last(hc, 0, self.cfg.width)
-            if cache is not None:
-                cache[leaf_key] = h
-            return h
-        hc = self._lstm(self.enc, self.tok_emb[token], self._packed_zero())
+        key, hc, h = self._memo_step(memo, token, self.tok_emb[token], self._packed_zero())
         for child in node.children:
-            hc = self._lstm(self.enc, self._node_state(child, target, cache), hc)
-        h = en.slice_last(hc, 0, self.cfg.width)
-        if cache is not None:
-            cache[id(node)] = h
-        return h
+            child_key, child_h = self._node_state(child, target, cache, memo)
+            key, hc, h = self._memo_step(memo, (key, child_key), child_h, hc)
+        cache[id(node)] = key, h
+        return key, h
 
     def encode_partial(
-        self, p: PartialArch, cache: Optional[dict[int, en.Tensor]] = None
+        self, p: PartialArch, cache: Optional[dict] = None, memo: Optional[dict] = None
     ) -> en.Tensor:
         if not p.complete and p.target is None:
             raise ValueError("partial tree without a target slot")
-        return self._node_state(p.root, p.target, cache)
+        return self._node_state(
+            p.root, p.target, {} if cache is None else cache, {} if memo is None else memo
+        )[1]
 
     # -- action selection --------------------------------------------------
 
     def legal_actions(self, p: PartialArch) -> np.ndarray:
         """Boolean mask over the action space for the current target."""
         depth = p.target_depth
-        mask = np.ones(len(self.actions), dtype=bool)
-        force_source = (
-            depth >= self.cfg.max_depth
-            or p.operator_count() >= self.cfg.max_nodes
-        )
-        for i, a in enumerate(self.actions):
-            if a.is_source:
-                if depth == 0:  # h_t itself must be an operator
-                    mask[i] = False
-            elif force_source:
-                mask[i] = False
-        return mask
+        operators_ok = depth < self.cfg.max_depth and p.operator_count < self.cfg.max_nodes
+        # h_t itself must be an operator
+        return (self._operators & operators_ok) | (self._sources & (depth > 0))
 
     def action_logprobs(
         self,
         p: PartialArch,
         head_state: tuple[en.Tensor, en.Tensor],
-        cache: Optional[dict[int, en.Tensor]] = None,
+        cache: Optional[dict] = None,
+        memo: Optional[dict] = None,
     ) -> tuple[en.Tensor, tuple[en.Tensor, en.Tensor], np.ndarray]:
-        enc = self.encode_partial(p, cache)
+        enc = self.encode_partial(p, cache, memo)
         x = en.relu(en.add(en.linear(enc, self.lin1_w), self.lin1_b))
         w = self.cfg.width
         hc = self._lstm(self.head, x, en.concat(list(head_state)))
@@ -353,9 +341,10 @@ class Policy:
         epsilon: float,
         rng: np.random.Generator,
         forced: Optional[OpKind] = None,
-        cache: Optional[dict[int, en.Tensor]] = None,
+        cache: Optional[dict] = None,
+        memo: Optional[dict] = None,
     ) -> tuple[OpKind, en.Tensor, en.Tensor, tuple[en.Tensor, en.Tensor]]:
-        logp, new_state, mask = self.action_logprobs(p, head_state, cache)
+        logp, new_state, mask = self.action_logprobs(p, head_state, cache, memo)
         if forced is not None:
             idx = self.actions.index(forced)
             if not mask[idx]:
@@ -404,15 +393,26 @@ def generate_episode(
     rng: np.random.Generator,
     epsilon: Optional[float] = None,
     forced_actions: Optional[Sequence[OpKind]] = None,
+    memo: Optional[dict] = None,
 ) -> Episode:
-    """Roll out one architecture; with forced_actions, re-score a tree."""
+    """Roll out one architecture; with forced_actions, re-score a tree.
+
+    ``memo`` holds the encoder's states by value (``Policy._node_state``);
+    ``None`` means a fresh memo for this episode. Episodes that share a memo
+    share tape nodes, so it must not outlive a parameter change or a change
+    of grad mode. Nor may episodes sharing it be backpropagated apart:
+    ``Tensor.backward`` does not clear the ``.grad`` of intermediate nodes,
+    so a node shared with an episode already backpropagated would count its
+    gradient twice. Share one only among episodes that feed one update.
+    """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch.empty()
     head_state = (policy._zero(), policy._zero())
     actions: list[OpKind] = []
     logps: list[en.Tensor] = []
     entropies: list[en.Tensor] = []
-    cache: dict[int, en.Tensor] = {}
+    cache: dict[int, tuple[int, en.Tensor]] = {}
+    memo = {} if memo is None else memo
 
     def invalidate(node: Optional[PartialNode]) -> None:
         while node is not None:
@@ -423,7 +423,7 @@ def generate_episode(
     while not p.complete:
         forced = forced_actions[i] if forced_actions is not None else None
         act, logp, ent, head_state = policy.next_action(
-            p, head_state, eps, rng, forced, cache
+            p, head_state, eps, rng, forced, cache, memo
         )
         filled = p.fill(act)
         invalidate(filled)  # its token changed from target to the operator
@@ -502,10 +502,11 @@ def measure_satisfaction(
     policy: Policy, rng: np.random.Generator, n: int = 200, epsilon: float = 0.0
 ) -> float:
     ok = 0
-    for _ in range(n):
-        arch = sample_architecture(policy, rng, epsilon=epsilon)
-        if all(prior_satisfaction(arch)):
-            ok += 1
+    memo: dict = {}
+    with en.no_grad():
+        for _ in range(n):
+            arch = generate_episode(policy, rng, epsilon=epsilon, memo=memo).arch
+            ok += all(prior_satisfaction(arch))
     return ok / n
 
 
@@ -549,12 +550,13 @@ def pretrain_priors(
     batch: list[Episode] = []
     run = 0
     base_entropy = policy.cfg.entropy_weight
+    memo: dict = {}  # one per update window: its episodes, replays and update
     try:
         while run < budget:
             policy.cfg.entropy_weight = base_entropy * max(
                 0.0, 1.0 - run / (anneal_fraction * budget)
             )
-            ep = generate_episode(policy, rng, epsilon=0.0)
+            ep = generate_episode(policy, rng, epsilon=0.0, memo=memo)
             sat = prior_satisfaction(ep.arch)
             ep.reward = sum(sat) / len(sat)
             batch.append(ep)
@@ -570,12 +572,12 @@ def pretrain_priors(
                 for _ in range(min(n_replay, len(buffer))):
                     acts = buffer[int(rng.integers(len(buffer)))]
                     rep = generate_episode(
-                        policy, rng, epsilon=0.0, forced_actions=acts
+                        policy, rng, epsilon=0.0, forced_actions=acts, memo=memo
                     )
                     rep.reward = 1.0
                     batch.append(rep)
                 reinforce_update(policy, batch, opt)
-                batch = []
+                batch, memo = [], {}
                 rate = sum(recent) / len(recent)
                 history.append(rate)
                 if len(recent) >= window and rate >= stop_rate:

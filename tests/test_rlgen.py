@@ -62,6 +62,37 @@ class TestMasking:
         for a, ok in zip(pol.actions, mask):
             assert ok == a.is_source
 
+    def test_mask_matches_tree_walk(self):
+        # the old mask: count operators by walking the partial tree
+        def walked(pol, p):
+            n, stack = 0, [p.root]
+            while stack:
+                m = stack.pop()
+                n += m.op is not None and not m.op.is_source
+                stack.extend(m.children)
+            force_source = (
+                p.target_depth >= pol.cfg.max_depth or n >= pol.cfg.max_nodes
+            )
+            return np.array([
+                p.target_depth > 0 if a.is_source else not force_source
+                for a in pol.actions
+            ])
+
+        rng = np.random.default_rng(13)
+        limits = [(11, 21), (3, 4), (2, 21), (11, 2), (1, 1)]
+        at_limit = 0
+        for i in range(200):
+            max_depth, max_nodes = limits[i % len(limits)]
+            pol = tiny_policy(max_depth=max_depth, max_nodes=max_nodes)
+            p = PartialArch.empty()
+            while not p.complete:
+                mask = pol.legal_actions(p)
+                assert np.array_equal(mask, walked(pol, p))
+                operators = [ok for a, ok in zip(pol.actions, mask) if not a.is_source]
+                at_limit += p.target_depth > 0 and not any(operators)
+                p.fill(pol.actions[rng.choice(np.flatnonzero(mask))])
+        assert at_limit > 100
+
     def test_cm1_absent_when_disabled(self):
         pol = tiny_policy(allow_cm1=False)
         assert OpKind.CM1 not in pol.actions
@@ -91,8 +122,8 @@ class TestEncoding:
     def test_cache_matches_uncached(self):
         pol = tiny_policy()
         rng = np.random.default_rng(3)
-        ep = generate_episode(pol, rng)  # uses the per-episode cache
-        # replay the same action sequence scoring every step from scratch
+        ep = generate_episode(pol, rng)  # uses the node cache and the memo
+        # replay the same action sequence, encoding every step from scratch
         p = PartialArch.empty()
         head = (pol._zero(), pol._zero())
         for act, logp in zip(ep.actions, ep.logps):
@@ -100,6 +131,25 @@ class TestEncoding:
             idx = pol.actions.index(act)
             assert abs(fresh.data[0, idx] - logp.data.item()) < 1e-12
             p.fill(act)
+
+    def test_shared_memo_encodes_bit_for_bit(self, monkeypatch):
+        pol = tiny_policy()
+        encode = pol.encode_partial
+        steps = 0
+
+        def checked(p, cache=None, memo=None):
+            nonlocal steps
+            got = encode(p, cache, memo)
+            assert np.array_equal(got.data, encode(p).data)
+            steps += 1
+            return got
+
+        monkeypatch.setattr(pol, "encode_partial", checked)
+        memo = {}
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            generate_episode(pol, rng, epsilon=0.3, memo=memo)
+        assert steps > 300
 
 
 class TestReward:
@@ -247,6 +297,46 @@ class TestReinforce:
 
         assert en.gradient_check(loss, pol.params) < 1e-4
 
+    def test_shared_memo_batch_gradients(self):
+        pol = tiny_policy(width=4)
+
+        def grads(shared):
+            memo = {}
+            rng = np.random.default_rng(15)
+            eps = [
+                generate_episode(pol, rng, epsilon=0.2, memo=memo if shared else None)
+                for _ in range(6)
+            ]
+            total = eps[0].logp_sum()
+            for i, e in enumerate(eps[1:]):
+                total = en.add(total, en.mul(e.logp_sum(), en.Tensor(i - 2.0)))
+            for p in pol.params:
+                p.zero_grad()
+            en.tsum(total).backward()
+            return [e.actions for e in eps], [
+                np.zeros_like(p.data) if p.grad is None else p.grad
+                for p in pol.params
+            ]
+
+        acts, want = grads(shared=False)
+        shared_acts, got = grads(shared=True)
+        assert shared_acts == acts
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12
+
+        def loss():
+            memo = {}
+            total = None
+            for actions in (parse_actions(pol), acts[0]):
+                ep = generate_episode(
+                    pol, np.random.default_rng(0), forced_actions=actions, memo=memo
+                )
+                term = ep.logp_sum()
+                total = term if total is None else en.add(total, term)
+            return en.mul(en.tsum(total), en.Tensor(-1.0))
+
+        assert en.gradient_check(loss, pol.params) < 1e-4
+
     def test_positive_advantage_raises_logp(self):
         pol = tiny_policy(
             use_baseline=False, normalize_advantage=False, epsilon=0.0
@@ -336,6 +426,41 @@ class TestPretrain:
         assert 0.0 <= res.baseline_rate <= 1.0
         assert 0.0 <= res.final_rate <= 1.0
         assert len(res.rate_history) == 8
+
+    def test_shared_memo_matches_per_episode_memo(self, monkeypatch):
+        rollout = rlgen.generate_episode
+        cell = en.lstm_cell
+
+        def run(per_episode):
+            actions, calls = [], [0]
+
+            def episode(*args, **kwargs):
+                if per_episode:
+                    kwargs.pop("memo", None)
+                ep = rollout(*args, **kwargs)
+                actions.append(ep.actions)
+                return ep
+
+            def counted(*args):
+                calls[0] += 1
+                return cell(*args)
+
+            monkeypatch.setattr(rlgen, "generate_episode", episode)
+            monkeypatch.setattr(en, "lstm_cell", counted)
+            pol = tiny_policy(learning_rate=0.01, entropy_weight=0.03,
+                              normalize_advantage=True, epsilon=0.0)
+            res = pretrain_priors(pol, budget=40, rng=np.random.default_rng(16))
+            return actions, calls[0], res, [p.data.copy() for p in pol.params]
+
+        acts, calls, res, params = run(per_episode=False)
+        oracle_acts, oracle_calls, oracle_res, oracle_params = run(per_episode=True)
+        assert acts == oracle_acts
+        assert res.rate_history == oracle_res.rate_history
+        # the per-episode memo already shares within an episode; the 200
+        # untrained measuring episodes, most of budget 40, share little more
+        assert calls <= 0.8 * oracle_calls
+        for p, q in zip(params, oracle_params):
+            assert np.abs(p - q).max() <= 1e-12
 
     def test_measure_satisfaction_range(self):
         pol = tiny_policy()
