@@ -328,7 +328,8 @@ def step(
                 f"non-finite value at instruction {i} ({ins.kind})", timestep=state.t
             )
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray) -> list[Optional[np.ndarray]]:
+        """Adds into the parameters' gradients and returns the sources'."""
         grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
 
         def add(slot: int, grad: np.ndarray) -> None:
@@ -367,9 +368,7 @@ def step(
             for name, gp in zip(ins.params, grads_in[len(ins.inputs):]):
                 p = params[name]
                 p.accumulate(gp.sum(axis=0) if gp.ndim > p.data.ndim else gp)
-        for src, grad in zip(sources, grads):
-            if grad is not None:
-                src.accumulate(grad)
+        return [grad for src, grad in zip(sources, grads) if src is not None]
 
     parents = tuple(t for t in sources if t is not None)
     if prog.ct_slot is None:

@@ -1,9 +1,11 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Everything is double precision. A Tensor wraps a numpy array plus the
-closure needed to push gradients to its parents; `backward()` runs the
-tape in reverse topological order. Gradient construction can be switched
-off with `no_grad()` for cheap inference.
+closure that maps its gradient to one gradient per parent; `backward()`
+runs the tape in reverse topological order. Only a Parameter holds a
+gradient: the inner gradients live for one `backward()` call, and those
+that reach other leaves are dropped. Gradient construction can be
+switched off with `no_grad()` for cheap inference.
 
 Each cell operator's math lives in one array kernel here (`sigmoid_fwd`,
 `safe_div_bwd`, ...). The Tensor primitives are thin wrappers over them,
@@ -47,32 +49,21 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
         self._parents: tuple[Tensor, ...] = parents if _grad_enabled else ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = (
+        # maps this tensor's gradient, without writing into it, to one
+        # gradient (or None) per parent, in the parent's shape or in the
+        # shape the parent was broadcast to
+        self._backward: Optional[Callable[[np.ndarray], Sequence]] = (
             backward if _grad_enabled else None
         )
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a fresh copy in data's shape: g may be broadcast, and the same
-            # g may be handed to another tensor as well
-            grad = np.empty_like(self.data)
-            grad[...] = g
-            self.grad = grad
-        else:
-            self.grad += g
 
     def backward(self) -> None:
         topo: list[Tensor] = []
@@ -90,21 +81,48 @@ class Tensor:
             for p in t._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.accumulate(np.ones_like(self.data))
+        # inner gradients by id, each complete before its tensor is reached
+        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
-            if t._backward is not None and t.grad is not None:
-                t._backward(t.grad)
+            if t._backward is None:
+                continue
+            g = grads.pop(id(t), None)
+            if g is None:
+                continue
+            for p, gp in zip(t._parents, t._backward(g)):
+                if gp is None:
+                    continue
+                if gp.shape != p.data.shape:
+                    gp = _unbroadcast(gp, p.data.shape)
+                if isinstance(p, Parameter):
+                    p.accumulate(gp)
+                elif p._backward is not None:
+                    prev = grads.get(id(p))
+                    grads[id(p)] = gp if prev is None else prev + gp
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
 
 
 class Parameter(Tensor):
-    __slots__ = ("name",)
+    """A leaf that holds the gradient `Tensor.backward` adds into it."""
+
+    __slots__ = ("name", "grad")
 
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
+        self.grad: Optional[np.ndarray] = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # a fresh copy in data's shape: g may be broadcast, and the same
+            # g may be handed to another tensor as well
+            grad = np.empty_like(self.data)
+            grad[...] = g
+            self.grad = grad
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -114,6 +132,7 @@ class Parameter(Tensor):
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum g down to `shape`, the shape it was broadcast from."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -220,43 +239,26 @@ def layer_norm_bwd(g, inputs, saved):
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def bw(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, (a, b), bw)
+    return Tensor(out_data, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
-    def bw(g):
-        a.accumulate(_unbroadcast(g, a.data.shape))
-        b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, (a, b), bw)
+    return Tensor(out_data, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
-    def bw(g):
-        a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b.accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, (a, b), bw)
+    return Tensor(out_data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def _kernel_op(fwd, bwd, *inputs: Tensor) -> Tensor:
     """One tape node over an array kernel pair."""
     arrays = [t.data for t in inputs]
     out_data, saved = fwd(*arrays)
-
-    def bw(g):
-        for t, gt in zip(inputs, bwd(g, arrays, saved)):
-            t.accumulate(_unbroadcast(gt, t.data.shape))
-
-    return Tensor(out_data, inputs, bw)
+    return Tensor(out_data, inputs, lambda g: bwd(g, arrays, saved))
 
 
 def safe_div(a: Tensor, b: Tensor) -> Tensor:
@@ -279,11 +281,7 @@ def _unary_op(fwd):
 
     def op(x: Tensor) -> Tensor:
         out_data, dlocal = fwd(x.data)
-
-        def bw(g):
-            x.accumulate(g * dlocal)
-
-        return Tensor(out_data, (x,), bw)
+        return Tensor(out_data, (x,), lambda g: (g * dlocal,))
 
     # tracebacks, profiles and test ids name the op, not the wrapper
     op.__name__ = op.__qualname__ = fwd.__name__[: -len("_fwd")]
@@ -306,10 +304,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         out_data = out_data + b.data
 
     def bw(g):
-        x.accumulate(g @ w.data)
-        w.accumulate(g.T @ x.data)
-        if b is not None:
-            b.accumulate(g.sum(axis=0) if g.ndim > b.data.ndim else g)
+        return g @ w.data, g.T @ x.data, g
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out_data, parents, bw)
@@ -345,11 +340,8 @@ def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
         gz[..., w : 2 * w] = dc2 * c * f * (1.0 - f)
         gz[..., 2 * w : 3 * w] = gh * th * o * (1.0 - o)
         gz[..., 3 * w :] = dc2 * i * (1.0 - u * u)
-        x.accumulate(gz @ W.data)
-        W.accumulate(gz.T @ x.data)
-        U.accumulate(gz.T @ hprev)
-        b.accumulate(gz.sum(axis=0) if gz.ndim > b.data.ndim else gz)
-        hc.accumulate(np.concatenate([gz @ U.data, dc2 * f], axis=-1))
+        return (gz @ W.data, np.concatenate([gz @ U.data, dc2 * f], axis=-1),
+                gz.T @ x.data, gz.T @ hprev, gz)
 
     return Tensor(out_data, (x, hc, W, U, b), bw)
 
@@ -360,10 +352,7 @@ def log_softmax(x: Tensor) -> Tensor:
     out = z - lse
     s = np.exp(out)
 
-    def bw(g):
-        x.accumulate(g - s * g.sum(axis=-1, keepdims=True))
-
-    return Tensor(out, (x,), bw)
+    return Tensor(out, (x,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -378,7 +367,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def bw(g):
         grad = np.exp(logp)
         grad[np.arange(n), targets] -= 1.0
-        logits.accumulate(g * grad / n)
+        return (g * grad / n,)
 
     return Tensor(loss, (logits,), bw)
 
@@ -389,10 +378,11 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     offs = np.cumsum([0] + sizes)
 
     def bw(g):
-        for p, a, b in zip(parts, offs[:-1], offs[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis if axis >= 0 else g.ndim + axis] = slice(a, b)
-            p.accumulate(g[tuple(idx)])
+        idx = [slice(None)] * g.ndim
+        ax = axis if axis >= 0 else g.ndim + axis
+        for a, b in zip(offs[:-1], offs[1:]):
+            idx[ax] = slice(a, b)
+            yield g[tuple(idx)]
 
     return Tensor(out_data, tuple(parts), bw)
 
@@ -403,18 +393,14 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     def bw(g):
         full = np.zeros_like(x.data)
         full[..., start:stop] = g
-        x.accumulate(full)
+        return (full,)
 
     return Tensor(out_data, (x,), bw)
 
 
 def tsum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum())
-
-    def bw(g):
-        x.accumulate(np.broadcast_to(g, x.data.shape).copy())
-
-    return Tensor(out_data, (x,), bw)
+    return Tensor(out_data, (x,), lambda g: (np.broadcast_to(g, x.data.shape),))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -432,7 +418,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def bw(g):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
-        table.accumulate(full)
+        return (full,)
 
     return Tensor(out_data, (table,), bw)
 

@@ -399,11 +399,8 @@ def generate_episode(
 
     ``memo`` holds the encoder's states by value (``Policy._node_state``);
     ``None`` means a fresh memo for this episode. Episodes that share a memo
-    share tape nodes, so it must not outlive a parameter change or a change
-    of grad mode. Nor may episodes sharing it be backpropagated apart:
-    ``Tensor.backward`` does not clear the ``.grad`` of intermediate nodes,
-    so a node shared with an episode already backpropagated would count its
-    gradient twice. Share one only among episodes that feed one update.
+    share tape nodes, so a memo serves one parameter version in one grad
+    mode: it must not outlive a parameter change or a change of grad mode.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch.empty()

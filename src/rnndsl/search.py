@@ -20,7 +20,7 @@ import numpy as np
 from . import engine as en
 from . import rlgen
 from .compiler import compile, run_sequence
-from .dsl import OpKind, builtin, parse
+from .dsl import Architecture, OpKind, builtin, parse
 from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, train_and_score
 from .randgen import GenConfig, arch_id, expand_ct_variants, generate_batch
 from .ranker import Ranker, RankerConfig, select
@@ -151,16 +151,25 @@ class RecordStore:
 # shared evaluation plumbing
 # ---------------------------------------------------------------------------
 
+def _evaluate(
+    arch: Architecture, store: RecordStore, task: Task, train_cfg: TrainConfig,
+    source: str, batch_index: int,
+) -> ArchPerfRecord:
+    """The stored record of `arch`, or else train it and append its record."""
+    rec = store.by_id.get(arch_id(arch))
+    if rec is None:
+        rec = train_and_score(
+            arch, task, train_cfg, source=source, batch_index=batch_index
+        )
+        store.append(rec)
+    return rec
+
+
 def _seed_baselines(
     store: RecordStore, cfg: SearchConfig, task: Task, train_cfg: TrainConfig
 ) -> None:
     for name in cfg.seed_baselines:
-        arch = builtin(name)
-        if arch_id(arch) in store:
-            continue
-        store.append(
-            train_and_score(arch, task, train_cfg, source="seed", batch_index=0)
-        )
+        _evaluate(builtin(name), store, task, train_cfg, "seed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +213,8 @@ def run_random_search(
             take = min(len(cands), cfg.k_top + cfg.k_sampled)
             idx = rng.choice(len(cands), size=take, replace=False)
             chosen = [cands[i] for i in idx]
-        chosen = [a for a in chosen if arch_id(a) not in store]
         for arch in chosen:
-            store.append(
-                train_and_score(
-                    arch, task, train_cfg, source="random", batch_index=step
-                )
-            )
+            _evaluate(arch, store, task, train_cfg, "random", step)
     return store, store.best()
 
 
@@ -243,20 +247,10 @@ def _episode_result(
     if not variants:
         # uses c_tm1 but offers no valid tap node: nothing to evaluate
         return reward(reward_cfg, None, "invalid"), False, 0
-    results: list[ArchPerfRecord] = []
-    todo = []
-    for v in variants:
-        vid = arch_id(v)
-        if vid in store:
-            results.append(store.by_id[vid])
-        else:
-            todo.append(v)
-    for v in todo:
-        rec = train_and_score(
-            v, task, train_cfg, source="rl", batch_index=batch_index
-        )
-        store.append(rec)
-        results.append(rec)
+    before = len(store)
+    results = [
+        _evaluate(v, store, task, train_cfg, "rl", batch_index) for v in variants
+    ]
     best_rec = min(
         results,
         key=lambda r: r.valid_metric
@@ -265,7 +259,7 @@ def _episode_result(
     )
     good = best_rec.status == "ok"
     loss = best_rec.valid_metric if good else None
-    return reward(reward_cfg, loss, best_rec.status), good, len(todo)
+    return reward(reward_cfg, loss, best_rec.status), good, len(store) - before
 
 
 def run_rl_search(

@@ -251,6 +251,7 @@ class TestRemovedOptions:
         [("search", "parallel_workers", "SearchConfig"),
          ("search", "wall_clock_budget", "SearchConfig"),
          ("search", "deterministic", "SearchConfig"),
+         ("train", "wall_clock_budget", "TrainConfig"),
          ("rl", "min_depth", "RLConfig")],
     )
     def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):

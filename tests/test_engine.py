@@ -170,8 +170,8 @@ class TestNoGrad:
 class TestAccumulate:
     def test_first_gradient_is_copied_not_aliased(self):
         g = np.array([[1.0, 2.0]])
-        a = en.Tensor(np.zeros((1, 2)))
-        b = en.Tensor(np.zeros((1, 2)))
+        a = en.Parameter(np.zeros((1, 2)), "a")
+        b = en.Parameter(np.zeros((1, 2)), "b")
         a.accumulate(g)
         b.accumulate(g)
         a.grad += 5.0
@@ -179,12 +179,59 @@ class TestAccumulate:
         assert g.tolist() == [[1.0, 2.0]]
 
     def test_first_gradient_broadcasts_to_data_shape(self):
-        t = en.Tensor(np.zeros((3, 2)))
+        t = en.Parameter(np.zeros((3, 2)), "t")
         t.accumulate(np.array([1.0, -2.0]))
         assert t.grad.shape == (3, 2)
         assert t.grad.tolist() == [[1.0, -2.0]] * 3
         t.accumulate(np.ones((3, 2)))
         assert t.grad.tolist() == [[2.0, -1.0]] * 3
+
+
+class TestGradientsOnlyOnParameters:
+    """Inner gradients live for one backward call; only parameters keep one."""
+
+    def test_second_backward_through_a_node_counts_once(self):
+        p = en.Parameter(np.array([1.0]), "p")
+        x = en.mul(p, en.Tensor(2.0))
+        en.mul(x, en.Tensor(3.0)).backward()
+        assert p.grad.tolist() == [6.0]
+        p.zero_grad()
+        en.mul(x, en.Tensor(4.0)).backward()
+        assert p.grad.tolist() == [8.0]
+
+    def test_shared_node_gives_each_loss_its_own_gradient(self):
+        p = en.Parameter(np.array([0.5, -1.0]), "p")
+        shared = en.tanh(en.mul(p, p))
+        losses = [en.tsum(en.mul(shared, en.Tensor(c))) for c in (1.0, -3.0)]
+        separate = []
+        for loss in losses:
+            p.zero_grad()
+            loss.backward()
+            separate.append(p.grad.copy())
+        dshared = 2.0 * p.data * (1.0 - np.tanh(p.data ** 2) ** 2)
+        np.testing.assert_allclose(separate[0], dshared, rtol=1e-12)
+        np.testing.assert_allclose(separate[1], -3.0 * dshared, rtol=1e-12)
+        # backpropagated one after the other without zeroing, they add up
+        p.zero_grad()
+        for loss in losses:
+            loss.backward()
+        np.testing.assert_allclose(p.grad, separate[0] + separate[1], rtol=1e-12)
+
+    def test_tensor_leaf_holds_no_gradient(self):
+        p = en.Parameter(np.ones((2, 3)), "p")
+        x = en.Tensor(np.full((2, 3), 2.0))
+        inner = en.mul(p, x)
+        loss = en.tsum(inner)
+        loss.backward()
+        np.testing.assert_array_equal(p.grad, x.data)
+        for t in (x, inner, loss):
+            assert not hasattr(t, "grad")
+
+    def test_broadcast_parent_gets_summed_gradient(self):
+        b = en.Parameter(np.zeros(3), "b")
+        x = en.Tensor(np.ones((4, 3)))
+        en.tsum(en.add(x, b)).backward()
+        assert b.grad.tolist() == [4.0, 4.0, 4.0]
 
 
 class TestOptimizer:
