@@ -277,112 +277,127 @@ _KERNELS = {
 }
 
 
-def step(
-    prog: CellProgram, x_t: en.Tensor, state: CellState
+def run_steps(
+    prog: CellProgram, x: en.Tensor, state: CellState
 ) -> tuple[en.Tensor, CellState]:
-    """One timestep: returns h_t and the advanced state.
+    """Run the cell over T timesteps from `state` as one tape node.
 
-    The instructions run on plain arrays, and the whole step is one tape
-    node whose backward pass walks them in reverse. With a c_t tap that
-    node packs h|c, and h_t and c_t are its two halves.
+    `x` holds the inputs time-major, [T*B, input_size] for the batch B of
+    `state`. Returns every h_t, [T*B, hidden_size] in the same order, and
+    the final state. The instructions run on plain arrays; the backward
+    pass walks timesteps and instructions in reverse, carries the h, c and
+    x_tm1 gradients between timesteps, and adds into each parameter once.
+    With a c_t tap the node packs the h rows and then the final c rows.
     """
-    hid = prog.hidden_size
-    instrs = prog.instructions
-    params = prog.params
-    if state.c is None and prog.ct_slot is not None:
+    hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
+    if state.c is None and ct_slot is not None:
         for i, ins in enumerate(instrs):
             if SLOT_CM1 in ins.inputs:
                 raise DivergenceError(f"instruction {i} reads an unwritten slot")
-    sources = (x_t, state.x_prev, state.h, state.c)
-    vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
-    for slot, src in enumerate(sources):
-        vals[slot] = src.data if src is not None else None
-    if prog.posenc_table is not None:
-        row = prog.posenc_table[min(state.t, POSENC_ROWS - 1)]
-        vals[SLOT_POSENC] = np.broadcast_to(row, (x_t.data.shape[0], hid)).copy()
-
-    def args_of(ins: Instr) -> list[np.ndarray]:
-        return [vals[s] for s in ins.inputs] + [params[p].data for p in ins.params]
-
-    saved: list = [None] * len(instrs)  # what each instruction's backward needs
-    for i, ins in enumerate(instrs):
+    batch = state.h.data.shape[0]
+    steps = x.data.shape[0] // batch
+    if steps < 1 or steps * batch != x.data.shape[0]:
+        raise ValueError(f"{x.data.shape[0]} input rows are not T >= 1 batches of {batch}")
+    # per instruction: its kernels and parameter arrays, a fused group's
+    # concatenated into one wide MM whose outputs are column blocks
+    code = []
+    for ins in instrs:
+        arrays = [prog.params[p].data for p in ins.params]
         if ins.kind == "fused_mm":
-            # one wide MM for the group; each node's output is a column block
-            w = np.concatenate([params[p].data for p in ins.params[0::2]], axis=0)
-            b = np.concatenate([params[p].data for p in ins.params[1::2]], axis=0)
-            out = vals[ins.inputs[0]] @ w.T + b
-            saved[i] = w
-            for j, s in enumerate(ins.outputs):
-                vals[s] = out[..., j * hid:(j + 1) * hid]
-        else:
-            args = args_of(ins)
+            arrays = [np.concatenate(arrays[0::2], axis=0), np.concatenate(arrays[1::2], axis=0)]
+        code.append((ins, *_KERNELS[ins.op], arrays, ins.kind == "fused_mm"))
+    # x_tm1 of the first timestep, then each timestep's x_t
+    xx = np.concatenate([state.x_prev.data, x.data], axis=0)
+    tape = []  # per timestep and instruction: its arguments, what its backward needs
+    out = np.empty(((steps + (ct_slot is not None)) * batch, hid))
+    h, c = state.h.data, None if state.c is None else state.c.data
+    for k in range(steps):
+        vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
+        vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
+        if prog.posenc_table is not None:
+            row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
+            vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
+        saved = []
+        for i, (ins, fwd, _, arrays, fused) in enumerate(code):
+            args = [vals[s] for s in ins.inputs] + arrays
             if ins.op is OpKind.DIV and (args[1] == 0.0).any():
                 # exact singularity; the clamp only guards near-zero values
                 raise DivergenceError(
-                    f"zero denominator in Div at instruction {i}", timestep=state.t
+                    f"zero denominator in Div at instruction {i}", timestep=state.t + k
                 )
-            out, saved[i] = _KERNELS[ins.op][0](*args)
-            vals[ins.outputs[0]] = out
-        if not np.isfinite(out).all():
-            raise DivergenceError(
-                f"non-finite value at instruction {i} ({ins.kind})", timestep=state.t
-            )
+            res, aux = fwd(*args)
+            if fused:
+                for j, s in enumerate(ins.outputs):
+                    vals[s] = res[:, j * hid:(j + 1) * hid]
+            else:
+                vals[ins.outputs[0]] = res
+            if not np.isfinite(res).all():
+                raise DivergenceError(
+                    f"non-finite value at instruction {i} ({ins.kind})", timestep=state.t + k
+                )
+            saved.append((args, aux))
+        h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
+        if ct_slot is not None:
+            c = vals[ct_slot]
+        if en.grad_enabled():
+            tape.append(saved)
+    if ct_slot is not None:
+        out[steps * batch:] = c
 
     def backward(g: np.ndarray) -> list[Optional[np.ndarray]]:
-        """Adds into the parameters' gradients and returns the sources'."""
-        grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
-
-        def add(slot: int, grad: np.ndarray) -> None:
-            prev = grads[slot]
-            grads[slot] = grad if prev is None else prev + grad
-
-        if prog.ct_slot is None:
-            grads[prog.root_slot] = g
-        else:
-            grads[prog.root_slot] = g[..., :hid]
-            grads[prog.ct_slot] = g[..., hid:]
-        for i in range(len(instrs) - 1, -1, -1):
-            ins = instrs[i]
-            if ins.kind == "fused_mm":
+        """Returns the gradients of x and the initial state."""
+        g_xx = np.zeros_like(xx)
+        g_h, g_c = None, None if ct_slot is None else g[steps * batch:]
+        acc: dict[int, list] = {}  # instruction -> parameter gradients, summed over time
+        for k in range(steps - 1, -1, -1):
+            grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
+            rows = g[k * batch:(k + 1) * batch]
+            grads[prog.root_slot] = rows if g_h is None else rows + g_h
+            if ct_slot is not None:
+                grads[ct_slot] = g_c
+            for i in range(len(code) - 1, -1, -1):
+                # every instruction feeds the root, so each output has a gradient
+                ins, _, bwd, _, fused = code[i]
                 outs = [grads[s] for s in ins.outputs]
-                if all(go is None for go in outs):
-                    continue
-                x = vals[ins.inputs[0]]
-                g_out = np.zeros((x.shape[0], hid * len(outs)))
-                for j, go in enumerate(outs):
-                    if go is not None:
-                        g_out[..., j * hid:(j + 1) * hid] = go
-                add(ins.inputs[0], g_out @ saved[i])
-                g_w, g_b = g_out.T @ x, g_out.sum(axis=0)
-                for j, (wname, bname) in enumerate(zip(ins.params[0::2], ins.params[1::2])):
-                    rows = slice(j * hid, (j + 1) * hid)
-                    params[wname].accumulate(g_w[rows])
-                    params[bname].accumulate(g_b[rows])
-                continue
-            go = grads[ins.outputs[0]]
-            if go is None:
-                continue
-            grads_in = _KERNELS[ins.op][1](go, args_of(ins), saved[i])
-            for s, gs in zip(ins.inputs, grads_in):
-                add(s, gs)
-            for name, gp in zip(ins.params, grads_in[len(ins.inputs):]):
-                p = params[name]
-                p.accumulate(gp.sum(axis=0) if gp.ndim > p.data.ndim else gp)
-        return [grad for src, grad in zip(sources, grads) if src is not None]
+                go = np.concatenate(outs, axis=1) if fused else outs[0]
+                args, aux = tape[k][i]
+                grads_in = bwd(go, args, aux)
+                for s, gs in zip(ins.inputs, grads_in):
+                    prev = grads[s]
+                    grads[s] = gs if prev is None else prev + gs
+                gps = grads_in[len(ins.inputs):]
+                if ins.op is OpKind.LAYERNORM:  # per-row gain and bias gradients
+                    gps = [gp.sum(axis=0) for gp in gps]
+                if gps:
+                    prev = acc.get(i)
+                    acc[i] = gps if prev is None else [a + b for a, b in zip(prev, gps)]
+            for slot, block in ((SLOT_X, k + 1), (SLOT_XM1, k)):
+                if grads[slot] is not None:
+                    g_xx[block * batch:(block + 1) * batch] += grads[slot]
+            g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
+        for i, gps in acc.items():
+            ins = instrs[i]
+            if ins.kind == "fused_mm":  # row block j is the group's j-th node's
+                gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
+            for name, gp in zip(ins.params, gps):
+                prog.params[name].accumulate(gp)
+        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)]
 
-    parents = tuple(t for t in sources if t is not None)
-    if prog.ct_slot is None:
-        h_t = en.Tensor(vals[prog.root_slot], parents, backward)
-        c_t = state.c
-    else:
-        packed = en.Tensor(
-            np.concatenate([vals[prog.root_slot], vals[prog.ct_slot]], axis=-1),
-            parents,
-            backward,
-        )
-        h_t = en.slice_last(packed, 0, hid)
-        c_t = en.slice_last(packed, hid, 2 * hid)
-    return h_t, CellState(h=h_t, c=c_t, x_prev=x_t, t=state.t + 1)
+    parents = tuple(t for t in (x, state.x_prev, state.h, state.c) if t is not None)
+    node = en.Tensor(out, parents, backward)
+    hs = node if ct_slot is None else en.take(node, slice(0, steps * batch))
+    last = slice((steps - 1) * batch, steps * batch)
+    return hs, CellState(
+        h=hs if steps == 1 else en.take(hs, last),
+        c=state.c if ct_slot is None else en.take(node, slice(steps * batch, None)),
+        x_prev=x if steps == 1 else en.take(x, last),
+        t=state.t + steps,
+    )
+
+
+def step(prog: CellProgram, x_t: en.Tensor, state: CellState) -> tuple[en.Tensor, CellState]:
+    """One timestep, the T=1 case of `run_steps`: returns h_t and the new state."""
+    return run_steps(prog, x_t, state)
 
 
 def run_sequence(
@@ -391,21 +406,15 @@ def run_sequence(
     init: Optional[CellState] = None,
     collect_trace: bool = False,
 ) -> tuple[list[en.Tensor], CellState, Optional[np.ndarray]]:
-    """Fold `step` over a sequence; optionally collect the hidden trace."""
+    """`run_steps` over a list of inputs; optionally collect the hidden trace
+    (each timestep's first row)."""
     if len(xs) == 0:
         raise ValueError("empty sequence")
-    state = init if init is not None else initial_state(prog, xs[0].data.shape[0])
-    outputs: list[en.Tensor] = []
-    trace: list[np.ndarray] = []
-    for t, x in enumerate(xs):
-        try:
-            h, state = step(prog, x, state)
-        except DivergenceError as e:
-            raise DivergenceError(str(e), timestep=t) from None
-        outputs.append(h)
-        if collect_trace:
-            trace.append(h.data[0].copy())
-    return outputs, state, (np.asarray(trace) if collect_trace else None)
+    batch = xs[0].data.shape[0]
+    state = init if init is not None else initial_state(prog, batch)
+    hs, state = run_steps(prog, en.concat(list(xs), axis=0), state)
+    outputs = [en.take(hs, slice(t * batch, (t + 1) * batch)) for t in range(len(xs))]
+    return outputs, state, (hs.data[::batch].copy() if collect_trace else None)
 
 
 def count_source_mm_instructions(prog: CellProgram) -> int:

@@ -9,8 +9,10 @@ switched off with `no_grad()` for cheap inference.
 
 Each cell operator's math lives in one array kernel here (`sigmoid_fwd`,
 `safe_div_bwd`, ...). The Tensor primitives are thin wrappers over them,
-and a compiled cell step (`compiler.step`) calls the same kernels: it is
-one tape node whose backward pass walks the cell's instructions in reverse.
+and a compiled cell (`compiler.run_steps`) calls the same kernels: one
+layer over a whole sequence is one tape node whose backward pass walks the
+timesteps and the cell's instructions in reverse (`compiler.step` is the
+one-timestep case).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # array kernels of the cell operators: `<op>_fwd(*inputs)` returns the value
 # and what the backward pass needs (for unary ops, the local derivative);
 # `<op>_bwd(g, inputs, saved)` returns one gradient per input. The Tensor
-# primitives below and the compiled cell step (compiler.step) both use them.
+# primitives below and the compiled cell (compiler.run_steps) both use them.
 # ---------------------------------------------------------------------------
 
 def sigmoid_fwd(x):
@@ -387,15 +389,19 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor(out_data, tuple(parts), bw)
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    out_data = x.data[..., start:stop]
+def take(x: Tensor, index) -> Tensor:
+    """x.data[index] for a basic (slicing) index; zero gradient elsewhere."""
 
     def bw(g):
         full = np.zeros_like(x.data)
-        full[..., start:stop] = g
+        full[index] = g
         return (full,)
 
-    return Tensor(out_data, (x,), bw)
+    return Tensor(x.data[index], (x,), bw)
+
+
+def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
+    return take(x, (..., slice(start, stop)))
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -412,15 +418,19 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, train: bool) -> Tenso
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
-    out_data = table.data[ids]
+    """Rows of `table` at `ids`. Ids [T, B] give time-major rows [T*B, dim],
+    and the table receives one gradient per timestep, the last first, as it
+    would from T lookups of [B] ids read by a recurrence."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, np.shape(ids)[-1])
+    out_data = table.data[ids.reshape(-1)]
 
     def bw(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return (full,)
+        for t in range(len(ids) - 1, -1, -1):
+            full = np.zeros_like(table.data)
+            np.add.at(full, ids[t], g[t * ids.shape[1]:(t + 1) * ids.shape[1]])
+            yield full
 
-    return Tensor(out_data, (table,), bw)
+    return Tensor(out_data, (table,) * len(ids), bw)
 
 
 def positional_encoding_table(max_len: int, dim: int) -> np.ndarray:

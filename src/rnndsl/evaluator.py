@@ -21,7 +21,8 @@ from .compiler import (
     DivergenceError,
     compile,
     initial_state,
-    step,
+    run_steps,
+    step,  # noqa: F401  (the benchmark tracer wraps evaluator.step)
 )
 from .dsl import Architecture, canonicalize, render
 from .randgen import arch_id
@@ -260,36 +261,50 @@ class SequenceModel:
             )
             self.params.append(self.out_w)
 
-    def loss(
-        self,
-        x_ids: np.ndarray,
-        y_ids: np.ndarray,
-        dropout: float,
-        rng: np.random.Generator,
-        train: bool,
-    ) -> en.Tensor:
+    def logits(self, x_ids: np.ndarray, dropout: float, rng: np.random.Generator,
+               train: bool) -> en.Tensor:
+        """The head's logits at every timestep, rows in time-major order;
+        each layer runs over the whole sequence as one tape node."""
         batch, seq = x_ids.shape
-        states = [initial_state(layer, batch) for layer in self.layers]
-        hs = []
-        for t in range(seq):
-            h = en.embedding(self.emb, x_ids[:, t])
-            h = en.dropout(h, dropout, rng, train)
-            for li, layer in enumerate(self.layers):
-                h, states[li] = step(layer, h, states[li])
-                h = en.dropout(h, dropout, rng, train)
-            hs.append(h)
-        # one head over every timestep's top-layer h, rows in time-major order
-        logits = en.linear(
-            en.concat(hs, axis=0), self.emb if self.tie else self.out_w, self.out_b
-        )
+        keep = None
+        if train and dropout > 0.0:
+            # the masks in the order a timestep-by-timestep run draws them:
+            # at each timestep the input's, then each layer's output's
+            shape = (seq, len(self.layers) + 1, batch, self.hidden_size)
+            keep = (rng.random(shape) >= dropout) / (1.0 - dropout)
+
+        def drop(h: en.Tensor, i: int) -> en.Tensor:
+            if keep is None:
+                return h
+            return en.mul(h, en.Tensor(keep[:, i].reshape(seq * batch, -1)))
+
+        h = drop(en.embedding(self.emb, x_ids.T), 0)
+        for li, layer in enumerate(self.layers):
+            h, _ = run_steps(layer, h, initial_state(layer, batch))
+            h = drop(h, li + 1)
+        return en.linear(h, self.emb if self.tie else self.out_w, self.out_b)
+
+    def loss(self, x_ids: np.ndarray, y_ids: np.ndarray, dropout: float,
+             rng: np.random.Generator, train: bool) -> en.Tensor:
+        logits = self.logits(x_ids, dropout, rng, train)
         return en.cross_entropy(logits, y_ids.T.reshape(-1))
 
     def mean_loss(self, batches, rng: np.random.Generator) -> float:
+        """The mean of the batches' losses. Batches of one sequence length
+        run as one batch; each loss still averages its own batch's rows, in
+        time-major order."""
+        vals = [0.0] * len(batches)
         with en.no_grad():
-            vals = [
-                float(self.loss(x, y, 0.0, rng, train=False).data)
-                for x, y in batches
-            ]
+            for seq in dict.fromkeys(x.shape[1] for x, _ in batches):
+                group = [i for i, (x, _) in enumerate(batches) if x.shape[1] == seq]
+                x_ids = np.concatenate([batches[i][0] for i in group])
+                z = self.logits(x_ids, 0.0, rng, train=False).data.reshape(seq, len(x_ids), -1)
+                start = 0
+                for i in group:
+                    x, y = batches[i]
+                    rows = z[:, start:start + len(x)].reshape(-1, z.shape[-1])
+                    vals[i] = float(en.cross_entropy(en.Tensor(rows), y.T.reshape(-1)).data)
+                    start += len(x)
         return float(np.mean(vals))
 
 

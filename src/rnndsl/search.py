@@ -386,7 +386,7 @@ def hidden_dump(
     """Per-timestep hidden vector of one rollout on random inputs."""
     rng = np.random.default_rng(seed)
     prog = compile(parse(dsl), input_size, hidden_size, rng=rng)
-    xs = [rng.standard_normal((1, input_size)) for _ in range(seq_len)]
+    xs = [en.Tensor(rng.standard_normal((1, input_size))) for _ in range(seq_len)]
     with en.no_grad():
         _, _, trace = run_sequence(prog, xs, collect_trace=True)
     return [

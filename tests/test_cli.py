@@ -206,7 +206,8 @@ class TestSearchAndReport:
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         run_json(capsys, "search", "random", "--config", cfg, "--out", a)
         run_json(capsys, "search", "random", "--config", cfg, "--out", b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
 
     def test_rank_fit_and_score(self, capsys, tmp_path):
         cfg = self._config(tmp_path)

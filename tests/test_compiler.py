@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rnndsl.engine as en
+import rnndsl.evaluator as ev
 from rnndsl.compiler import (
     CompileError,
     DivergenceError,
@@ -11,6 +12,7 @@ from rnndsl.compiler import (
     count_source_mm_instructions,
     initial_state,
     run_sequence,
+    run_steps,
     step,
 )
 from rnndsl.dsl import (
@@ -274,6 +276,113 @@ class TestDivergence:
         div = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.DIV)
         assert err.value.timestep == 0
         assert str(err.value) == f"zero denominator in Div at instruction {div}"
+
+    # Mult of two MMs of 1e200 overflows; the Sigmoid over it is finite,
+    # and the Div after it has an exactly zero denominator
+    OVERFLOW = "Div(Sigmoid(Mult(MM(x_t),MM(x_t))),Sub(h_tm1,h_tm1))"
+
+    def test_intermediate_overflow_named_before_later_div(self):
+        prog = compile(parse(self.OVERFLOW), D, H, rng=np.random.default_rng(8))
+        mult = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.MULT)
+        x = en.Tensor(np.full((2, D), 1e200))
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            step(prog, x, initial_state(prog, 2))
+        assert str(err.value) == f"non-finite value at instruction {mult} (binary)"
+        assert err.value.timestep == 0
+
+    def test_overflow_timestep_with_finite_root(self):
+        # the root stays finite, so only the check of every instruction sees it
+        prog = compile(parse("Sigmoid(Add(Mult(MM(x_t),MM(x_t)),MM(h_tm1)))"), D, H,
+                       rng=np.random.default_rng(8))
+        mult = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.MULT)
+        xs = _rand_xs(np.random.default_rng(9), 4)
+        xs[2] = en.Tensor(np.full((2, D), 1e200))
+        expected = f"non-finite value at instruction {mult} (binary)"
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run_steps(prog, en.concat(xs, axis=0), initial_state(prog, 2))
+            assert (str(err.value), err.value.timestep) == (expected, 2)
+            state = initial_state(prog, 2)
+            with pytest.raises(DivergenceError) as err:
+                for x in xs:
+                    _, state = step(prog, x, state)
+            assert (str(err.value), err.value.timestep) == (expected, 2)
+
+    def test_train_and_score_reports_overflow_as_diverged(self, monkeypatch):
+        raised = []
+
+        def spy(*args):
+            try:
+                return run_steps(*args)
+            except DivergenceError as e:
+                raised.append(e)
+                raise
+
+        # inputs of 1e200 at every timestep
+        monkeypatch.setattr(en, "init_embedding",
+                            lambda rng, vocab, dim: np.full((vocab, dim), 1e200))
+        monkeypatch.setattr(ev, "run_steps", spy)
+        task = ev.make_task(ev.TaskSpec(kind="copy_memory", batch_size=4, train_size=8,
+                                        valid_size=4, test_size=4))
+        rec = ev.train_and_score(parse(self.OVERFLOW), task,
+                                 ev.TrainConfig(epochs=1, hidden_size=D, failure_check_epoch=1))
+        prog = compile(parse(self.OVERFLOW), D, D)
+        mult = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.MULT)
+        assert rec.status == "diverged"
+        assert [(str(e), e.timestep) for e in raised] == [
+            (f"non-finite value at instruction {mult} (binary)", 0)
+        ]
+
+
+class TestRunSteps:
+    """One tape node over T timesteps against T chained `step` calls: the
+    same terms are added in the same order, so the results agree bit for bit."""
+
+    def test_matches_chained_steps_on_random_cells(self):
+        T, B = 4, 3
+        for n, arch in enumerate(random_architectures(50, seed=41, allow_cm1=True)):
+            prog = compile(arch, H, H, rng=np.random.default_rng(n))
+            srng = np.random.default_rng(100 + n)
+            x = en.Parameter(srng.standard_normal((T * B, H)) * 0.5, "x")
+            h0 = en.Parameter(srng.standard_normal((B, H)) * 0.5, "h0")
+            c0 = en.Parameter(srng.standard_normal((B, H)) * 0.5, "c0")
+            xp0 = en.Parameter(srng.standard_normal((B, H)) * 0.5, "xp0")
+            w_h = en.Tensor(srng.standard_normal((T * B, H)))
+            w_c = en.Tensor(srng.standard_normal((B, H)))
+            leaves = prog.parameters() + [x, h0, c0, xp0]
+
+            def run(chained):
+                for p in leaves:
+                    p.zero_grad()
+                state = initial_state(prog, B)
+                state.h, state.x_prev = h0, xp0
+                if state.c is not None:
+                    state.c = c0
+                if chained:
+                    hs = []
+                    for t in range(T):
+                        h, state = step(prog, en.take(x, slice(t * B, (t + 1) * B)), state)
+                        hs.append(h)
+                    hs = en.concat(hs, axis=0)
+                else:
+                    hs, state = run_steps(prog, x, state)
+                loss = en.tsum(en.mul(hs, w_h))
+                if state.c is not None:
+                    loss = en.add(loss, en.tsum(en.mul(state.c, w_c)))
+                loss.backward()
+                c = None if state.c is None else state.c.data
+                return hs.data, c, {p.name: p.grad for p in leaves}
+
+            hs_a, c_a, g_a = run(chained=False)
+            hs_b, c_b, g_b = run(chained=True)
+            np.testing.assert_array_equal(hs_a, hs_b)
+            if c_a is not None:
+                np.testing.assert_array_equal(c_a, c_b)
+            for name, ga in g_a.items():
+                if ga is None:  # c0 of a cell without a c_t tap
+                    assert g_b[name] is None, name
+                else:
+                    np.testing.assert_array_equal(ga, g_b[name], err_msg=name)
 
 
 class TestGradientsEndToEnd:
