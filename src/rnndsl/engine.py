@@ -508,24 +508,40 @@ class Optimizer:
                 np.clip(g, -cfg.clip_value, cfg.clip_value, out=g)
 
     def step(self) -> bool:
+        """One update, in place: the gradient, m, v and the parameter are
+        overwritten with the same operations, in the same order, as
+        m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g;
+        p -= lr*mhat / (sqrt(vhat) + eps)."""
         cfg = self.cfg
         self._clip()
         self._t += 1
         ok = True
+        m_corr = 1 - cfg.beta1 ** self._t
+        v_corr = 1 - cfg.beta2 ** self._t
         for p in self.params:
+            # the gradient is dropped after the step, so the step may overwrite it
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if cfg.l2:
-                g = g + cfg.l2 * p.data
+                g += cfg.l2 * p.data
             if cfg.kind == "sgd":
-                p.data -= self.lr * g
+                g *= self.lr
+                p.data -= g
             else:
                 m = self._m[p.name]
                 v = self._v[p.name]
-                m[...] = cfg.beta1 * m + (1 - cfg.beta1) * g
-                v[...] = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-                mhat = m / (1 - cfg.beta1 ** self._t)
-                vhat = v / (1 - cfg.beta2 ** self._t)
-                p.data -= self.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+                m *= cfg.beta1
+                m += (1 - cfg.beta1) * g
+                gg = (1 - cfg.beta2) * g
+                gg *= g
+                v *= cfg.beta2
+                v += gg
+                step = np.divide(m, m_corr, out=g)
+                step *= self.lr
+                denom = np.divide(v, v_corr, out=gg)
+                np.sqrt(denom, out=denom)
+                denom += cfg.eps
+                step /= denom
+                p.data -= step
             if not np.all(np.isfinite(p.data)):
                 ok = False
         self.zero_grad()

@@ -5,6 +5,13 @@ use Child-Sum tree cells while ordered operators (Gate3, Sub, Div) use
 N-ary cells with per-position weights. Before encoding, the architecture
 is canonicalized and unrolled one timestep so the representation of
 h_{t-1}/c_{t-1} reflects the cell's own graph.
+
+Each cell's gate matrices are stacked into one i|o|u|f block (per child
+position for an N-ary cell). The encoder hash-conses the subtrees of the
+trees it is given, groups the distinct ones by (height, label) and runs
+each group as array math, level by level, in one tape node (in the manner
+of TensorFlow Fold's dynamic batching): `fit` encodes a whole minibatch in
+one call, and `score` one candidate per call.
 """
 
 from __future__ import annotations
@@ -46,16 +53,6 @@ class EvalNode:
     label: str
     children: tuple["EvalNode", ...] = ()
 
-    def operator_count(self) -> int:
-        me = 0 if not self.children and self.label in LEAF_LABELS else 1
-        return me + sum(c.operator_count() for c in self.children)
-
-    def labels(self) -> set[str]:
-        out = {self.label}
-        for c in self.children:
-            out |= c.labels()
-        return out
-
 
 def _to_eval(n: ArchNode, leaves: dict[OpKind, EvalNode]) -> EvalNode:
     """Copy of n with OpKinds as labels; a source in `leaves` becomes its
@@ -94,6 +91,41 @@ class RankerConfig:
     seed: int = 0
 
 
+def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
+    """Hash-cons the trees' subtrees and group the distinct ones by (height,
+    label), lowest height first.
+
+    A subtree is keyed by its label and its children's keys, so each distinct
+    subtree is one row, numbered group after group. Returns each group's
+    label and child rows [members, arity] (arity 0 for a leaf), and the
+    trees' root rows.
+    """
+    ids: dict[tuple, int] = {}  # (label, child ids) -> id, in first-seen order
+    heights: list[int] = []
+
+    def intern(node: EvalNode) -> int:
+        key = (node.label, tuple(map(intern, node.children)))
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(heights)
+            heights.append(max([heights[k] for k in key[1]], default=-1) + 1)
+        return i
+
+    roots = [intern(t) for t in trees]
+    members: dict[tuple[int, str], list[tuple]] = {}
+    for key, i in ids.items():
+        members.setdefault((heights[i], key[0]), []).append(key)
+    row: dict[int, int] = {}  # id -> row
+    groups = []
+    for hl in sorted(members):
+        keys = members[hl]
+        kids = np.array([[row[k] for k in key[1]] for key in keys], dtype=np.intp)
+        groups.append((hl[1], kids.reshape(len(keys), -1)))
+        for key in keys:
+            row[ids[key]] = len(row)
+    return groups, [row[i] for i in roots]
+
+
 class Ranker:
     """TreeLSTM regression model over architecture trees."""
 
@@ -103,11 +135,10 @@ class Ranker:
         rng = np.random.default_rng(self.cfg.seed)
         self.params: list[en.Parameter] = []
 
-        def par(name, shape):
-            if len(shape) == 2:
-                data = en.init_mm_weight(rng, shape[0], shape[1])
-            else:
-                data = np.zeros(shape)
+        def par(name, shape, weight=True):
+            # a weight's rows are drawn in order, each of fan-in shape[-1]
+            data = (en.init_mm_weight(rng, math.prod(shape[:-1]), shape[-1]).reshape(shape)
+                    if weight else np.zeros(shape))
             p = en.Parameter(data, name)
             self.params.append(p)
             return p
@@ -118,90 +149,115 @@ class Ranker:
         for lab in LEAF_LABELS:
             self.leaf_emb[lab].data[...] = rng.uniform(-0.1, 0.1, size=(1, h))
 
-        self.cells: dict[str, dict[str, en.Parameter]] = {}
+        # gate blocks stacked i|o|u|f: a Child-Sum cell is (U [4h, h], b [4h]);
+        # an N-ary cell is (U [arity, 4h, h], bf [arity, h], b [3h]), one
+        # block per child position
+        self.cells: dict[str, tuple[en.Parameter, ...]] = {}
         for op in OpKind:
             if op.is_source:
                 continue
             name = op.value
-            cell: dict[str, en.Parameter] = {}
             if op.order_sensitive:
-                for j in range(op.arity):
-                    for g in ("i", "o", "u", "f"):
-                        cell[f"U{g}{j}"] = par(f"{name}_U{g}{j}", (h, h))
-                    cell[f"bf{j}"] = par(f"{name}_bf{j}", (h,))
-                for g in ("i", "o", "u"):
-                    cell[f"b{g}"] = par(f"{name}_b{g}", (h,))
+                self.cells[name] = (par(f"{name}_U", (op.arity, 4 * h, h)),
+                                    par(f"{name}_bf", (op.arity, h), False),
+                                    par(f"{name}_b", (3 * h,), False))
             else:
-                for g in ("i", "o", "u", "f"):
-                    cell[f"U{g}"] = par(f"{name}_U{g}", (h, h))
-                    cell[f"b{g}"] = par(f"{name}_b{g}", (h,))
-            self.cells[name] = cell
+                self.cells[name] = (par(f"{name}_U", (4 * h, h)),
+                                    par(f"{name}_b", (4 * h,), False))
         self.head_w = par("head_W", (1, h))
-        self.head_b = par("head_b", (1,))
+        self.head_b = par("head_b", (1,), False)
         self._rng = rng
 
     # -- encoding ----------------------------------------------------------
 
-    def _cell(
-        self, label: str, kids: list[tuple[en.Tensor, en.Tensor]]
-    ) -> tuple[en.Tensor, en.Tensor]:
-        """(h, c) of one node from its children's (h, c); a leaf has none."""
-        if not kids:
-            if label not in self.leaf_emb:
-                raise KeyError(f"no embedding for leaf {label!r}")
-            emb = self.leaf_emb[label]
-            return emb, en.Tensor(np.zeros_like(emb.data))
-        if label not in self.cells:
-            raise KeyError(f"no tree cell for operator {label!r}")
-        cell = self.cells[label]
+    def _encode(self, trees: Sequence[EvalNode]) -> en.Tensor:
+        """Root states h [len(trees), hidden] of the trees, as one tape node.
 
-        if OpKind(label).order_sensitive:
-            zi = zo = zu = None
-            for j, (hk, _) in enumerate(kids):
-                ti = en.linear(hk, cell[f"Ui{j}"])
-                to = en.linear(hk, cell[f"Uo{j}"])
-                tu = en.linear(hk, cell[f"Uu{j}"])
-                zi = ti if zi is None else en.add(zi, ti)
-                zo = to if zo is None else en.add(zo, to)
-                zu = tu if zu is None else en.add(zu, tu)
-            i = en.sigmoid(en.add(zi, cell["bi"]))
-            o = en.sigmoid(en.add(zo, cell["bo"]))
-            u = en.tanh(en.add(zu, cell["bu"]))
-            c = en.mul(i, u)
-            for j, (hk, ck) in enumerate(kids):
-                fj = en.sigmoid(
-                    en.add(en.linear(hk, cell[f"Uf{j}"]), cell[f"bf{j}"])
-                )
-                c = en.add(c, en.mul(fj, ck))
-        else:
-            hsum = kids[0][0]
-            for hk, _ in kids[1:]:
-                hsum = en.add(hsum, hk)
-            i = en.sigmoid(en.add(en.linear(hsum, cell["Ui"]), cell["bi"]))
-            o = en.sigmoid(en.add(en.linear(hsum, cell["Uo"]), cell["bo"]))
-            u = en.tanh(en.add(en.linear(hsum, cell["Uu"]), cell["bu"]))
-            c = en.mul(i, u)
-            for hk, ck in kids:
-                fk = en.sigmoid(en.add(en.linear(hk, cell["Uf"]), cell["bf"]))
-                c = en.add(c, en.mul(fk, ck))
-        hout = en.mul(o, en.tanh(c))
-        return hout, c
-
-    def _encode(
-        self, node: EvalNode, memo: dict[tuple, tuple]
-    ) -> tuple[int, en.Tensor, en.Tensor]:
-        """(key id, h, c) of a subtree, encoding each distinct subtree once.
-
-        The memo maps a subtree's value (its label and its children's key
-        ids) to its key id and (h, c). With a tape, a shared subtree is one
-        tape node whose gradient sums over the places it appears.
+        Each distinct subtree is encoded once (`_levels`), and each (height,
+        label) group runs its cell as array math, lowest height first: one
+        product of its children's h with the stacked gate block per child
+        position gives every child's i|o|u|f terms; i, o and u take their
+        sum (for a Child-Sum cell, U applied to the children's summed h).
+        The reverse pass walks the groups top down, scatter-adds the
+        children's gradients (a child can appear twice under one parent, or
+        under two parents) and adds each parameter's gradient once per call.
         """
-        kids = [self._encode(c, memo) for c in node.children]
-        key = (node.label, *[k[0] for k in kids])
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (len(memo), *self._cell(node.label, [k[1:] for k in kids]))
-        return hit
+        groups, roots = _levels(trees)
+        h = self.cfg.hidden
+        H = np.empty((sum(len(kids) for _, kids in groups), h))
+        C = np.zeros_like(H)
+        saved = []  # per group, what its reverse pass needs
+        r1 = 0
+        for label, kids in groups:
+            r0, r1 = r1, r1 + len(kids)
+            if not kids.shape[1]:
+                if label not in self.leaf_emb:
+                    raise KeyError(f"no embedding for leaf {label!r}")
+                H[r0:r1] = self.leaf_emb[label].data
+                saved.append((r0, r1, label, None))
+                continue
+            if label not in self.cells:
+                raise KeyError(f"no tree cell for operator {label!r}")
+            U, *bias = (p.data for p in self.cells[label])
+            kh = H[kids.T]  # [arity, n, h], the children by position
+            kc = C[kids.T]
+            if U.ndim == 2:  # one product for all children
+                zp = (kh.reshape(-1, h) @ U.T).reshape(*kh.shape[:2], -1)
+            else:
+                zp = kh @ U.transpose(0, 2, 1)
+            z = zp[0, :, :3 * h]
+            for j in range(1, len(zp)):
+                z = z + zp[j, :, :3 * h]
+            z = z + bias[-1][:3 * h]
+            # a Child-Sum cell's forget bias is b[3h:], an N-ary cell's bf
+            zf = zp[:, :, 3 * h:] + (bias[0][3 * h:] if len(bias) == 1 else bias[0][:, None])
+            io, dio = en.sigmoid_fwd(z[:, :2 * h])
+            u, du = en.tanh_fwd(z[:, 2 * h:])
+            f, df = en.sigmoid_fwd(zf)
+            c = io[:, :h] * u
+            for fc in f * kc:
+                c = c + fc
+            tc, dtc = en.tanh_fwd(c)
+            H[r0:r1] = io[:, h:] * tc
+            C[r0:r1] = c
+            saved.append((r0, r1, label, (kids, kh, kc, io, dio, u, du, f, df, tc, dtc)))
+
+        def backward(g):
+            gH = np.zeros_like(H)
+            gC = np.zeros_like(C)
+            np.add.at(gH, roots, g)
+            terms: dict[str, list] = {}  # label -> [(d zp, kh)] of its groups
+            for r0, r1, label, s in reversed(saved):
+                gh, gc = gH[r0:r1], gC[r0:r1]
+                if s is None:  # hash-consed, so one group per leaf label
+                    self.leaf_emb[label].accumulate(gh)
+                    continue
+                kids, kh, kc, io, dio, u, du, f, df, tc, dtc = s
+                dc = gc + gh * io[:, h:] * dtc
+                gzp = np.empty((len(kh), r1 - r0, 4 * h))
+                gzp[:, :, :h] = dc * u
+                gzp[:, :, h:2 * h] = gh * tc
+                gzp[:, :, :2 * h] *= dio
+                gzp[:, :, 2 * h:3 * h] = dc * io[:, :h] * du
+                gzp[:, :, 3 * h:] = dc * kc * df
+                np.add.at(gH, kids.T, gzp @ self.cells[label][0].data)
+                np.add.at(gC, kids.T, dc * f)
+                terms.setdefault(label, []).append((gzp, kh))
+            for label, parts in terms.items():
+                gzp, kh = (np.concatenate(p, axis=1) for p in zip(*parts))
+                U, *bias = self.cells[label]
+                gb = gzp[0, :, :3 * h].sum(0)  # one i|o|u bias term per node
+                gbf = gzp[:, :, 3 * h:].sum(1)
+                if len(bias) == 1:
+                    U.accumulate(gzp.reshape(-1, 4 * h).T @ kh.reshape(-1, h))
+                    bias[0].accumulate(np.concatenate([gb, gbf.sum(0)]))
+                else:
+                    U.accumulate(gzp.transpose(0, 2, 1) @ kh)
+                    bias[0].accumulate(gbf)
+                    bias[1].accumulate(gb)
+            return ()
+
+        return en.Tensor(H[roots], (), backward)
 
     def _eval_tree(self, arch: Architecture) -> EvalNode:
         arch = canonicalize(arch)
@@ -209,10 +265,9 @@ class Ranker:
             return unroll_once(arch)
         return _to_eval(arch.root, {})
 
-    def _predict(self, tree: EvalNode, train: bool) -> en.Tensor:
-        # the memo lives for this one tree, so its size is bounded by it
-        _, hroot, _ = self._encode(tree, {})
-        hroot = en.dropout(hroot, self.cfg.head_dropout, self._rng, train)
+    def _predict(self, *trees: EvalNode, train: bool) -> en.Tensor:
+        """Predicted metric [len(trees), 1] of the trees."""
+        hroot = en.dropout(self._encode(trees), self.cfg.head_dropout, self._rng, train)
         return en.add(en.linear(hroot, self.head_w), self.head_b)
 
     def score(self, arch: Architecture) -> float:
@@ -266,15 +321,9 @@ class Ranker:
         bs = min(self.cfg.batch_size, n)
         for _ in range(n_epochs):
             idx = rng.choice(n, size=bs, replace=True, p=weights)
-            losses = []
-            for i in idx:
-                pred = self._predict(trees[i], train=True)
-                diff = en.sub(pred, en.Tensor([[targets[i]]]))
-                losses.append(en.mul(diff, diff))
-            total = losses[0]
-            for l in losses[1:]:
-                total = en.add(total, l)
-            loss = en.mul(en.tsum(total), en.Tensor(1.0 / bs))
+            pred = self._predict(*(trees[i] for i in idx), train=True)
+            diff = en.sub(pred, en.Tensor(targets[idx, None]))
+            loss = en.mul(en.tsum(en.mul(diff, diff)), en.Tensor(1.0 / bs))
             loss.backward()
             if not opt.step():
                 break

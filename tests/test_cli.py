@@ -226,6 +226,31 @@ class TestSearchAndReport:
         assert code == 0
         assert isinstance(payload["score"], float)
 
+    def test_rank_score_refuses_per_gate_checkpoint(self, capsys, tmp_path):
+        import rnndsl.engine as en
+
+        cfg = self._config(tmp_path)
+        out = str(tmp_path / "records.jsonl")
+        run_json(capsys, "search", "random", "--config", cfg, "--out", out)
+        model = str(tmp_path / "ranker.ckpt")
+        run_json(capsys, "rank", "fit", "--records", out, "--config", cfg, "--model", model)
+        # rewrite it in the layout with one matrix and one bias per gate
+        arrays = {}
+        for name, arr in en.load_arrays(model).items():
+            cell, _, part = name.rpartition("_")
+            if part == "U" and arr.ndim == 2:
+                for g, block in zip("iouf", np.split(arr, 4)):
+                    arrays[f"{cell}_U{g}"] = block
+            else:
+                arrays[name] = arr
+        en.save_arrays(model, arrays)
+        code, _, err = run_cli(
+            capsys, "rank", "score", "--records", out, "--config", cfg,
+            "--model", model, "--dsl", TANH_RNN,
+        )
+        assert code == 1
+        assert "checkpoint missing parameter" in err
+
     def test_report_missing_store_is_empty_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "report", "search-curve",

@@ -275,6 +275,51 @@ class TestOptimizer:
         opt.step()
         assert p.grad is None or not np.any(p.grad)
 
+    @pytest.mark.parametrize("cfg", [
+        en.OptimizerConfig(kind="adam", learning_rate=0.01, l2=1e-2, clip_value=0.5),
+        en.OptimizerConfig(kind="adam", learning_rate=0.003, clip_norm=1.0),
+        en.OptimizerConfig(kind="sgd", learning_rate=0.1, l2=1e-3, clip_value=0.5),
+    ], ids=["adam-l2-clip-value", "adam-clip-norm", "sgd"])
+    def test_in_place_step_matches_formula_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 3, 2), (1,)]
+        params = [en.Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+        want = [p.data.copy() for p in params]
+        m = [np.zeros_like(w) for w in want]
+        v = [np.zeros_like(w) for w in want]
+        opt = en.Optimizer(params, cfg)
+        for t in range(1, 11):
+            grads = [rng.normal(size=w.shape) if i != (t % len(want)) else None
+                     for i, w in enumerate(want)]
+            for p, g in zip(params, grads):
+                if g is not None:
+                    p.accumulate(g)
+            assert opt.step()
+            # the update before it ran in place, as the oracle
+            grads = [g for g in grads if g is not None]
+            if cfg.clip_norm is not None:
+                total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+                if total > cfg.clip_norm:
+                    grads = [g * (cfg.clip_norm / total) for g in grads]
+            if cfg.clip_value is not None:
+                grads = [np.clip(g, -cfg.clip_value, cfg.clip_value) for g in grads]
+            grads = iter(grads)
+            for i, w in enumerate(want):
+                g = next(grads) if i != (t % len(want)) else np.zeros_like(w)
+                if cfg.l2:
+                    g = g + cfg.l2 * w
+                if cfg.kind == "sgd":
+                    w -= cfg.learning_rate * g
+                    continue
+                m[i][...] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
+                v[i][...] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
+                mhat = m[i] / (1 - cfg.beta1 ** t)
+                vhat = v[i] / (1 - cfg.beta2 ** t)
+                w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+            for p, w in zip(params, want):
+                assert p.grad is None
+                assert p.data.tobytes() == w.tobytes()
+
 
 class TestDropout:
     def test_eval_identity(self, rng):

@@ -1,5 +1,6 @@
 """Tree-encoder performance predictor: unrolling, fitting, selection."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,12 +13,28 @@ from rnndsl.evaluator import ArchPerfRecord
 from rnndsl.ranker import (
     C_TM2,
     H_TM2,
+    LEAF_LABELS,
+    EvalNode,
     Ranker,
     RankerConfig,
+    _levels,
     select,
     unroll_once,
 )
 from conftest import random_architectures
+
+
+def operator_count(node):
+    """Operator nodes of an encoder tree, counting each place a subtree appears."""
+    me = 0 if not node.children and node.label in LEAF_LABELS else 1
+    return me + sum(operator_count(c) for c in node.children)
+
+
+def labels(node):
+    out = {node.label}
+    for c in node.children:
+        out |= labels(c)
+    return out
 
 
 def record_for(arch, metric, status="ok"):
@@ -48,21 +65,21 @@ def tiny_ranker(**overrides):
 class TestUnrollOnce:
     def test_tanh_rnn_shape(self):
         tree = unroll_once(builtin("tanh_rnn"))
-        assert tree.operator_count() == 8  # 4 + one h-substituted copy of 4
-        labels = tree.labels()
-        assert H_TM2 in labels
-        assert OpKind.HM1.value not in labels
+        assert operator_count(tree) == 8  # 4 + one h-substituted copy of 4
+        found = labels(tree)
+        assert H_TM2 in found
+        assert OpKind.HM1.value not in found
 
     def test_no_recurrent_leaves_remain(self):
         for arch in random_architectures(30, seed=1, allow_cm1=True):
-            labels = unroll_once(arch).labels()
-            assert OpKind.HM1.value not in labels
-            assert OpKind.CM1.value not in labels
+            found = labels(unroll_once(arch))
+            assert OpKind.HM1.value not in found
+            assert OpKind.CM1.value not in found
 
     def test_no_recurrence_unchanged(self):
         arch = parse("Tanh(Add(MM(x_t),MM(x_tm1)))")
         tree = unroll_once(arch)
-        assert tree.operator_count() == analyze(arch).node_count
+        assert operator_count(tree) == analyze(arch).node_count
 
     def test_counting_law(self):
         for arch in random_architectures(30, seed=2, allow_cm1=True):
@@ -80,7 +97,7 @@ class TestUnrollOnce:
             else:
                 ct_size = 0
             expect = n + n_h * n + n_c * ct_size
-            assert unroll_once(arch).operator_count() == expect
+            assert operator_count(unroll_once(arch)) == expect
 
     def test_cm1_without_tap_refused(self):
         from rnndsl.dsl import Architecture, ArchNode
@@ -122,27 +139,88 @@ class TestScore:
         assert r.score(arch) == r.score(arch)
 
 
-def encode_unshared(ranker, node, memo=None):
-    """(None, h, c) of a subtree with every node encoded on its own: the
-    oracle for the memoized `Ranker._encode`."""
-    kids = [encode_unshared(ranker, c)[1:] for c in node.children]
-    return (None, *ranker._cell(node.label, kids))
+def cell_per_node(ranker, label, kids):
+    """(h, c) of one node from its children's (h, c), one Tensor op per gate,
+    over slices of the stacked gate blocks: the per-node oracle of the
+    level-batched `Ranker._encode`."""
+    if not kids:
+        emb = ranker.leaf_emb[label]
+        return emb, en.Tensor(np.zeros_like(emb.data))
+    h = ranker.cfg.hidden
+    gate = {g: slice(k * h, (k + 1) * h) for k, g in enumerate("iouf")}
+    if OpKind(label).order_sensitive:
+        U, bf, b = ranker.cells[label]
+        zi = zo = zu = None
+        for j, (hk, _) in enumerate(kids):
+            ti = en.linear(hk, en.take(U, (j, gate["i"])))
+            to = en.linear(hk, en.take(U, (j, gate["o"])))
+            tu = en.linear(hk, en.take(U, (j, gate["u"])))
+            zi = ti if zi is None else en.add(zi, ti)
+            zo = to if zo is None else en.add(zo, to)
+            zu = tu if zu is None else en.add(zu, tu)
+        i = en.sigmoid(en.add(zi, en.take(b, gate["i"])))
+        o = en.sigmoid(en.add(zo, en.take(b, gate["o"])))
+        u = en.tanh(en.add(zu, en.take(b, gate["u"])))
+        c = en.mul(i, u)
+        for j, (hk, ck) in enumerate(kids):
+            fj = en.sigmoid(en.add(en.linear(hk, en.take(U, (j, gate["f"]))), en.take(bf, j)))
+            c = en.add(c, en.mul(fj, ck))
+    else:
+        U, b = ranker.cells[label]
+        hsum = kids[0][0]
+        for hk, _ in kids[1:]:
+            hsum = en.add(hsum, hk)
+
+        def gate_of(x, g):
+            return en.add(en.linear(x, en.take(U, gate[g])), en.take(b, gate[g]))
+
+        i = en.sigmoid(gate_of(hsum, "i"))
+        o = en.sigmoid(gate_of(hsum, "o"))
+        u = en.tanh(gate_of(hsum, "u"))
+        c = en.mul(i, u)
+        for hk, ck in kids:
+            c = en.add(c, en.mul(en.sigmoid(gate_of(hk, "f")), ck))
+    return en.mul(o, en.tanh(c)), c
+
+
+def encode_per_node(ranker, trees):
+    """Root states of the trees with every node encoded on its own."""
+
+    def encode(node):
+        return cell_per_node(ranker, node.label, [encode(c) for c in node.children])
+
+    return en.concat([encode(t)[0] for t in trees], axis=0)
+
+
+def node(label, *children):
+    return EvalNode(label, children)
+
+
+# every operator label, with two identical children under Add and under Sub
+ALL_LABELS_TREE = node(
+    "Gate3",
+    node("Add", node("Tanh", node("x_t")), node("Tanh", node("x_t"))),
+    node("Sub", node("LayerNorm", node("h_tm1")), node("LayerNorm", node("h_tm1"))),
+    node("Mult",
+         node("Div", node("Sin", node("MM", node("x_tm1"))), node("Cos", node("c_tm1"))),
+         node("Sigmoid", node("ReLU", node("SeLU", node("posenc"))))),
+)
 
 
 class TestEncodeOnce:
-    def test_scores_equal_unshared_encoding_bit_for_bit(self, monkeypatch):
+    def test_scores_match_per_node_encoding(self, monkeypatch):
         from rnndsl.randgen import GenConfig, generate_batch
 
         r = tiny_ranker(hidden=8)
         cands = generate_batch(GenConfig(seed=4), 100, rng=np.random.default_rng(4))
         assert sum(a.ct_node is not None for a in cands) >= 10
         cands += [builtin(name) for name in builtin_names()]
-        got = r.score_many(cands).tolist()
-        monkeypatch.setattr(Ranker, "_encode", encode_unshared)
-        assert got == r.score_many(cands).tolist()
+        got = r.score_many(cands)
+        monkeypatch.setattr(Ranker, "_encode", encode_per_node)
+        np.testing.assert_allclose(got, r.score_many(cands), rtol=0, atol=1e-12)
 
-    def test_fit_matches_unshared_fit(self, monkeypatch):
-        # sharing a subtree's tape node only reorders its gradient sums
+    def test_fit_matches_per_node_fit(self, monkeypatch):
+        # batching a minibatch's trees only reorders float sums
         cands = random_architectures(20, seed=11, allow_cm1=True)
         cands += [builtin(name) for name in builtin_names()]
         metrics = np.random.default_rng(11).uniform(0.5, 3.0, len(cands))
@@ -153,7 +231,7 @@ class TestEncodeOnce:
             return r.fit(records), r.score_many(cands)
 
         curve, scores = fitted()
-        monkeypatch.setattr(Ranker, "_encode", encode_unshared)
+        monkeypatch.setattr(Ranker, "_encode", encode_per_node)
         want_curve, want_scores = fitted()
         assert len(curve) == len(want_curve) == 25
         np.testing.assert_allclose(curve, want_curve, rtol=0, atol=1e-12)
@@ -173,26 +251,40 @@ class TestEncodeOnce:
         r.score_many(cands)
         assert calls == cands
 
-    def test_gru_repeated_subtrees_encoded_once(self, monkeypatch):
-        r = tiny_ranker(hidden=4)
-        labels = []
-        cell = Ranker._cell
-
-        def counted(self, label, kids):
-            if kids:
-                labels.append(label)
-            return cell(self, label, kids)
-
-        monkeypatch.setattr(Ranker, "_cell", counted)
-        r.score(builtin("gru"))
-        operators = unroll_once(canonicalize(builtin("gru"))).operator_count()
+    def test_gru_repeated_subtrees_encoded_once(self):
+        tree = unroll_once(canonicalize(builtin("gru")))
+        groups, roots = _levels([tree])
+        rows = sum(len(kids) for _, kids in groups if kids.shape[1])
         # the h_t copy put in for each h_tm1 leaf is encoded once
-        assert 0 < len(labels) < operators
-        # with the tape on too, as in fit
-        labels.clear()
-        assert en.grad_enabled()
-        r._predict(r._eval_tree(builtin("gru")), train=True)
-        assert 0 < len(labels) < operators
+        assert 0 < rows < operator_count(tree)
+        # a minibatch that repeats the tree encodes the same rows
+        assert _levels([tree, tree])[1] == roots * 2
+        assert sum(len(kids) for _, kids in _levels([tree, tree])[0]) == sum(
+            len(kids) for _, kids in groups)
+
+    def test_groups_by_height_and_label(self):
+        groups, roots = _levels([ALL_LABELS_TREE])
+        assert {label for label, _ in groups} == labels(ALL_LABELS_TREE)
+        # every child row is a row of an earlier group
+        start = 0
+        for _, kids in groups:
+            assert kids.size == 0 or kids.max() < start
+            start += len(kids)
+        assert roots == [start - 1]
+
+    def test_fresh_parameters_pinned(self):
+        # the stacked blocks hold the numbers of the per-gate parameters
+        r = Ranker(RankerConfig(hidden=8, seed=0))
+        digest = hashlib.sha256(b"".join(p.data.tobytes() for p in r.params))
+        assert digest.hexdigest() == (
+            "3ed9dc72811d2dc87a36c674078673c9a4f42cb74a3863e3e1d859710276e261")
+
+    def test_unknown_labels_refused(self):
+        r = tiny_ranker(hidden=4)
+        with pytest.raises(KeyError, match="no embedding for leaf"):
+            r._predict(node("Tanh", node("y_t")), train=False)
+        with pytest.raises(KeyError, match="no tree cell"):
+            r._predict(node("Max", node("x_t")), train=False)
 
 
 class TestFit:
@@ -280,6 +372,19 @@ class TestGradient:
         def loss():
             pred = r._predict(tree, train=False)
             diff = en.sub(pred, en.Tensor([[1.5]]))
+            return en.tsum(en.mul(diff, diff))
+
+        assert en.gradient_check(loss, r.params) < 1e-4
+
+    def test_all_labels_shared_children_and_repeated_trees(self):
+        r = tiny_ranker(hidden=3, head_dropout=0.0)
+        other = r._eval_tree(builtin("gru"))
+        trees = [ALL_LABELS_TREE, other, ALL_LABELS_TREE]
+        assert labels(ALL_LABELS_TREE) >= {op.value for op in OpKind if not op.is_source}
+        targets = en.Tensor([[1.5], [0.2], [-0.7]])
+
+        def loss():
+            diff = en.sub(r._predict(*trees, train=False), targets)
             return en.tsum(en.mul(diff, diff))
 
         assert en.gradient_check(loss, r.params) < 1e-4
