@@ -55,11 +55,14 @@ def _posenc_table(hidden_size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Instr:
-    kind: str  # "mm", "fused_mm", "unary", "binary", "gate3", "layernorm"
-    op: Optional[OpKind]
+    op: OpKind
     inputs: tuple[int, ...]
-    params: tuple[str, ...]
-    outputs: tuple[int, ...]
+    params: tuple[str, ...]  # an MM's W, b; a fused MM's W, b per output
+    outputs: tuple[int, ...]  # more than one only for a fused MM
+
+    @property
+    def fused(self) -> bool:
+        return len(self.outputs) > 1
 
 
 @dataclass
@@ -72,7 +75,6 @@ class CellProgram:
     hidden_size: int
     input_size: int
     n_slots: int
-    fused_groups: dict[OpKind, list[int]]  # source leaf -> fused node indices
     posenc_table: Optional[np.ndarray]  # None when the cell never reads posenc
     node_param_names: dict[int, tuple[str, ...]]  # node number -> param names
 
@@ -166,7 +168,6 @@ def compile(
                 fusable.setdefault(n.children[0].op, []).append(n)
 
     fused_emitted: set[int] = set()
-    fused_groups: dict[OpKind, list[int]] = {}
 
     def emit(n: ArchNode) -> int:
         nonlocal next_slot
@@ -194,15 +195,8 @@ def compile(
                     next_slot += 1
                     fused_emitted.add(id(m))
                 instrs.append(
-                    Instr(
-                        "fused_mm",
-                        OpKind.MM,
-                        (_SOURCE_SLOTS[src_kind],),
-                        tuple(names),
-                        tuple(outs),
-                    )
+                    Instr(OpKind.MM, (_SOURCE_SLOTS[src_kind],), tuple(names), tuple(outs))
                 )
-                fused_groups[src_kind] = [index_of[id(m)] for m in group]
             return slot_of[key]
 
         child_slots = tuple(emit(c) for c in n.children)
@@ -210,23 +204,16 @@ def compile(
         next_slot += 1
         slot_of[key] = out
 
+        names: tuple[str, ...] = ()
         if n.op is OpKind.MM:
-            in_dim = width(n.children[0])
-            w, b = alloc_mm(idx, in_dim)
-            instrs.append(Instr("mm", OpKind.MM, child_slots, (w, b), (out,)))
+            names = alloc_mm(idx, width(n.children[0]))
         elif n.op is OpKind.LAYERNORM:
-            gname, bname = f"n{idx}_g", f"n{idx}_b"
+            names = (f"n{idx}_g", f"n{idx}_b")
             dim = width(n)
-            params[gname] = en.Parameter(np.ones(dim), gname)
-            params[bname] = en.Parameter(np.zeros(dim), bname)
-            node_param_names[idx] = (gname, bname)
-            instrs.append(Instr("layernorm", n.op, child_slots, (gname, bname), (out,)))
-        elif n.op.arity == 1:
-            instrs.append(Instr("unary", n.op, child_slots, (), (out,)))
-        elif n.op.arity == 2:
-            instrs.append(Instr("binary", n.op, child_slots, (), (out,)))
-        else:
-            instrs.append(Instr("gate3", n.op, child_slots, (), (out,)))
+            params[names[0]] = en.Parameter(np.ones(dim), names[0])
+            params[names[1]] = en.Parameter(np.zeros(dim), names[1])
+            node_param_names[idx] = names
+        instrs.append(Instr(n.op, child_slots, names, (out,)))
         return out
 
     root_slot = emit(root)
@@ -246,7 +233,6 @@ def compile(
         hidden_size=hidden_size,
         input_size=input_size,
         n_slots=next_slot,
-        fused_groups=fused_groups,
         posenc_table=(
             _posenc_table(hidden_size) if subtree_uses(root, OpKind.POSENC) else None
         ),
@@ -303,9 +289,9 @@ def run_steps(
     code = []
     for ins in instrs:
         arrays = [prog.params[p].data for p in ins.params]
-        if ins.kind == "fused_mm":
+        if ins.fused:
             arrays = [np.concatenate(arrays[0::2], axis=0), np.concatenate(arrays[1::2], axis=0)]
-        code.append((ins, *_KERNELS[ins.op], arrays, ins.kind == "fused_mm"))
+        code.append((ins, *_KERNELS[ins.op], arrays, ins.fused))
     # x_tm1 of the first timestep, then each timestep's x_t
     xx = np.concatenate([state.x_prev.data, x.data], axis=0)
     tape = []  # per timestep and instruction: its arguments, what its backward needs
@@ -333,7 +319,7 @@ def run_steps(
                 vals[ins.outputs[0]] = res
             if not np.isfinite(res).all():
                 raise DivergenceError(
-                    f"non-finite value at instruction {i} ({ins.kind})", timestep=state.t + k
+                    f"non-finite value at instruction {i} ({ins.op.value})", timestep=state.t + k
                 )
             saved.append((args, aux))
         h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
@@ -377,7 +363,7 @@ def run_steps(
             g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
         for i, gps in acc.items():
             ins = instrs[i]
-            if ins.kind == "fused_mm":  # row block j is the group's j-th node's
+            if ins.fused:  # row block j is the group's j-th node's
                 gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
             for name, gp in zip(ins.params, gps):
                 prog.params[name].accumulate(gp)
@@ -419,10 +405,6 @@ def run_sequence(
 
 def count_source_mm_instructions(prog: CellProgram) -> int:
     """MM instructions consuming a source slot (fused groups count once)."""
-    n = 0
-    for ins in prog.instructions:
-        if ins.kind == "fused_mm":
-            n += 1
-        elif ins.kind == "mm" and ins.inputs[0] < len(_SOURCE_SLOTS):
-            n += 1
-    return n
+    return sum(
+        ins.op is OpKind.MM and ins.inputs[0] < len(_SOURCE_SLOTS) for ins in prog.instructions
+    )

@@ -58,10 +58,6 @@ class OpKind(Enum):
         return self in (OpKind.GATE3, OpKind.SUB, OpKind.DIV)
 
     @property
-    def extended(self) -> bool:
-        return self in _EXTENDED
-
-    @property
     def is_activation(self) -> bool:
         return self in (
             OpKind.SIGMOID,
@@ -92,16 +88,6 @@ _ARITY = {
     OpKind.HM1: 0,
     OpKind.CM1: 0,
     OpKind.POSENC: 0,
-}
-
-_EXTENDED = {
-    OpKind.SUB,
-    OpKind.DIV,
-    OpKind.SIN,
-    OpKind.COS,
-    OpKind.POSENC,
-    OpKind.LAYERNORM,
-    OpKind.SELU,
 }
 
 CORE_OPERATORS = [

@@ -121,13 +121,6 @@ def _grow_raw(
     return draw(0)
 
 
-def grow_random(cfg: GenConfig, rng: Optional[np.random.Generator] = None) -> Architecture:
-    """Draw one tree root-first; result is canonical but unfiltered."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return canonicalize(Architecture(_grow_raw(cfg, rng, *_draw_tables(cfg))))
-
-
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
     flags = structural_violations(
         arch,

@@ -155,12 +155,11 @@ def prior_satisfaction(arch: Architecture) -> list[bool]:
 # ---------------------------------------------------------------------------
 
 class PartialNode:
-    __slots__ = ("op", "children", "parent")
+    __slots__ = ("op", "children")
 
-    def __init__(self, op: Optional[OpKind] = None, parent: Optional["PartialNode"] = None):
+    def __init__(self, op: Optional[OpKind] = None):
         self.op = op
         self.children: list[PartialNode] = []
-        self.parent = parent
 
     def to_arch_node(self) -> ArchNode:
         assert self.op is not None
@@ -190,14 +189,12 @@ class PartialArch:
     def target_depth(self) -> int:
         return self.open_slots[0][1]
 
-    def fill(self, kind: OpKind) -> PartialNode:
+    def fill(self, kind: OpKind) -> None:
         node, depth = self.open_slots.pop(0)
         node.op = kind
-        kids = [PartialNode(parent=node) for _ in range(kind.arity)]
-        node.children = kids
-        self.open_slots[:0] = [(k, depth + 1) for k in kids]
+        node.children = [PartialNode() for _ in range(kind.arity)]
+        self.open_slots[:0] = [(k, depth + 1) for k in node.children]
         self.operator_count += not kind.is_source
-        return node
 
     def to_architecture(self) -> Architecture:
         if not self.complete:
@@ -257,9 +254,6 @@ class Policy:
         """One packed-state LSTM step; returns [1, 2w] hidden|cell."""
         return en.lstm_cell(x, hc, gates["W"], gates["U"], gates["b"])
 
-    def _zero(self) -> en.Tensor:
-        return en.Tensor(np.zeros((1, self.cfg.width)))
-
     def _packed_zero(self) -> en.Tensor:
         return en.Tensor(np.zeros((1, 2 * self.cfg.width)))
 
@@ -268,43 +262,37 @@ class Policy:
             return node.op.value
         return TARGET_TOKEN if node is target else EMPTY_TOKEN
 
-    def _memo_step(self, memo: dict, key, x: en.Tensor, hc: en.Tensor) -> tuple:
+    def _memo_step(self, memo: dict, key, x: en.Tensor, hc: Optional[en.Tensor]) -> tuple:
         """One encoder step, memoized by the key of its prefix: returns the
-        step's interned key, its packed state and its hidden state."""
+        step's interned key, its packed state and its hidden state. ``hc``
+        None is the zero state of a node's first step."""
         entry = memo.get(key)
         if entry is None:
-            hc = self._lstm(self.enc, x, hc)
+            hc = self._lstm(self.enc, x, self._packed_zero() if hc is None else hc)
             entry = memo[key] = (len(memo), hc, en.slice_last(hc, 0, self.cfg.width))
         return entry
 
     def _node_state(
-        self, node: PartialNode, target: Optional[PartialNode], cache: dict, memo: dict
+        self, node: PartialNode, target: Optional[PartialNode], memo: dict
     ) -> tuple[int, en.Tensor]:
         """A node's key and state: the shared LSTM over [token, child states],
         state reset per node. The state after the token and the first j
         children depends only on the token, those children's keys and the
         parameters, so ``memo`` holds it by (token) or (key of the previous
         prefix, key of child j), across episodes when the caller shares it.
-        ``cache`` holds each node's (key, state) by ``id`` until the episode
-        invalidates the node."""
-        if id(node) in cache:
-            return cache[id(node)]
+        Each action walks the whole partial tree again; a subtree seen
+        before is a chain of lookups and costs no step."""
         token = self._node_token(node, target)
-        key, hc, h = self._memo_step(memo, token, self.tok_emb[token], self._packed_zero())
+        key, hc, h = self._memo_step(memo, token, self.tok_emb[token], None)
         for child in node.children:
-            child_key, child_h = self._node_state(child, target, cache, memo)
+            child_key, child_h = self._node_state(child, target, memo)
             key, hc, h = self._memo_step(memo, (key, child_key), child_h, hc)
-        cache[id(node)] = key, h
         return key, h
 
-    def encode_partial(
-        self, p: PartialArch, cache: Optional[dict] = None, memo: Optional[dict] = None
-    ) -> en.Tensor:
+    def encode_partial(self, p: PartialArch, memo: Optional[dict] = None) -> en.Tensor:
         if not p.complete and p.target is None:
             raise ValueError("partial tree without a target slot")
-        return self._node_state(
-            p.root, p.target, {} if cache is None else cache, {} if memo is None else memo
-        )[1]
+        return self._node_state(p.root, p.target, {} if memo is None else memo)[1]
 
     # -- action selection --------------------------------------------------
 
@@ -316,35 +304,30 @@ class Policy:
         return (self._operators & operators_ok) | (self._sources & (depth > 0))
 
     def action_logprobs(
-        self,
-        p: PartialArch,
-        head_state: tuple[en.Tensor, en.Tensor],
-        cache: Optional[dict] = None,
-        memo: Optional[dict] = None,
-    ) -> tuple[en.Tensor, tuple[en.Tensor, en.Tensor], np.ndarray]:
-        enc = self.encode_partial(p, cache, memo)
-        x = en.relu(en.add(en.linear(enc, self.lin1_w), self.lin1_b))
-        w = self.cfg.width
-        hc = self._lstm(self.head, x, en.concat(list(head_state)))
-        h = en.slice_last(hc, 0, w)
-        c = en.slice_last(hc, w, 2 * w)
-        scores = en.add(en.linear(h, self.lin2_w), self.lin2_b)
+        self, p: PartialArch, head_state: en.Tensor, memo: Optional[dict] = None
+    ) -> tuple[en.Tensor, en.Tensor, np.ndarray]:
+        """Log-probabilities over the action space, the head's next packed
+        [1, 2w] state and the legal-action mask."""
+        enc = self.encode_partial(p, memo)
+        x = en.relu(en.linear(enc, self.lin1_w, self.lin1_b))
+        head_state = self._lstm(self.head, x, head_state)
+        h = en.slice_last(head_state, 0, self.cfg.width)
+        scores = en.linear(h, self.lin2_w, self.lin2_b)
         mask = self.legal_actions(p)
         masked = en.add(scores, en.Tensor(np.where(mask, 0.0, -1e9)[None, :]))
         logp = en.log_softmax(masked)
-        return logp, (h, c), mask
+        return logp, head_state, mask
 
     def next_action(
         self,
         p: PartialArch,
-        head_state: tuple[en.Tensor, en.Tensor],
+        head_state: en.Tensor,
         epsilon: float,
         rng: np.random.Generator,
         forced: Optional[OpKind] = None,
-        cache: Optional[dict] = None,
         memo: Optional[dict] = None,
-    ) -> tuple[OpKind, en.Tensor, en.Tensor, tuple[en.Tensor, en.Tensor]]:
-        logp, new_state, mask = self.action_logprobs(p, head_state, cache, memo)
+    ) -> tuple[OpKind, en.Tensor, en.Tensor, en.Tensor]:
+        logp, new_state, mask = self.action_logprobs(p, head_state, memo)
         if forced is not None:
             idx = self.actions.index(forced)
             if not mask[idx]:
@@ -397,34 +380,28 @@ def generate_episode(
 ) -> Episode:
     """Roll out one architecture; with forced_actions, re-score a tree.
 
-    ``memo`` holds the encoder's states by value (``Policy._node_state``);
-    ``None`` means a fresh memo for this episode. Episodes that share a memo
-    share tape nodes, so a memo serves one parameter version in one grad
-    mode: it must not outlive a parameter change or a change of grad mode.
+    ``memo`` holds the encoder's states by value (``Policy._node_state``) and
+    is the rollout's only cache: each action re-encodes the partial tree
+    through it, so only the path to the filled slot and to the new target
+    costs steps. ``None`` means a fresh memo for this episode. Episodes that
+    share a memo share tape nodes, so a memo serves one parameter version in
+    one grad mode: it must not outlive a parameter change or a change of
+    grad mode.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch.empty()
-    head_state = (policy._zero(), policy._zero())
+    head_state = policy._packed_zero()
     actions: list[OpKind] = []
     logps: list[en.Tensor] = []
     entropies: list[en.Tensor] = []
-    cache: dict[int, tuple[int, en.Tensor]] = {}
     memo = {} if memo is None else memo
-
-    def invalidate(node: Optional[PartialNode]) -> None:
-        while node is not None:
-            cache.pop(id(node), None)
-            node = node.parent
-
     i = 0
     while not p.complete:
         forced = forced_actions[i] if forced_actions is not None else None
         act, logp, ent, head_state = policy.next_action(
-            p, head_state, eps, rng, forced, cache, memo
+            p, head_state, eps, rng, forced, memo
         )
-        filled = p.fill(act)
-        invalidate(filled)  # its token changed from target to the operator
-        invalidate(p.target)  # the next slot's token changed to target
+        p.fill(act)
         actions.append(act)
         logps.append(logp)
         entropies.append(ent)

@@ -249,3 +249,40 @@ class TestPinnedBuiltinMetrics:
         assert rec.status == "ok"
         assert abs(rec.valid_metric - valid) < 1e-10
         assert abs(rec.test_metric - test) < 1e-10
+
+
+class TestStackedUntiedModel:
+    """Two layers of a cell with fused MMs and a c_t tap, under an untied
+    output head: TrainConfig's n_layers > 1 and tie_embeddings=False."""
+
+    def _model(self):
+        task = small_copy_task()
+        model = SequenceModel(builtin("lstm"), task.vocab_size, 3, n_layers=2,
+                              tie_embeddings=False, rng=np.random.default_rng(6))
+        return model, task
+
+    def test_parameter_names_unique(self):
+        model, _ = self._model()
+        names = [p.name for p in model.params]
+        assert len(set(names)) == len(names)
+        assert {n[:3] for n in names if n.startswith("l")} == {"l0_", "l1_"}
+        assert "out_W" in names
+
+    def test_gradient_check(self):
+        model, task = self._model()
+        x, y = task.train[0]
+        x, y = x[:2, :6], y[:2, :6]
+        rng = np.random.default_rng(0)
+
+        def loss():
+            return model.loss(x, y, 0.0, rng, train=True)
+
+        assert en.gradient_check(loss, model.params) < 1e-4
+
+    def test_train_and_score_ok_and_deterministic(self):
+        task = small_copy_task()
+        cfg = quick_cfg(n_layers=2, tie_embeddings=False)
+        a = train_and_score(builtin("lstm"), task, cfg)
+        b = train_and_score(builtin("lstm"), task, cfg)
+        assert a.status == "ok"
+        assert a.to_json() == b.to_json()

@@ -5,35 +5,50 @@ import hashlib
 import numpy as np
 
 from rnndsl import randgen
-from rnndsl.dsl import OpKind, analyze, builtin, parse, render
+from rnndsl.dsl import (
+    CORE_OPERATORS,
+    CORE_SOURCES,
+    EXTENDED_OPERATORS,
+    EXTENDED_SOURCES,
+    Architecture,
+    OpKind,
+    analyze,
+    builtin,
+    parse,
+    render,
+)
 from rnndsl.randgen import (
     GenConfig,
     arch_id,
     check_restrictions,
     expand_ct_variants,
     generate_batch,
-    grow_random,
 )
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
 
+def grow_raw(cfg, rng):
+    """One raw draw, root-first and unfiltered."""
+    return Architecture(randgen._grow_raw(cfg, rng, *randgen._draw_tables(cfg)))
+
+
 class TestGrowRandom:
     def test_max_height_zero_gives_leaf(self):
-        arch = grow_random(GenConfig(max_height=0, seed=1))
+        arch = grow_raw(GenConfig(max_height=0, seed=1), np.random.default_rng(1))
         assert arch.root.op.is_source
 
     def test_height_bound_respected(self):
         cfg = GenConfig(max_height=4, seed=2)
         rng = np.random.default_rng(2)
         for _ in range(300):
-            arch = grow_random(cfg, rng)
+            arch = grow_raw(cfg, rng)
             assert analyze(arch).height <= 4
 
     def test_deterministic_sequence(self):
         cfg = GenConfig(seed=3)
-        a = [render(grow_random(cfg, np.random.default_rng(3))) for _ in range(5)]
-        b = [render(grow_random(cfg, np.random.default_rng(3))) for _ in range(5)]
+        a = [render(grow_raw(cfg, np.random.default_rng(3))) for _ in range(5)]
+        b = [render(grow_raw(cfg, np.random.default_rng(3))) for _ in range(5)]
         assert a == b
 
     def test_adversarial_ternary_weights_still_bounded(self):
@@ -42,7 +57,7 @@ class TestGrowRandom:
         cfg = GenConfig(max_height=5, operator_weights=weights, seed=4)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            assert analyze(grow_random(cfg, rng)).height <= 5
+            assert analyze(grow_raw(cfg, rng)).height <= 5
 
 
 class TestCheckRestrictions:
@@ -101,7 +116,7 @@ class TestGenerateBatch:
         assert seen.isdisjoint({arch_id(a) for a in second})
 
     def test_core_dsl_excludes_extended(self):
-        extended = {op for op in OpKind if op.extended}
+        extended = set(EXTENDED_OPERATORS + EXTENDED_SOURCES) - set(CORE_OPERATORS + CORE_SOURCES)
         for arch in generate_batch(GenConfig(seed=7, extended_dsl=False), 200):
             assert not ({n.op for n in arch.root.walk()} & extended)
 

@@ -1,5 +1,6 @@
 """Policy-driven incremental generation: masking, rewards, REINFORCE."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -100,8 +101,7 @@ class TestMasking:
     def test_probabilities_normalized_and_masked(self):
         pol = tiny_policy()
         p = PartialArch.empty()
-        head = (pol._zero(), pol._zero())
-        logp, _, mask = pol.action_logprobs(p, head)
+        logp, _, mask = pol.action_logprobs(p, pol._packed_zero())
         probs = np.exp(logp.data[0])
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs[~mask] == 0.0)  # exp(-1e9) underflows exactly
@@ -119,17 +119,17 @@ class TestEncoding:
         eb = pol.encode_partial(b)
         assert np.abs(ea.data - eb.data).max() > 1e-9
 
-    def test_cache_matches_uncached(self):
+    def test_episode_memo_matches_fresh_memo(self):
         pol = tiny_policy()
         rng = np.random.default_rng(3)
-        ep = generate_episode(pol, rng)  # uses the node cache and the memo
-        # replay the same action sequence, encoding every step from scratch
+        ep = generate_episode(pol, rng)  # one memo for the whole episode
+        # replay the same action sequence with a fresh memo at every step
         p = PartialArch.empty()
-        head = (pol._zero(), pol._zero())
+        head = pol._packed_zero()
         for act, logp in zip(ep.actions, ep.logps):
-            fresh, head, _ = pol.action_logprobs(p, head, cache=None)
+            fresh, head, _ = pol.action_logprobs(p, head, memo={})
             idx = pol.actions.index(act)
-            assert abs(fresh.data[0, idx] - logp.data.item()) < 1e-12
+            assert fresh.data[0, idx] == logp.data.item()
             p.fill(act)
 
     def test_shared_memo_encodes_bit_for_bit(self, monkeypatch):
@@ -137,9 +137,9 @@ class TestEncoding:
         encode = pol.encode_partial
         steps = 0
 
-        def checked(p, cache=None, memo=None):
+        def checked(p, memo=None):
             nonlocal steps
-            got = encode(p, cache, memo)
+            got = encode(p, memo)
             assert np.array_equal(got.data, encode(p).data)
             steps += 1
             return got
@@ -389,9 +389,7 @@ class TestReinforce:
             pol.params, en.OptimizerConfig(kind="sgd", learning_rate=0.05)
         )
         def root_entropy():
-            logp, _, mask = pol.action_logprobs(
-                PartialArch.empty(), (pol._zero(), pol._zero())
-            )
+            logp, _, mask = pol.action_logprobs(PartialArch.empty(), pol._packed_zero())
             p = np.exp(logp.data[0][mask])
             return -(p * np.log(p)).sum()
 
@@ -461,6 +459,32 @@ class TestPretrain:
         assert calls <= 0.8 * oracle_calls
         for p, q in zip(params, oracle_params):
             assert np.abs(p - q).max() <= 1e-12
+
+    def test_pinned_episodes_and_parameters(self, monkeypatch):
+        """The rollout's draws, tape and updates are pinned: a change to the
+        encoder, the head or the memo must leave every bit in place."""
+        rollout = rlgen.generate_episode
+        rendered = []
+
+        def episode(*args, **kwargs):
+            ep = rollout(*args, **kwargs)
+            rendered.append(render(ep.arch))
+            return ep
+
+        monkeypatch.setattr(rlgen, "generate_episode", episode)
+        pol = tiny_policy(learning_rate=0.01, entropy_weight=0.03,
+                          normalize_advantage=True, epsilon=0.0)
+        pretrain_priors(pol, budget=40, rng=np.random.default_rng(16))
+        params = hashlib.sha256()
+        for p in pol.params:
+            params.update(p.data.tobytes())
+        assert len(rendered) == 240  # 200 measuring episodes, 40 training
+        assert hashlib.sha256("\n".join(rendered).encode()).hexdigest() == (
+            "cf3cb6540980614893bade27ee79034c7647cf9c06eb8573a2e1879ac6519c6e"
+        )
+        assert params.hexdigest() == (
+            "6f0bdf3cb0bfd947900d25f7188c9bb87f39fe4b648a8858fd7b03f453f23f13"
+        )
 
     def test_measure_satisfaction_range(self):
         pol = tiny_policy()
