@@ -270,10 +270,15 @@ def run_steps(
 
     `x` holds the inputs time-major, [T*B, input_size] for the batch B of
     `state`. Returns every h_t, [T*B, hidden_size] in the same order, and
-    the final state. The instructions run on plain arrays; the backward
-    pass walks timesteps and instructions in reverse, carries the h, c and
-    x_tm1 gradients between timesteps, and adds into each parameter once.
-    With a c_t tap the node packs the h rows and then the final c rows.
+    the final state. The instructions run on plain arrays, under
+    `np.errstate(all="ignore")`: finiteness is checked once per timestep,
+    over all the instructions' outputs together, and a failure names the
+    first instruction whose output is not finite (a Div with an exactly
+    zero denominator names an earlier such instruction first). The
+    backward pass walks timesteps and instructions in reverse, carries the
+    h, c and x_tm1 gradients between timesteps, sums each instruction's
+    parameter gradients over time in place and adds into each parameter
+    once. With a c_t tap the node packs the h rows and then the final c rows.
     """
     hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
     if state.c is None and ct_slot is not None:
@@ -284,85 +289,111 @@ def run_steps(
     steps = x.data.shape[0] // batch
     if steps < 1 or steps * batch != x.data.shape[0]:
         raise ValueError(f"{x.data.shape[0]} input rows are not T >= 1 batches of {batch}")
-    # per instruction: its kernels and parameter arrays, a fused group's
-    # concatenated into one wide MM whose outputs are column blocks
-    code = []
+    # per instruction: its forward kernel, input slots, parameter arrays (a
+    # fused group's concatenated into one wide MM whose outputs are column
+    # blocks), output slots, whether it is fused and whether it is a Div
+    plan = []
     for ins in instrs:
         arrays = [prog.params[p].data for p in ins.params]
         if ins.fused:
             arrays = [np.concatenate(arrays[0::2], axis=0), np.concatenate(arrays[1::2], axis=0)]
-        code.append((ins, *_KERNELS[ins.op], arrays, ins.fused))
-    # x_tm1 of the first timestep, then each timestep's x_t
-    xx = np.concatenate([state.x_prev.data, x.data], axis=0)
-    tape = []  # per timestep and instruction: its arguments, what its backward needs
-    out = np.empty(((steps + (ct_slot is not None)) * batch, hid))
-    h, c = state.h.data, None if state.c is None else state.c.data
-    for k in range(steps):
-        vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
-        vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
-        if prog.posenc_table is not None:
-            row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
-            vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
-        saved = []
-        for i, (ins, fwd, _, arrays, fused) in enumerate(code):
-            args = [vals[s] for s in ins.inputs] + arrays
-            if ins.op is OpKind.DIV and (args[1] == 0.0).any():
-                # exact singularity; the clamp only guards near-zero values
-                raise DivergenceError(
-                    f"zero denominator in Div at instruction {i}", timestep=state.t + k
-                )
-            res, aux = fwd(*args)
-            if fused:
-                for j, s in enumerate(ins.outputs):
-                    vals[s] = res[:, j * hid:(j + 1) * hid]
-            else:
-                vals[ins.outputs[0]] = res
+        plan.append((_KERNELS[ins.op][0], ins.inputs, arrays, ins.outputs, ins.fused,
+                     ins.op is OpKind.DIV))
+
+    def raise_first_nonfinite(results: list[np.ndarray], k: int) -> None:
+        """Raise for the first non-finite output among `results`, if any."""
+        for i, res in enumerate(results):
             if not np.isfinite(res).all():
                 raise DivergenceError(
-                    f"non-finite value at instruction {i} ({ins.op.value})", timestep=state.t + k
+                    f"non-finite value at instruction {i} ({instrs[i].op.value})",
+                    timestep=state.t + k,
                 )
-            saved.append((args, aux))
-        h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
-        if ct_slot is not None:
-            c = vals[ct_slot]
-        if en.grad_enabled():
-            tape.append(saved)
+
+    # x_tm1 of the first timestep, then each timestep's x_t
+    xx = np.concatenate([state.x_prev.data, x.data], axis=0)
+    saving = en.grad_enabled()
+    tape = []  # per timestep and instruction, in run order: its arguments, what its backward needs
+    out = np.empty(((steps + (ct_slot is not None)) * batch, hid))
+    h, c = state.h.data, None if state.c is None else state.c.data
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
+            vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
+            if prog.posenc_table is not None:
+                row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
+                vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
+            results = []
+            for fwd, inputs, arrays, outputs, fused, is_div in plan:
+                args = [vals[s] for s in inputs] + arrays
+                if is_div and (args[1] == 0.0).any():
+                    # exact singularity; the clamp only guards near-zero values
+                    raise_first_nonfinite(results, k)
+                    raise DivergenceError(
+                        f"zero denominator in Div at instruction {len(results)}",
+                        timestep=state.t + k,
+                    )
+                res, aux = fwd(*args)
+                if fused:
+                    for j, s in enumerate(outputs):
+                        vals[s] = res[:, j * hid:(j + 1) * hid]
+                else:
+                    vals[outputs[0]] = res
+                results.append(res)
+                if saving:
+                    tape.append((args, aux))
+            if not np.isfinite(np.concatenate(results, axis=1)).all():
+                raise_first_nonfinite(results, k)
+            h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
+            if ct_slot is not None:
+                c = vals[ct_slot]
     if ct_slot is not None:
         out[steps * batch:] = c
 
     def backward(g: np.ndarray) -> list[Optional[np.ndarray]]:
         """Returns the gradients of x and the initial state."""
+        # per instruction, last first: its index, backward kernel, input and
+        # output slots, whether it is fused and whether it is a LayerNorm
+        rplan = [(i, _KERNELS[ins.op][1], ins.inputs, ins.outputs, ins.fused,
+                  ins.op is OpKind.LAYERNORM) for i, ins in enumerate(instrs)][::-1]
         g_xx = np.zeros_like(xx)
         g_h, g_c = None, None if ct_slot is None else g[steps * batch:]
-        acc: dict[int, list] = {}  # instruction -> parameter gradients, summed over time
+        # per instruction, its parameter gradients summed over time
+        acc: list[Optional[list[np.ndarray]]] = [None] * len(instrs)
+        saved = iter(reversed(tape))
         for k in range(steps - 1, -1, -1):
             grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
             rows = g[k * batch:(k + 1) * batch]
             grads[prog.root_slot] = rows if g_h is None else rows + g_h
             if ct_slot is not None:
                 grads[ct_slot] = g_c
-            for i in range(len(code) - 1, -1, -1):
+            for i, bwd, inputs, outputs, fused, is_ln in rplan:
                 # every instruction feeds the root, so each output has a gradient
-                ins, _, bwd, _, fused = code[i]
-                outs = [grads[s] for s in ins.outputs]
-                go = np.concatenate(outs, axis=1) if fused else outs[0]
-                args, aux = tape[k][i]
-                grads_in = bwd(go, args, aux)
-                for s, gs in zip(ins.inputs, grads_in):
+                go = (np.concatenate([grads[s] for s in outputs], axis=1) if fused
+                      else grads[outputs[0]])
+                grads_in = bwd(go, *next(saved))
+                for s, gs in zip(inputs, grads_in):
                     prev = grads[s]
                     grads[s] = gs if prev is None else prev + gs
-                gps = grads_in[len(ins.inputs):]
-                if ins.op is OpKind.LAYERNORM:  # per-row gain and bias gradients
+                gps = grads_in[len(inputs):]
+                if not gps:
+                    continue
+                if is_ln:  # per-row gain and bias gradients
                     gps = [gp.sum(axis=0) for gp in gps]
-                if gps:
-                    prev = acc.get(i)
-                    acc[i] = gps if prev is None else [a + b for a, b in zip(prev, gps)]
+                if acc[i] is None:
+                    # the last timestep's terms (an MM's products and bias sum,
+                    # a LayerNorm's sums) are fresh arrays, so the loop owns
+                    # them and adds each earlier timestep's terms in place
+                    acc[i] = list(gps)
+                else:
+                    for a, b in zip(acc[i], gps):
+                        a += b
             for slot, block in ((SLOT_X, k + 1), (SLOT_XM1, k)):
                 if grads[slot] is not None:
                     g_xx[block * batch:(block + 1) * batch] += grads[slot]
             g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
-        for i, gps in acc.items():
-            ins = instrs[i]
+        for ins, gps in zip(instrs, acc):
+            if gps is None:
+                continue
             if ins.fused:  # row block j is the group's j-th node's
                 gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
             for name, gp in zip(ins.params, gps):

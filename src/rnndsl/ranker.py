@@ -96,19 +96,25 @@ def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], li
     label), lowest height first.
 
     A subtree is keyed by its label and its children's keys, so each distinct
-    subtree is one row, numbered group after group. Returns each group's
-    label and child rows [members, arity] (arity 0 for a leaf), and the
-    trees' root rows.
+    subtree is one row, numbered group after group. Each node object is
+    walked once: `unroll_once` puts one shared h_t copy under every h_tm1
+    leaf. Returns each group's label and child rows [members, arity] (arity
+    0 for a leaf), and the trees' root rows.
     """
     ids: dict[tuple, int] = {}  # (label, child ids) -> id, in first-seen order
     heights: list[int] = []
+    walked: dict[int, int] = {}  # id(node) -> its id; the trees keep every node alive
 
     def intern(node: EvalNode) -> int:
+        i = walked.get(id(node))
+        if i is not None:
+            return i
         key = (node.label, tuple(map(intern, node.children)))
         i = ids.get(key)
         if i is None:
             i = ids[key] = len(heights)
             heights.append(max([heights[k] for k in key[1]], default=-1) + 1)
+        walked[id(node)] = i
         return i
 
     roots = [intern(t) for t in trees]

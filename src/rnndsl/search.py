@@ -33,8 +33,6 @@ from .rlgen import (
     reward,
 )
 
-FAILING_STATUSES = ("diverged", "failed_threshold", "invalid", "timeout")
-
 
 @dataclass
 class SearchConfig:

@@ -1,12 +1,18 @@
 """Graph compiler: fusion, oracle equivalence, stepping, divergence."""
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
 import rnndsl.engine as en
 import rnndsl.evaluator as ev
 from rnndsl.compiler import (
+    _KERNELS,
+    POSENC_ROWS,
     SLOT_HM1,
+    SLOT_POSENC,
     SLOT_X,
     SLOT_XM1,
     CompileError,
@@ -27,6 +33,7 @@ from rnndsl.dsl import (
     index_of_node,
     numbered_operator_nodes,
     parse,
+    render,
 )
 from conftest import random_architectures
 
@@ -334,6 +341,105 @@ class TestDivergence:
         assert [(str(e), e.timestep) for e in raised] == [
             (f"non-finite value at instruction {mult} (Mult)", 0)
         ]
+
+    def test_overflow_outside_errstate_is_divergence(self):
+        # a later instruction's overflow warning must not replace the error
+        prog = compile(parse(self.OVERFLOW), D, H, rng=np.random.default_rng(8))
+        mult = next(i for i, ins in enumerate(prog.instructions) if ins.op is OpKind.MULT)
+        x = en.Tensor(np.full((2, D), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                run_steps(prog, x, initial_state(prog, 2))
+        assert str(err.value) == f"non-finite value at instruction {mult} (Mult)"
+
+
+def run_checked_per_instruction(prog, x, state):
+    """The forward of `run_steps` with the finiteness of every instruction's
+    output checked as soon as it is made, and a Div's zero denominator
+    before it runs. Returns the h rows, [T*B, hidden_size]."""
+    hid, batch = prog.hidden_size, state.h.data.shape[0]
+    xx = np.concatenate([state.x_prev.data, x], axis=0)
+    h, c = state.h.data, None if state.c is None else state.c.data
+    hs = []
+    for k in range(x.shape[0] // batch):
+        vals = [None] * prog.n_slots
+        vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
+        if prog.posenc_table is not None:
+            row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
+            vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
+        for i, ins in enumerate(prog.instructions):
+            args = [vals[s] for s in ins.inputs]
+            params = [prog.params[p].data for p in ins.params]
+            if ins.fused:
+                params = [np.concatenate(params[0::2]), np.concatenate(params[1::2])]
+            if ins.op is OpKind.DIV and (args[1] == 0.0).any():
+                raise DivergenceError(f"zero denominator in Div at instruction {i}",
+                                      timestep=state.t + k)
+            res, _ = _KERNELS[ins.op][0](*args, *params)
+            for j, s in enumerate(ins.outputs):
+                vals[s] = res[:, j * hid:(j + 1) * hid]
+            if not np.isfinite(res).all():
+                raise DivergenceError(f"non-finite value at instruction {i} ({ins.op.value})",
+                                      timestep=state.t + k)
+        h = vals[prog.root_slot]
+        hs.append(h)
+        if prog.ct_slot is not None:
+            c = vals[prog.ct_slot]
+    return np.concatenate(hs)
+
+
+class TestFirstDivergence:
+    """`run_steps` checks finiteness once per timestep; it must name the
+    same instruction and timestep as checking after every instruction."""
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run(), None
+        except DivergenceError as e:
+            return None, (str(e), e.timestep)
+
+    def test_same_error_as_per_instruction_check(self):
+        T, B = 4, 2
+        cells = (random_architectures(100, seed=61, allow_cm1=True)
+                 + random_architectures(100, seed=62, extended_dsl=True))
+        rng = np.random.default_rng(63)
+        seen = {"none": 0, "non-finite": 0, "zero": 0}
+        ops, posenc = set(), 0
+        for n, arch in enumerate(cells):
+            prog = compile(arch, H, H, rng=np.random.default_rng(n))
+            ops |= {ins.op for ins in prog.instructions}
+            posenc += prog.posenc_table is not None
+            x = rng.standard_normal((T * B, H))
+            # from a random timestep on, plant huge inputs or exact zeros, or
+            # both in different rows (a zero x_t row makes an MM of it exactly
+            # zero where h and c are zero too, as at timestep 0)
+            k, plant = rng.integers(T), rng.choice(4, p=[0.1, 0.4, 0.2, 0.3])
+            huge = rng.choice([1e200, -1e200, 1e308])
+            rows = x[k * B:].reshape(-1, B, H)
+            if plant == 1:
+                rows[:, rng.integers(B)] = huge
+            elif plant == 2:
+                rows[:] = 0.0
+            elif plant == 3:
+                rows[:, 0], rows[:, 1] = huge, 0.0
+            with np.errstate(all="ignore"):
+                want, want_err = self.outcome(
+                    lambda: run_checked_per_instruction(prog, x, initial_state(prog, B)))
+            for mode in (en.no_grad, contextlib.nullcontext):
+                with mode():
+                    got, got_err = self.outcome(
+                        lambda: run_steps(prog, en.Tensor(x), initial_state(prog, B))[0].data)
+                assert got_err == want_err, (render(arch), plant, k)
+                if want_err is None:
+                    np.testing.assert_array_equal(got, want)
+            kind = "none" if want_err is None else (
+                "zero" if want_err[0].startswith("zero") else "non-finite")
+            seen[kind] += 1
+        assert {OpKind.DIV, OpKind.LAYERNORM} <= ops and posenc
+        assert sum(a.ct_node is not None for a in cells) >= 20
+        assert min(seen.values()) >= 20, seen
 
 
 class TestRunSteps:

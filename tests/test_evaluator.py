@@ -1,5 +1,6 @@
 """Task construction and candidate training / failure classification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -249,6 +250,52 @@ class TestPinnedBuiltinMetrics:
         assert rec.status == "ok"
         assert abs(rec.valid_metric - valid) < 1e-10
         assert abs(rec.test_metric - test) < 1e-10
+
+
+def desk_task_and_cfg():
+    task = make_task(TaskSpec(kind="copy_memory", seed=3, batch_size=16,
+                              train_size=128, valid_size=64, test_size=64))
+    return task, TrainConfig(epochs=2, hidden_size=16, failure_check_epoch=1, seed=0)
+
+
+class TestPinnedTrainingBits:
+    """sha256 pins of whole records and of parameter gradients, so that any
+    change to the order of a float sum in training shows."""
+
+    def test_desk_records_pinned(self):
+        from rnndsl.dsl import builtin_names
+        from rnndsl.randgen import GenConfig, generate_batch
+
+        task, cfg = desk_task_and_cfg()
+        archs = [builtin(name) for name in builtin_names()]
+        archs += generate_batch(GenConfig(seed=0), 10, rng=np.random.default_rng((0, 3)))
+        archs += generate_batch(GenConfig(seed=0, extended_dsl=True), 10,
+                                rng=np.random.default_rng((0, 4)))
+        recs = [train_and_score(a, task, cfg) for a in archs]
+        assert {r.status for r in recs} == {"ok", "diverged"}
+        digest = hashlib.sha256("\n".join(r.to_json() for r in recs).encode())
+        assert digest.hexdigest() == (
+            "568577773eb1f9c0932dd0839d055fb3ee9820d857369403c2d89ebec4ba516f")
+
+    @pytest.mark.parametrize("arch, n_layers, pinned", [
+        # fused MMs and a c_t tap
+        (builtin("lstm"), 1,
+         "90fa16d3003d95d5d6b04ef790da1ff1840eb834b0a7f2bb0cf5242a54127111"),
+        # LayerNorm gain and bias gradients are summed over rows, then time
+        (parse("LayerNorm(Add(Tanh(LayerNorm(MM(x_t))),MM(h_tm1)))"), 2,
+         "51678da81894c50faba5a25d33b78ee4c592e9eab29b7e8bb656d563bde11f7e"),
+    ])
+    def test_one_batch_gradients_pinned(self, arch, n_layers, pinned):
+        task, _ = desk_task_and_cfg()
+        model = SequenceModel(arch, task.vocab_size, 16, n_layers, True,
+                              np.random.default_rng(0))
+        x, y = task.train[0]
+        model.loss(x, y, 0.0, np.random.default_rng(0), train=True).backward()
+        digest = hashlib.sha256()
+        for p in model.params:
+            digest.update(p.name.encode())
+            digest.update(p.grad.tobytes())
+        assert digest.hexdigest() == pinned
 
 
 class TestStackedUntiedModel:

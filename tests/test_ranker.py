@@ -207,6 +207,56 @@ ALL_LABELS_TREE = node(
 )
 
 
+def levels_unmemoized(trees):
+    """`_levels` walking every place a node appears, as it did before node
+    objects were memoized."""
+    ids, heights = {}, []
+
+    def intern(node):
+        key = (node.label, tuple(map(intern, node.children)))
+        if key not in ids:
+            ids[key] = len(heights)
+            heights.append(max([heights[k] for k in key[1]], default=-1) + 1)
+        return ids[key]
+
+    roots = [intern(t) for t in trees]
+    members = {}
+    for key, i in ids.items():
+        members.setdefault((heights[i], key[0]), []).append(key)
+    row, groups = {}, []
+    for hl in sorted(members):
+        keys = members[hl]
+        kids = np.array([[row[k] for k in key[1]] for key in keys], dtype=np.intp)
+        groups.append((hl[1], kids.reshape(len(keys), -1)))
+        for key in keys:
+            row[ids[key]] = len(row)
+    return groups, [row[i] for i in roots]
+
+
+class CountedNode(EvalNode):
+    """An EvalNode that counts how often its children are read."""
+
+    def __getattribute__(self, name):
+        if name == "children":
+            object.__setattr__(self, "reads", object.__getattribute__(self, "reads") + 1)
+        return super().__getattribute__(name)
+
+
+def counted_copies(trees):
+    """Copies of the trees as CountedNodes, sharing what the originals share;
+    returns them and their distinct node objects."""
+    made = {}
+
+    def copy(n):
+        if id(n) not in made:
+            made[id(n)] = CountedNode(n.label, tuple(copy(c) for c in n.children))
+            object.__setattr__(made[id(n)], "reads", 0)
+        return made[id(n)]
+
+    copies = [copy(t) for t in trees]
+    return copies, list(made.values())
+
+
 class TestEncodeOnce:
     def test_scores_match_per_node_encoding(self, monkeypatch):
         from rnndsl.randgen import GenConfig, generate_batch
@@ -261,6 +311,26 @@ class TestEncodeOnce:
         assert _levels([tree, tree])[1] == roots * 2
         assert sum(len(kids) for _, kids in _levels([tree, tree])[0]) == sum(
             len(kids) for _, kids in groups)
+
+    def test_levels_walk_each_node_object_once(self):
+        from rnndsl.randgen import GenConfig, generate_batch
+
+        cands = generate_batch(GenConfig(seed=0), 300, rng=np.random.default_rng((0, 2)))
+        trees = [unroll_once(canonicalize(a)) for a in cands]
+        # one candidate per call, as `score` encodes, and all in one call, as `fit`
+        for batch in [[t] for t in trees] + [trees]:
+            groups, roots = _levels(batch)
+            want_groups, want_roots = levels_unmemoized(batch)
+            assert roots == want_roots
+            assert [label for label, _ in groups] == [label for label, _ in want_groups]
+            for (_, kids), (_, want) in zip(groups, want_groups):
+                np.testing.assert_array_equal(kids, want)
+        copies, nodes = counted_copies(trees)
+        assert _levels(copies)[1] == levels_unmemoized(trees)[1]
+        assert {n.reads for n in nodes} == {1}
+        # the h_t copy under every h_tm1 leaf was walked once per leaf
+        levels_unmemoized(copies)
+        assert sum(n.reads for n in nodes) > 2.2 * len(nodes)
 
     def test_groups_by_height_and_label(self):
         groups, roots = _levels([ALL_LABELS_TREE])
