@@ -244,12 +244,12 @@ def compile(
 # *params) returns the value and what backward(g, inputs, saved) needs to
 # give one gradient per input and parameter
 _KERNELS = {
-    OpKind.SIGMOID: (en.sigmoid_fwd, en.unary_bwd),
-    OpKind.TANH: (en.tanh_fwd, en.unary_bwd),
-    OpKind.RELU: (en.relu_fwd, en.unary_bwd),
-    OpKind.SIN: (en.sin_fwd, en.unary_bwd),
-    OpKind.COS: (en.cos_fwd, en.unary_bwd),
-    OpKind.SELU: (en.selu_fwd, en.unary_bwd),
+    OpKind.SIGMOID: (en.sigmoid_fwd, en.sigmoid_bwd),
+    OpKind.TANH: (en.tanh_fwd, en.tanh_bwd),
+    OpKind.RELU: (en.relu_fwd, en.relu_bwd),
+    OpKind.SIN: (en.sin_fwd, en.sin_bwd),
+    OpKind.COS: (en.cos_fwd, en.cos_bwd),
+    OpKind.SELU: (en.selu_fwd, en.selu_bwd),
     OpKind.DIV: (en.safe_div_fwd, en.safe_div_bwd),
     OpKind.GATE3: (en.gate3_fwd, en.gate3_bwd),
     OpKind.LAYERNORM: (en.layer_norm_fwd, en.layer_norm_bwd),

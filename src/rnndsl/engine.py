@@ -12,7 +12,10 @@ Each cell operator's math lives in one array kernel here (`sigmoid_fwd`,
 and a compiled cell (`compiler.run_steps`) calls the same kernels: one
 layer over a whole sequence is one tape node whose backward pass walks the
 timesteps and the cell's instructions in reverse (`compiler.step` is the
-one-timestep case).
+one-timestep case). The fused LSTM step has a kernel pair too
+(`lstm_fwd`, `lstm_bwd`): the policy rolls out on arrays with it, and one
+tape node per update window runs its backward pass over stacked steps
+(`rlgen.Policy._window_backward`).
 """
 
 from __future__ import annotations
@@ -145,31 +148,54 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # array kernels of the cell operators: `<op>_fwd(*inputs)` returns the value
-# and what the backward pass needs (for unary ops, the local derivative);
-# `<op>_bwd(g, inputs, saved)` returns one gradient per input. The Tensor
-# primitives below and the compiled cell (compiler.run_steps) both use them.
+# and what the backward pass needs beyond the inputs: what the forward pass
+# already has (its output, or SELU's mask and exponential), so that a pass
+# without gradients does no extra work;
+# `<op>_bwd(g, inputs, saved)` derives the local derivative and returns one
+# gradient per input. The Tensor primitives below, the compiled cell
+# (compiler.run_steps), the ranker and the policy all use them.
 # ---------------------------------------------------------------------------
 
 def sigmoid_fwd(x):
     s = 1.0 / (1.0 + np.exp(-x))
-    return s, s * (1.0 - s)
+    return s, s
+
+
+def sigmoid_bwd(g, inputs, s):
+    return (g * (s * (1.0 - s)),)
 
 
 def tanh_fwd(x):
     t = np.tanh(x)
-    return t, 1.0 - t * t
+    return t, t
+
+
+def tanh_bwd(g, inputs, t):
+    return (g * (1.0 - t * t),)
 
 
 def relu_fwd(x):
-    return np.maximum(x, 0.0), (x > 0).astype(np.float64)
+    return np.maximum(x, 0.0), None
+
+
+def relu_bwd(g, inputs, saved):
+    return (g * (inputs[0] > 0).astype(np.float64),)
 
 
 def sin_fwd(x):
-    return np.sin(x), np.cos(x)
+    return np.sin(x), None
+
+
+def sin_bwd(g, inputs, saved):
+    return (g * np.cos(inputs[0]),)
 
 
 def cos_fwd(x):
-    return np.cos(x), -np.sin(x)
+    return np.cos(x), None
+
+
+def cos_bwd(g, inputs, saved):
+    return (g * -np.sin(inputs[0]),)
 
 
 def exp_fwd(x):
@@ -177,15 +203,19 @@ def exp_fwd(x):
     return e, e
 
 
+def exp_bwd(g, inputs, e):
+    return (g * e,)
+
+
 def selu_fwd(x):
     pos = x > 0
     e = np.exp(np.minimum(x, 0.0))
-    out = SELU_LAMBDA * np.where(pos, x, SELU_ALPHA * (e - 1.0))
-    return out, SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * e)
+    return SELU_LAMBDA * np.where(pos, x, SELU_ALPHA * (e - 1.0)), (pos, e)
 
 
-def unary_bwd(g, inputs, dlocal):
-    return (g * dlocal,)
+def selu_bwd(g, inputs, saved):
+    pos, e = saved
+    return (g * (SELU_LAMBDA * np.where(pos, 1.0, SELU_ALPHA * e)),)
 
 
 def safe_div_fwd(a, b):
@@ -278,25 +308,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _kernel_op(layer_norm_fwd, layer_norm_bwd, x, gain, bias)
 
 
-def _unary_op(fwd):
-    """The Tensor primitive over a unary kernel."""
+def _unary_op(fwd, bwd):
+    """The Tensor primitive over a unary kernel pair."""
 
     def op(x: Tensor) -> Tensor:
-        out_data, dlocal = fwd(x.data)
-        return Tensor(out_data, (x,), lambda g: (g * dlocal,))
+        return _kernel_op(fwd, bwd, x)
 
     # tracebacks, profiles and test ids name the op, not the wrapper
     op.__name__ = op.__qualname__ = fwd.__name__[: -len("_fwd")]
     return op
 
 
-sigmoid = _unary_op(sigmoid_fwd)
-tanh = _unary_op(tanh_fwd)
-relu = _unary_op(relu_fwd)
-sin = _unary_op(sin_fwd)
-cos = _unary_op(cos_fwd)
-exp = _unary_op(exp_fwd)
-selu = _unary_op(selu_fwd)
+sigmoid = _unary_op(sigmoid_fwd, sigmoid_bwd)
+tanh = _unary_op(tanh_fwd, tanh_bwd)
+relu = _unary_op(relu_fwd, relu_bwd)
+sin = _unary_op(sin_fwd, sin_bwd)
+cos = _unary_op(cos_fwd, cos_bwd)
+exp = _unary_op(exp_fwd, exp_bwd)
+selu = _unary_op(selu_fwd, selu_bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -312,49 +341,41 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     return Tensor(out_data, parents, bw)
 
 
-def lstm_cell(x: Tensor, hc: Tensor, W: Tensor, U: Tensor, b: Tensor) -> Tensor:
+def lstm_fwd(x, hc, W, U, b):
     """Fused LSTM step from a packed hidden|cell state.
 
     ``x`` [B, w_in] is the input, ``hc`` [B, 2w] packs the previous hidden
     state in columns [0, w) and the cell state in [w, 2w); ``W`` [4w, w_in],
     ``U`` [4w, w], and ``b`` [4w] parameterize the i|f|o|u gate blocks.
-    Returns the packed next state [B, 2w]. Equivalent to the sigmoid/tanh/mul
-    composition over ``linear(x, W) + linear(h, U) + b``, in one graph node.
+    Returns the packed next state [B, 2w] and what `lstm_bwd` needs: the
+    i|f|o gates [B, 3w], u and the tanh of the new cell state.
     """
-    w = hc.data.shape[-1] // 2
-    hprev = hc.data[..., :w]
-    c = hc.data[..., w:]
-    z = (x.data @ W.data.T + hprev @ U.data.T) + b.data
-    i = 1.0 / (1.0 + np.exp(-z[..., :w]))
-    f = 1.0 / (1.0 + np.exp(-z[..., w : 2 * w]))
-    o = 1.0 / (1.0 + np.exp(-z[..., 2 * w : 3 * w]))
-    u = np.tanh(z[..., 3 * w :])
-    c2 = f * c + i * u
+    w = hc.shape[1] // 2
+    z = (x @ W.T + hc[:, :w] @ U.T) + b
+    ifo = sigmoid_fwd(z[:, : 3 * w])[0]
+    i, f, o = ifo[:, :w], ifo[:, w : 2 * w], ifo[:, 2 * w :]
+    u = np.tanh(z[:, 3 * w :])
+    c2 = f * hc[:, w:] + i * u
     th = np.tanh(c2)
-    out_data = np.concatenate([o * th, c2], axis=-1)
-
-    def bw(g):
-        gh = g[..., :w]
-        gc = g[..., w:]
-        dc2 = gc + gh * o * (1.0 - th * th)
-        gz = np.empty_like(z)
-        gz[..., :w] = dc2 * u * i * (1.0 - i)
-        gz[..., w : 2 * w] = dc2 * c * f * (1.0 - f)
-        gz[..., 2 * w : 3 * w] = gh * th * o * (1.0 - o)
-        gz[..., 3 * w :] = dc2 * i * (1.0 - u * u)
-        return (gz @ W.data, np.concatenate([gz @ U.data, dc2 * f], axis=-1),
-                gz.T @ x.data, gz.T @ hprev, gz)
-
-    return Tensor(out_data, (x, hc, W, U, b), bw)
+    return np.concatenate([o * th, c2], axis=1), (ifo, u, th)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-    s = np.exp(out)
-
-    return Tensor(out, (x,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
+def lstm_bwd(g, inputs, saved):
+    """Gradients of x, hc, W, U and b for g [B, 2w]; the parameter
+    gradients are summed over the B rows."""
+    x, hc, W, U, b = inputs
+    ifo, u, th = saved
+    w = hc.shape[1] // 2
+    i, f, o = ifo[:, :w], ifo[:, w : 2 * w], ifo[:, 2 * w :]
+    gh = g[:, :w]
+    dc2 = g[:, w:] + gh * o * (1.0 - th * th)
+    gz = np.empty((len(g), 4 * w))
+    gz[:, :w] = dc2 * u * i * (1.0 - i)
+    gz[:, w : 2 * w] = dc2 * hc[:, w:] * f * (1.0 - f)
+    gz[:, 2 * w : 3 * w] = gh * th * o * (1.0 - o)
+    gz[:, 3 * w :] = dc2 * i * (1.0 - u * u)
+    return (gz @ W, np.concatenate([gz @ U, dc2 * f], axis=1),
+            gz.T @ x, gz.T @ hc[:, :w], gz.sum(axis=0))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -398,10 +419,6 @@ def take(x: Tensor, index) -> Tensor:
         return (full,)
 
     return Tensor(x.data[index], (x,), bw)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    return take(x, (..., slice(start, stop)))
 
 
 def tsum(x: Tensor) -> Tensor:

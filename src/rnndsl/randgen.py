@@ -41,6 +41,11 @@ class GenConfig:
     require_sources: tuple[OpKind, ...] = (OpKind.X, OpKind.HM1)
     allow_cm1: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"GenConfig.{name} must be >= 1, got {getattr(self, name)}")
+
     def operators(self) -> list[OpKind]:
         return list(EXTENDED_OPERATORS if self.extended_dsl else CORE_OPERATORS)
 
@@ -138,20 +143,24 @@ def expand_ct_variants(arch: Architecture) -> list[Architecture]:
     return enumerate_ct_taps(arch)
 
 
+RAW_DRAWS_PER_CANDIDATE = 100
+
+
 def generate_batch(
     cfg: GenConfig,
     n: int,
     seen: Optional[set[str]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> list[Architecture]:
-    """Collect up to n admissible, c_t-expanded, deduplicated candidates."""
+    """Collect up to n admissible, c_t-expanded, deduplicated candidates
+    from at most RAW_DRAWS_PER_CANDIDATE * n raw trees."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     seen = set(seen or ())
     out: list[Architecture] = []
-    budget = 100 * n
+    budget = RAW_DRAWS_PER_CANDIDATE * n
     every, sources = _draw_tables(cfg)
     while len(out) < n and budget > 0:
         budget -= 1

@@ -217,16 +217,16 @@ class Ranker:
             z = z + bias[-1][:3 * h]
             # a Child-Sum cell's forget bias is b[3h:], an N-ary cell's bf
             zf = zp[:, :, 3 * h:] + (bias[0][3 * h:] if len(bias) == 1 else bias[0][:, None])
-            io, dio = en.sigmoid_fwd(z[:, :2 * h])
-            u, du = en.tanh_fwd(z[:, 2 * h:])
-            f, df = en.sigmoid_fwd(zf)
+            io = en.sigmoid_fwd(z[:, :2 * h])[0]
+            u = en.tanh_fwd(z[:, 2 * h:])[0]
+            f = en.sigmoid_fwd(zf)[0]
             c = io[:, :h] * u
             for fc in f * kc:
                 c = c + fc
-            tc, dtc = en.tanh_fwd(c)
+            tc = en.tanh_fwd(c)[0]
             H[r0:r1] = io[:, h:] * tc
             C[r0:r1] = c
-            saved.append((r0, r1, label, (kids, kh, kc, io, dio, u, du, f, df, tc, dtc)))
+            saved.append((r0, r1, label, (kids, kh, kc, io, u, f, tc)))
 
         def backward(g):
             gH = np.zeros_like(H)
@@ -238,14 +238,14 @@ class Ranker:
                 if s is None:  # hash-consed, so one group per leaf label
                     self.leaf_emb[label].accumulate(gh)
                     continue
-                kids, kh, kc, io, dio, u, du, f, df, tc, dtc = s
-                dc = gc + gh * io[:, h:] * dtc
+                kids, kh, kc, io, u, f, tc = s
+                dc = gc + en.tanh_bwd(gh * io[:, h:], None, tc)[0]
                 gzp = np.empty((len(kh), r1 - r0, 4 * h))
                 gzp[:, :, :h] = dc * u
                 gzp[:, :, h:2 * h] = gh * tc
-                gzp[:, :, :2 * h] *= dio
-                gzp[:, :, 2 * h:3 * h] = dc * io[:, :h] * du
-                gzp[:, :, 3 * h:] = dc * kc * df
+                gzp[:, :, :2 * h] = en.sigmoid_bwd(gzp[:, :, :2 * h], None, io)[0]
+                gzp[:, :, 2 * h:3 * h] = en.tanh_bwd(dc * io[:, :h], None, u)[0]
+                gzp[:, :, 3 * h:] = en.sigmoid_bwd(dc * kc, None, f)[0]
                 np.add.at(gH, kids.T, gzp @ self.cells[label][0].data)
                 np.add.at(gC, kids.T, dc * f)
                 terms.setdefault(label, []).append((gzp, kh))

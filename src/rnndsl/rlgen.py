@@ -206,6 +206,37 @@ class PartialArch:
 # policy
 # ---------------------------------------------------------------------------
 
+class Memo:
+    """One update window: the encoder's states by value, and the policy
+    steps its episodes took, recorded for one reverse pass over them all.
+
+    ``keys`` maps the key of an encoder prefix to its step and ``hc`` holds
+    each step's packed [1, 2w] state (`Policy._node_state`). With gradients
+    on, each encoder step that ``keys`` missed is recorded in ``enc`` and
+    each head step in ``head``, and the episodes' log-probabilities and
+    entropies are slices of ``node``: one tape node whose value holds each
+    head step's (chosen log-probability, entropy) and whose backward pass
+    is `Policy._window_backward`. A memo serves one parameter version in one
+    grad mode: it must not outlive a parameter change or a change of grad
+    mode.
+    """
+
+    def __init__(self) -> None:
+        self.keys: dict = {}
+        self.hc: list[np.ndarray] = []
+        # per encoder step: its input (a step whose h it reads, or -1 -
+        # token index), previous step (-1: the zero state) and what
+        # `lstm_fwd` saved; and its dependency level
+        self.enc: list[tuple] = []
+        self.levels: list[int] = []
+        # per head step: its encoder step, previous head step (-1: the zero
+        # state), action index, chosen action, lin1 output, LSTM input and
+        # state, what `lstm_fwd` saved, next state and log-probabilities
+        self.head: list[tuple] = []
+        self.node: Optional[en.Tensor] = None
+        self.values = np.empty((64, 2))  # node.data is a prefix of it
+
+
 class Policy:
     def __init__(self, cfg: Optional[RLConfig] = None):
         self.cfg = cfg or RLConfig()
@@ -228,8 +259,13 @@ class Policy:
             self.params.append(p)
             return p
 
-        tokens = [k.value for k in OpKind] + [EMPTY_TOKEN, TARGET_TOKEN]
-        self.tok_emb = {t: par(f"tok_{t}", (1, w)) for t in tokens}
+        self.tokens = [k.value for k in OpKind] + [EMPTY_TOKEN, TARGET_TOKEN]
+        # the encoder input of a node's first step, by its operator or slot
+        # token: -1 - the token's index (`_memo_step`)
+        self._token_input = {
+            t: -1 - j for j, t in enumerate([*OpKind, EMPTY_TOKEN, TARGET_TOKEN])
+        }
+        self.tok_emb = {t: par(f"tok_{t}", (1, w)) for t in self.tokens}
         # fused i|f|o|u gate blocks: one [4w x w] matrix per input
         self.enc = {
             "W": par("enc_W", (4 * w, w)),
@@ -250,49 +286,61 @@ class Policy:
 
     # -- encoder -----------------------------------------------------------
 
-    def _lstm(self, gates, x, hc):
-        """One packed-state LSTM step; returns [1, 2w] hidden|cell."""
-        return en.lstm_cell(x, hc, gates["W"], gates["U"], gates["b"])
+    def head_start(self) -> tuple[np.ndarray, int]:
+        """The action head's state before an episode's first action: the
+        packed [1, 2w] zero state, and no previous head step."""
+        return np.zeros((1, 2 * self.cfg.width)), -1
 
-    def _packed_zero(self) -> en.Tensor:
-        return en.Tensor(np.zeros((1, 2 * self.cfg.width)))
+    def _memo_step(self, memo: Memo, key, src: int, prev: int) -> int:
+        """One encoder step that ``memo`` does not hold yet; returns the
+        step. ``src`` is a step whose hidden state is the input, or -1 -
+        the index of a token; ``prev`` -1 is the zero state of a node's
+        first step."""
+        w = self.cfg.width
+        hc = memo.hc
+        x = hc[src][:, :w] if src >= 0 else self.tok_emb[self.tokens[-1 - src]].data
+        out, saved = en.lstm_fwd(
+            x, np.zeros((1, 2 * w)) if prev < 0 else hc[prev],
+            self.enc["W"].data, self.enc["U"].data, self.enc["b"].data,
+        )
+        step = memo.keys[key] = len(hc)
+        hc.append(out)
+        if en.grad_enabled():
+            levels = memo.levels
+            memo.enc.append((src, prev, *saved))
+            levels.append(1 + max(levels[src] if src >= 0 else -1,
+                                  levels[prev] if prev >= 0 else -1))
+        return step
 
-    def _node_token(self, node: PartialNode, target: Optional[PartialNode]) -> str:
-        if node.op is not None:
-            return node.op.value
-        return TARGET_TOKEN if node is target else EMPTY_TOKEN
-
-    def _memo_step(self, memo: dict, key, x: en.Tensor, hc: Optional[en.Tensor]) -> tuple:
-        """One encoder step, memoized by the key of its prefix: returns the
-        step's interned key, its packed state and its hidden state. ``hc``
-        None is the zero state of a node's first step."""
-        entry = memo.get(key)
-        if entry is None:
-            hc = self._lstm(self.enc, x, self._packed_zero() if hc is None else hc)
-            entry = memo[key] = (len(memo), hc, en.slice_last(hc, 0, self.cfg.width))
-        return entry
-
-    def _node_state(
-        self, node: PartialNode, target: Optional[PartialNode], memo: dict
-    ) -> tuple[int, en.Tensor]:
-        """A node's key and state: the shared LSTM over [token, child states],
-        state reset per node. The state after the token and the first j
-        children depends only on the token, those children's keys and the
-        parameters, so ``memo`` holds it by (token) or (key of the previous
-        prefix, key of child j), across episodes when the caller shares it.
-        Each action walks the whole partial tree again; a subtree seen
-        before is a chain of lookups and costs no step."""
-        token = self._node_token(node, target)
-        key, hc, h = self._memo_step(memo, token, self.tok_emb[token], None)
+    def _node_state(self, node: PartialNode, target: Optional[PartialNode], memo: Memo) -> int:
+        """A node's last encoder step: the shared LSTM over [token, child
+        states], state reset per node. The state after the token and the
+        first j children depends only on the token, those children's steps
+        and the parameters, so ``memo`` holds it by (token) or (step of the
+        previous prefix, step of child j), across episodes when the caller
+        shares it. Each action walks the whole partial tree again; a
+        subtree seen before is a chain of lookups and costs no step."""
+        keys = memo.keys
+        token = self._token_input[
+            node.op if node.op is not None
+            else TARGET_TOKEN if node is target else EMPTY_TOKEN
+        ]
+        step = keys.get(token)
+        if step is None:
+            step = self._memo_step(memo, token, token, -1)
         for child in node.children:
-            child_key, child_h = self._node_state(child, target, memo)
-            key, hc, h = self._memo_step(memo, (key, child_key), child_h, hc)
-        return key, h
+            kid = self._node_state(child, target, memo)
+            key = (step, kid)
+            known = keys.get(key)
+            step = self._memo_step(memo, key, kid, step) if known is None else known
+        return step
 
-    def encode_partial(self, p: PartialArch, memo: Optional[dict] = None) -> en.Tensor:
+    def encode_partial(self, p: PartialArch, memo: Memo) -> int:
+        """The memo step whose hidden state, ``memo.hc[step][:, :w]``,
+        encodes the partial tree."""
         if not p.complete and p.target is None:
             raise ValueError("partial tree without a target slot")
-        return self._node_state(p.root, p.target, {} if memo is None else memo)[1]
+        return self._node_state(p.root, p.target, memo)
 
     # -- action selection --------------------------------------------------
 
@@ -304,30 +352,45 @@ class Policy:
         return (self._operators & operators_ok) | (self._sources & (depth > 0))
 
     def action_logprobs(
-        self, p: PartialArch, head_state: en.Tensor, memo: Optional[dict] = None
-    ) -> tuple[en.Tensor, en.Tensor, np.ndarray]:
-        """Log-probabilities over the action space, the head's next packed
-        [1, 2w] state and the legal-action mask."""
-        enc = self.encode_partial(p, memo)
-        x = en.relu(en.linear(enc, self.lin1_w, self.lin1_b))
-        head_state = self._lstm(self.head, x, head_state)
-        h = en.slice_last(head_state, 0, self.cfg.width)
-        scores = en.linear(h, self.lin2_w, self.lin2_b)
+        self, p: PartialArch, head_state: np.ndarray, memo: Memo
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Log-probabilities [1, A] over the action space, the legal-action
+        mask and the head step: the encoder step it reads, the lin1 output,
+        the LSTM input, its saved values and the next packed [1, 2w] state."""
+        w = self.cfg.width
+        enc_step = self.encode_partial(p, memo)
+        a1 = memo.hc[enc_step][:, :w] @ self.lin1_w.data.T
+        a1 = a1 + self.lin1_b.data
+        x = en.relu_fwd(a1)[0]
+        head_state, saved = en.lstm_fwd(
+            x, head_state, self.head["W"].data, self.head["U"].data, self.head["b"].data
+        )
+        scores = head_state[:, :w] @ self.lin2_w.data.T
+        scores = scores + self.lin2_b.data
         mask = self.legal_actions(p)
-        masked = en.add(scores, en.Tensor(np.where(mask, 0.0, -1e9)[None, :]))
-        logp = en.log_softmax(masked)
-        return logp, head_state, mask
+        masked = scores + np.where(mask, 0.0, -1e9)[None, :]
+        z = masked - masked.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return logp, mask, (enc_step, a1, x, saved, head_state)
 
     def next_action(
         self,
         p: PartialArch,
-        head_state: en.Tensor,
+        head: tuple[np.ndarray, int],
+        memo: Memo,
         epsilon: float,
         rng: np.random.Generator,
         forced: Optional[OpKind] = None,
-        memo: Optional[dict] = None,
-    ) -> tuple[OpKind, en.Tensor, en.Tensor, en.Tensor]:
-        logp, new_state, mask = self.action_logprobs(p, head_state, memo)
+        entropy_weight: Optional[float] = None,
+    ) -> tuple[OpKind, en.Tensor, en.Tensor, tuple[np.ndarray, int]]:
+        """Draw (or force) one action. ``head`` is the head's packed state
+        and its step in ``memo`` (`head_start`); returns the action, its
+        log-probability, the entropy of the distribution (a constant 0 when
+        ``entropy_weight``, by default the config's, is 0) and the next head."""
+        head_state, prev = head
+        logp, mask, (enc_step, a1, x, saved, head_state) = self.action_logprobs(
+            p, head_state, memo
+        )
         if forced is not None:
             idx = self.actions.index(forced)
             if not mask[idx]:
@@ -336,18 +399,137 @@ class Policy:
             legal = np.flatnonzero(mask)
             idx = int(legal[rng.integers(len(legal))])
         else:
-            probs = np.exp(logp.data[0])
+            probs = np.exp(logp[0])
             probs = probs / probs.sum()
             idx = int(rng.choice(len(probs), p=probs))
-        chosen_logp = en.slice_last(logp, idx, idx + 1)
-        if self.cfg.entropy_weight > 0:
-            # differentiable entropy of the masked distribution; exp(-1e9)
-            # underflows to exactly zero, so illegal entries contribute nothing
-            entropy = en.mul(en.tsum(en.mul(en.exp(logp), logp)), en.Tensor(-1.0))
-        else:
-            # the bonus is off: a graph-free constant keeps updates cheap
-            entropy = en.Tensor(0.0)
-        return self.actions[idx], chosen_logp, entropy, new_state
+        beta = self.cfg.entropy_weight if entropy_weight is None else entropy_weight
+        # entropy of the masked distribution; exp(-1e9) underflows to
+        # exactly zero, so illegal entries contribute nothing
+        entropy = -float((np.exp(logp) * logp).sum()) if beta > 0 else 0.0
+        if not en.grad_enabled():
+            return self.actions[idx], en.Tensor(logp[:, idx:idx + 1]), \
+                en.Tensor(entropy), (head_state, -1)
+        k = len(memo.head)
+        memo.head.append((enc_step, prev, 0 if prev < 0 else memo.head[prev][2] + 1, idx,
+                          a1, x, head[0], *saved, head_state, logp))
+        if memo.node is None:
+            # the closure holds the records, not the memo: a memo that held
+            # its own node through the closure would be a reference cycle,
+            # freed only by the cyclic collector
+            steps = memo.hc, memo.enc, memo.levels, memo.head
+            memo.node = en.Tensor(np.empty((0, 2)), tuple(self.params),
+                                  lambda g: self._window_backward(*steps, g))
+        if k == len(memo.values):
+            memo.values = np.concatenate([memo.values, np.empty_like(memo.values)])
+        memo.values[k] = logp[0, idx], entropy
+        memo.node.data = memo.values[:k + 1]
+        chosen = en.take(memo.node, (slice(k, k + 1), slice(0, 1)))
+        # the bonus is off: a graph-free constant keeps updates cheap
+        ent = en.take(memo.node, (k, 1)) if beta > 0 else en.Tensor(0.0)
+        return self.actions[idx], chosen, ent, (head_state, k)
+
+    # -- reverse pass ------------------------------------------------------
+
+    def _window_backward(
+        self, hc: list, enc: list, levels: list, head: list, g: np.ndarray
+    ) -> list[Optional[np.ndarray]]:
+        """One gradient per parameter from g [head steps, 2], the gradients
+        of each head step's chosen log-probability and entropy, given a
+        memo's ``hc``, ``enc``, ``levels`` and ``head`` records.
+
+        The head steps run first, one action index at a time, last first;
+        then the encoder steps, one dependency level at a time, highest
+        first. Each level's steps are stacked into [n, ·] arrays, and their
+        gradients are scatter-added into the steps they read (a step can be
+        read by several later steps, across episodes). Parameters are read
+        as they are now, as the per-op tape read them.
+        """
+        w = self.cfg.width
+        grads: dict[str, np.ndarray] = {}
+
+        def add(p: en.Parameter, gp: np.ndarray) -> None:
+            # every term is a fresh array, so the first is summed into in place
+            if p.name in grads:
+                grads[p.name] += gp
+            else:
+                grads[p.name] = gp
+
+        def by_level(of_row) -> list[np.ndarray]:
+            """Row indices grouped by level, highest level first."""
+            of_row = np.asarray(of_row)
+            order = np.argsort(-of_row, kind="stable")
+            return np.split(order, np.flatnonzero(np.diff(of_row[order])) + 1)
+
+        n_steps = len(hc)
+        n_tok = len(self.tokens)
+        # rows: each encoder step's h gradient, each token's, then a dump row
+        # for the -1 (zero state) index
+        g_h = np.zeros((n_steps + n_tok + 1, w))
+        g_c = np.zeros((n_steps + 1, w))
+        HC = np.concatenate(hc)
+        (enc_step, prev, level, idx, a1, x, hc_in, ifo, u, th, hc_out,
+         logp) = zip(*head)
+        enc_step, prev, idx = np.array(enc_step), np.array(prev), np.array(idx)
+        a1, x, hc_in, hc_out, logp = (np.concatenate(v) for v in (a1, x, hc_in, hc_out, logp))
+        saved = [np.concatenate(v) for v in (ifo, u, th)]
+        probs = np.exp(logp)
+        g_head = np.zeros((len(idx) + 1, 2 * w))
+        entropy_on = g[:, 1].any()
+        W1, W2 = self.lin1_w.data, self.lin2_w.data
+        head_params = tuple(self.head[k].data for k in "WUb")
+        lin1_g, lin2_g = [], []
+        for rows in by_level(level):
+            n = len(rows)
+            gl = np.zeros((n, len(self.actions)))
+            gl[np.arange(n), idx[rows]] = g[rows, 0]
+            if entropy_on:
+                ge = -g[rows, 1:2] * probs[rows]
+                gl += ge + ge * logp[rows]
+            gs = gl - probs[rows] * gl.sum(axis=-1, keepdims=True)
+            lin2_g.append(gs)
+            go = g_head[rows]
+            go[:, :w] += gs @ W2
+            gx, ghc, gW, gU, gb = en.lstm_bwd(
+                go, (x[rows], hc_in[rows], *head_params), [s[rows] for s in saved]
+            )
+            for k, gp in zip("WUb", (gW, gU, gb)):
+                add(self.head[k], gp)
+            np.add.at(g_head, prev[rows], ghc)
+            ga = en.relu_bwd(gx, (a1[rows],), None)[0]
+            lin1_g.append(ga)
+            np.add.at(g_h, enc_step[rows], ga @ W1)
+        order = np.concatenate(by_level(level))
+        gs = np.concatenate(lin2_g)
+        add(self.lin2_w, gs.T @ hc_out[order, :w])
+        add(self.lin2_b, gs.sum(axis=0))
+        ga = np.concatenate(lin1_g)
+        add(self.lin1_w, ga.T @ HC[enc_step[order], :w])
+        add(self.lin1_b, ga.sum(axis=0))
+
+        src, prev, ifo, u, th = zip(*enc)
+        src, prev = np.array(src), np.array(prev)
+        # a token input -1 - j reads row n_steps + j
+        src = np.where(src >= 0, src, n_steps - 1 - src)
+        inputs = np.concatenate([HC[:, :w]] + [self.tok_emb[t].data for t in self.tokens])
+        states = np.concatenate([HC, np.zeros((1, 2 * w))])
+        saved = [np.concatenate(v) for v in (ifo, u, th)]
+        enc_params = tuple(self.enc[k].data for k in "WUb")
+        for rows in by_level(levels):
+            go = np.concatenate([g_h[rows], g_c[rows]], axis=1)
+            gx, ghc, gW, gU, gb = en.lstm_bwd(
+                go, (inputs[src[rows]], states[prev[rows]], *enc_params),
+                [s[rows] for s in saved],
+            )
+            for k, gp in zip("WUb", (gW, gU, gb)):
+                add(self.enc[k], gp)
+            np.add.at(g_h, src[rows], gx)
+            np.add.at(g_h, prev[rows], ghc[:, :w])
+            np.add.at(g_c, prev[rows], ghc[:, w:])
+        read = set(src[src >= n_steps])
+        for j, t in enumerate(self.tokens):
+            if n_steps + j in read:
+                grads[self.tok_emb[t].name] = g_h[n_steps + j][None, :]
+        return [grads.get(p.name) for p in self.params]
 
 
 @dataclass
@@ -376,30 +558,31 @@ def generate_episode(
     rng: np.random.Generator,
     epsilon: Optional[float] = None,
     forced_actions: Optional[Sequence[OpKind]] = None,
-    memo: Optional[dict] = None,
+    memo: Optional[Memo] = None,
+    entropy_weight: Optional[float] = None,
 ) -> Episode:
     """Roll out one architecture; with forced_actions, re-score a tree.
 
-    ``memo`` holds the encoder's states by value (``Policy._node_state``) and
+    ``memo`` holds the encoder's states by value (`Policy._node_state`) and
     is the rollout's only cache: each action re-encodes the partial tree
     through it, so only the path to the filled slot and to the new target
-    costs steps. ``None`` means a fresh memo for this episode. Episodes that
-    share a memo share tape nodes, so a memo serves one parameter version in
-    one grad mode: it must not outlive a parameter change or a change of
-    grad mode.
+    costs steps. It is also the update window whose tape node the episode's
+    log-probabilities and entropies hang from (`Memo`). ``None`` means a
+    fresh memo for this episode. ``entropy_weight`` (by default the
+    config's) switches the entropy terms on when positive.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch.empty()
-    head_state = policy._packed_zero()
+    head = policy.head_start()
     actions: list[OpKind] = []
     logps: list[en.Tensor] = []
     entropies: list[en.Tensor] = []
-    memo = {} if memo is None else memo
+    memo = Memo() if memo is None else memo
     i = 0
     while not p.complete:
         forced = forced_actions[i] if forced_actions is not None else None
-        act, logp, ent, head_state = policy.next_action(
-            p, head_state, eps, rng, forced, memo
+        act, logp, ent, head = policy.next_action(
+            p, head, memo, eps, rng, forced, entropy_weight
         )
         p.fill(act)
         actions.append(act)
@@ -424,8 +607,11 @@ def reinforce_update(
     policy: Policy,
     episodes: Sequence[Episode],
     opt: en.Optimizer,
+    entropy_weight: Optional[float] = None,
 ) -> bool:
-    """One policy-gradient ascent step over a batch of rewarded episodes.
+    """One policy-gradient ascent step over a batch of rewarded episodes,
+    with the entropy bonus weighted by ``entropy_weight`` (by default the
+    config's).
 
     Returns False (batch skipped) when gradients went non-finite."""
     assert all(e.reward is not None for e in episodes)
@@ -437,7 +623,7 @@ def reinforce_update(
         advs = rewards - base
     else:
         advs = rewards
-    beta = policy.cfg.entropy_weight
+    beta = policy.cfg.entropy_weight if entropy_weight is None else entropy_weight
     total = None
     for e, adv in zip(episodes, advs):
         term = en.mul(e.logp_sum(), en.Tensor(-float(adv)))
@@ -476,8 +662,8 @@ def measure_satisfaction(
     policy: Policy, rng: np.random.Generator, n: int = 200, epsilon: float = 0.0
 ) -> float:
     ok = 0
-    memo: dict = {}
     with en.no_grad():
+        memo = Memo()
         for _ in range(n):
             arch = generate_episode(policy, rng, epsilon=epsilon, memo=memo).arch
             ok += all(prior_satisfaction(arch))
@@ -523,40 +709,35 @@ def pretrain_priors(
     history: list[float] = []
     batch: list[Episode] = []
     run = 0
-    base_entropy = policy.cfg.entropy_weight
-    memo: dict = {}  # one per update window: its episodes, replays and update
-    try:
-        while run < budget:
-            policy.cfg.entropy_weight = base_entropy * max(
-                0.0, 1.0 - run / (anneal_fraction * budget)
-            )
-            ep = generate_episode(policy, rng, epsilon=0.0, memo=memo)
-            sat = prior_satisfaction(ep.arch)
-            ep.reward = sum(sat) / len(sat)
-            batch.append(ep)
-            recent.append(all(sat))
-            if len(recent) > window:
-                recent.pop(0)
-            if all(sat):
-                buffer.append(list(ep.actions))
-                if len(buffer) > replay_capacity:
-                    buffer.pop(0)
-            run += 1
-            if len(batch) >= batch_size:
-                for _ in range(min(n_replay, len(buffer))):
-                    acts = buffer[int(rng.integers(len(buffer)))]
-                    rep = generate_episode(
-                        policy, rng, epsilon=0.0, forced_actions=acts, memo=memo
-                    )
-                    rep.reward = 1.0
-                    batch.append(rep)
-                reinforce_update(policy, batch, opt)
-                batch, memo = [], {}
-                rate = sum(recent) / len(recent)
-                history.append(rate)
-                if len(recent) >= window and rate >= stop_rate:
-                    break
-    finally:
-        policy.cfg.entropy_weight = base_entropy
+    memo = Memo()  # one per update window: its episodes, replays and update
+    while run < budget:
+        beta = policy.cfg.entropy_weight * max(
+            0.0, 1.0 - run / (anneal_fraction * budget)
+        )
+        ep = generate_episode(policy, rng, epsilon=0.0, memo=memo, entropy_weight=beta)
+        sat = prior_satisfaction(ep.arch)
+        ep.reward = sum(sat) / len(sat)
+        batch.append(ep)
+        recent.append(all(sat))
+        if len(recent) > window:
+            recent.pop(0)
+        if all(sat):
+            buffer.append(list(ep.actions))
+            if len(buffer) > replay_capacity:
+                buffer.pop(0)
+        run += 1
+        if len(batch) >= batch_size:
+            for _ in range(min(n_replay, len(buffer))):
+                acts = buffer[int(rng.integers(len(buffer)))]
+                rep = generate_episode(policy, rng, epsilon=0.0, forced_actions=acts,
+                                       memo=memo, entropy_weight=beta)
+                rep.reward = 1.0
+                batch.append(rep)
+            reinforce_update(policy, batch, opt, entropy_weight=beta)
+            batch, memo = [], Memo()
+            rate = sum(recent) / len(recent)
+            history.append(rate)
+            if len(recent) >= window and rate >= stop_rate:
+                break
     final = sum(recent) / len(recent) if recent else 0.0
     return PretrainResult(run, baseline_rate, final, history)

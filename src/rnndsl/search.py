@@ -22,7 +22,13 @@ from . import rlgen
 from .compiler import compile, run_sequence
 from .dsl import Architecture, OpKind, builtin, parse
 from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, train_and_score
-from .randgen import GenConfig, arch_id, expand_ct_variants, generate_batch
+from .randgen import (
+    RAW_DRAWS_PER_CANDIDATE,
+    GenConfig,
+    arch_id,
+    expand_ct_variants,
+    generate_batch,
+)
 from .ranker import Ranker, RankerConfig, select
 from .rlgen import (
     Episode,
@@ -196,7 +202,10 @@ def run_random_search(
             step_gen, cfg.candidates_per_step, seen=set(store.by_id), rng=rng
         )
         if not cands:
-            continue
+            raise ValueError(
+                f"random search step {step} admitted no new candidate in "
+                f"{RAW_DRAWS_PER_CANDIDATE * cfg.candidates_per_step} raw draws"
+            )
         if store.records:
             if not cfg.warm_start_ranker:
                 ranker = Ranker(ranker_cfg)

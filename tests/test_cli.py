@@ -289,3 +289,17 @@ class TestRemovedOptions:
         )
         assert code == 1
         assert f"unknown {cls} fields: ['{name}']" in err
+
+
+class TestHopelessGenerator:
+    def test_max_nodes_below_one_exit_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": {"max_nodes": -1}}))
+        out = tmp_path / "r.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "search", "random", "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error[ValueError]: GenConfig.max_nodes must be >= 1, got -1"]
+        assert not out.exists()

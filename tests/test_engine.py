@@ -107,36 +107,50 @@ class TestGradients:
 
         def f():
             joined = en.concat([a, b])
-            return en.tsum(en.mul(en.slice_last(joined, 2, 6),
-                                  en.slice_last(joined, 1, 5)))
+            return en.tsum(en.mul(en.take(joined, (..., slice(2, 6))),
+                                  en.take(joined, (..., slice(1, 5)))))
 
         check(f, [a, b])
 
-    def test_lstm_cell(self, rng):
-        x = en.Parameter(rng.standard_normal((2, 3)), "x")
-        hc = en.Parameter(rng.standard_normal((2, 10)), "hc")
-        W = en.Parameter(rng.standard_normal((20, 3)), "W")
-        U = en.Parameter(rng.standard_normal((20, 5)), "U")
-        b = en.Parameter(rng.standard_normal(20), "b")
-        check(lambda: en.tsum(en.lstm_cell(x, hc, W, U, b)), [x, hc, W, U, b])
+    def test_lstm_kernels(self, rng):
+        w = 5
+        inputs = [rng.standard_normal(s) for s in ((2, 3), (2, 2 * w), (4 * w, 3), (4 * w, w), 4 * w)]
+        weights = rng.standard_normal((2, 2 * w))
 
-    def test_lstm_cell_matches_step(self, rng):
+        def loss(*arrays):
+            return float((en.lstm_fwd(*arrays)[0] * weights).sum())
+
+        _, saved = en.lstm_fwd(*inputs)
+        grads = en.lstm_bwd(weights, inputs, saved)
+        for arr, grad in zip(inputs, grads):
+            assert grad.shape == arr.shape
+            flat = arr.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + 1e-6
+                hi = loss(*inputs)
+                flat[k] = orig - 1e-6
+                lo = loss(*inputs)
+                flat[k] = orig
+                assert grad.reshape(-1)[k] == pytest.approx((hi - lo) / 2e-6, abs=1e-6)
+
+    def test_lstm_fwd_matches_gate_ops(self, rng):
         w = 5
         x = en.Tensor(rng.standard_normal((2, 3)))
         hc = en.Tensor(rng.standard_normal((2, 2 * w)))
         W = en.Tensor(rng.standard_normal((4 * w, 3)))
         U = en.Tensor(rng.standard_normal((4 * w, w)))
         b = en.Tensor(rng.standard_normal(4 * w))
-        h = en.slice_last(hc, 0, w)
-        c = en.slice_last(hc, w, 2 * w)
-        z = en.add(en.add(en.linear(x, W), en.linear(h, U)), b)
-        i = en.sigmoid(en.slice_last(z, 0, w))
-        f = en.sigmoid(en.slice_last(z, w, 2 * w))
-        o = en.sigmoid(en.slice_last(z, 2 * w, 3 * w))
-        u = en.tanh(en.slice_last(z, 3 * w, 4 * w))
-        c2 = en.add(en.mul(f, c), en.mul(i, u))
+
+        def block(t, k):
+            return en.take(t, (..., slice(k * w, (k + 1) * w)))
+
+        z = en.add(en.add(en.linear(x, W), en.linear(block(hc, 0), U)), b)
+        i, f, o = (en.sigmoid(block(z, k)) for k in range(3))
+        u = en.tanh(block(z, 3))
+        c2 = en.add(en.mul(f, block(hc, 1)), en.mul(i, u))
         h2 = en.mul(o, en.tanh(c2))
-        fused = en.lstm_cell(x, hc, W, U, b).data
+        fused = en.lstm_fwd(x.data, hc.data, W.data, U.data, b.data)[0]
         np.testing.assert_array_equal(fused[:, :w], h2.data)
         np.testing.assert_array_equal(fused[:, w:], c2.data)
 
@@ -152,6 +166,37 @@ class TestGradients:
 
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             en.gradient_check(f, [p])
+
+
+class TestUnaryKernels:
+    """A forward kernel saves only what it already has; the backward kernel
+    derives the local derivative with the formula the forward pass used to
+    apply, so gradients keep their bits."""
+
+    OLD_DERIVATIVES = {
+        "sigmoid": lambda x, y: y * (1.0 - y),
+        "tanh": lambda x, y: 1.0 - y * y,
+        "relu": lambda x, y: (x > 0).astype(np.float64),
+        "sin": lambda x, y: np.cos(x),
+        "cos": lambda x, y: -np.sin(x),
+        "exp": lambda x, y: y,
+        "selu": lambda x, y: en.SELU_LAMBDA * np.where(
+            x > 0, 1.0, en.SELU_ALPHA * np.exp(np.minimum(x, 0.0))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OLD_DERIVATIVES))
+    def test_saved_values_and_gradient_bits(self, name, rng):
+        x = rng.standard_normal((3, 4)) * 2.0
+        g = rng.standard_normal((3, 4))
+        out, saved = getattr(en, f"{name}_fwd")(x)
+        if name in ("sigmoid", "tanh", "exp"):
+            assert saved is out
+        elif name == "selu":
+            assert saved[0].dtype == bool and saved[1].shape == x.shape
+        else:
+            assert saved is None
+        (grad,) = getattr(en, f"{name}_bwd")(g, (x,), saved)
+        np.testing.assert_array_equal(grad, g * self.OLD_DERIVATIVES[name](x, out))
 
 
 class TestNoGrad:

@@ -3,6 +3,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 from rnndsl import randgen
 from rnndsl.dsl import (
@@ -35,8 +36,17 @@ def grow_raw(cfg, rng):
 
 class TestGrowRandom:
     def test_max_height_zero_gives_leaf(self):
-        arch = grow_raw(GenConfig(max_height=0, seed=1), np.random.default_rng(1))
+        # configs refuse a height bound below 1; growth itself forces a
+        # source wherever the bound is reached, the root included
+        cfg = GenConfig(seed=1)
+        cfg.max_height = 0
+        arch = grow_raw(cfg, np.random.default_rng(1))
         assert arch.root.op.is_source
+
+    @pytest.mark.parametrize("field", ["max_nodes", "max_height"])
+    def test_bounds_below_one_refused(self, field):
+        with pytest.raises(ValueError, match=f"GenConfig.{field} must be >= 1, got 0"):
+            GenConfig(**{field: 0})
 
     def test_height_bound_respected(self):
         cfg = GenConfig(max_height=4, seed=2)

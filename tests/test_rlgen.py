@@ -11,6 +11,7 @@ from rnndsl import rlgen
 from rnndsl.dsl import OpKind, analyze, builtin, canonicalize, parse, render
 from rnndsl.rlgen import (
     Episode,
+    Memo,
     PartialArch,
     Policy,
     RLConfig,
@@ -35,6 +36,12 @@ def tiny_policy(**overrides):
     base = dict(width=8, seed=0)
     base.update(overrides)
     return Policy(RLConfig(**base))
+
+
+def encoding(pol, p):
+    """The partial tree's encoding, h [1, w] of its root's last step."""
+    memo = Memo()
+    return memo.hc[pol.encode_partial(p, memo)][:, :pol.cfg.width]
 
 
 class TestMasking:
@@ -101,8 +108,8 @@ class TestMasking:
     def test_probabilities_normalized_and_masked(self):
         pol = tiny_policy()
         p = PartialArch.empty()
-        logp, _, mask = pol.action_logprobs(p, pol._packed_zero())
-        probs = np.exp(logp.data[0])
+        logp, mask, _ = pol.action_logprobs(p, pol.head_start()[0], Memo())
+        probs = np.exp(logp[0])
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs[~mask] == 0.0)  # exp(-1e9) underflows exactly
 
@@ -115,9 +122,9 @@ class TestEncoding:
         b = PartialArch.empty()
         b.fill(OpKind.ADD)
         b.fill(OpKind.X)  # now right slot is the target
-        ea = pol.encode_partial(a)
-        eb = pol.encode_partial(b)
-        assert np.abs(ea.data - eb.data).max() > 1e-9
+        ea = encoding(pol, a)
+        eb = encoding(pol, b)
+        assert np.abs(ea - eb).max() > 1e-9
 
     def test_episode_memo_matches_fresh_memo(self):
         pol = tiny_policy()
@@ -125,11 +132,12 @@ class TestEncoding:
         ep = generate_episode(pol, rng)  # one memo for the whole episode
         # replay the same action sequence with a fresh memo at every step
         p = PartialArch.empty()
-        head = pol._packed_zero()
+        head = pol.head_start()[0]
         for act, logp in zip(ep.actions, ep.logps):
-            fresh, head, _ = pol.action_logprobs(p, head, memo={})
+            fresh, _, step = pol.action_logprobs(p, head, Memo())
+            head = step[-1]
             idx = pol.actions.index(act)
-            assert fresh.data[0, idx] == logp.data.item()
+            assert fresh[0, idx] == logp.data.item()
             p.fill(act)
 
     def test_shared_memo_encodes_bit_for_bit(self, monkeypatch):
@@ -137,15 +145,16 @@ class TestEncoding:
         encode = pol.encode_partial
         steps = 0
 
-        def checked(p, memo=None):
+        def checked(p, memo):
             nonlocal steps
             got = encode(p, memo)
-            assert np.array_equal(got.data, encode(p).data)
+            fresh = Memo()
+            assert np.array_equal(memo.hc[got], fresh.hc[encode(p, fresh)])
             steps += 1
             return got
 
         monkeypatch.setattr(pol, "encode_partial", checked)
-        memo = {}
+        memo = Memo()
         rng = np.random.default_rng(14)
         for _ in range(50):
             generate_episode(pol, rng, epsilon=0.3, memo=memo)
@@ -301,7 +310,7 @@ class TestReinforce:
         pol = tiny_policy(width=4)
 
         def grads(shared):
-            memo = {}
+            memo = Memo()
             rng = np.random.default_rng(15)
             eps = [
                 generate_episode(pol, rng, epsilon=0.2, memo=memo if shared else None)
@@ -325,7 +334,7 @@ class TestReinforce:
             assert np.abs(g - w).max() <= 1e-12
 
         def loss():
-            memo = {}
+            memo = Memo()
             total = None
             for actions in (parse_actions(pol), acts[0]):
                 ep = generate_episode(
@@ -389,8 +398,10 @@ class TestReinforce:
             pol.params, en.OptimizerConfig(kind="sgd", learning_rate=0.05)
         )
         def root_entropy():
-            logp, _, mask = pol.action_logprobs(PartialArch.empty(), pol._packed_zero())
-            p = np.exp(logp.data[0][mask])
+            logp, mask, _ = pol.action_logprobs(
+                PartialArch.empty(), pol.head_start()[0], Memo()
+            )
+            p = np.exp(logp[0][mask])
             return -(p * np.log(p)).sum()
 
         before = root_entropy()
@@ -400,6 +411,124 @@ class TestReinforce:
                 e.reward = 0.0  # pure entropy ascent
             reinforce_update(pol, eps, opt)
         assert root_entropy() > before - 1e-6
+
+
+def lstm_per_op(x, hc, gates):
+    """The packed LSTM step as one Tensor op per gate."""
+    w = hc.data.shape[-1] // 2
+
+    def block(t, k):
+        return en.take(t, (..., slice(k * w, (k + 1) * w)))
+
+    z = en.add(en.add(en.linear(x, gates["W"]), en.linear(block(hc, 0), gates["U"])),
+               gates["b"])
+    i, f, o = (en.sigmoid(block(z, k)) for k in range(3))
+    c = en.add(en.mul(f, block(hc, 1)), en.mul(i, en.tanh(block(z, 3))))
+    return en.concat([en.mul(o, en.tanh(c)), c])
+
+
+def log_softmax_per_op(x):
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    s = np.exp(out)
+    return en.Tensor(out, (x,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
+
+
+def episode_per_op(pol, actions, memo, beta):
+    """Log-probability and entropy Tensors of a forced episode on the
+    policy's per-op graph, with the encoder memoized by value in the dict
+    ``memo``: the oracle of the window's level-batched reverse pass."""
+    w = pol.cfg.width
+
+    def state(node, target):
+        token = (node.op.value if node.op is not None
+                 else rlgen.TARGET_TOKEN if node is target else rlgen.EMPTY_TOKEN)
+        if token not in memo:
+            hc = lstm_per_op(pol.tok_emb[token], en.Tensor(np.zeros((1, 2 * w))), pol.enc)
+            memo[token] = (len(memo), hc)
+        key, hc = memo[token]
+        for child in node.children:
+            child_key, child_hc = state(child, target)
+            if (key, child_key) not in memo:
+                h = en.take(child_hc, (..., slice(0, w)))
+                memo[(key, child_key)] = (len(memo), lstm_per_op(h, hc, pol.enc))
+            key, hc = memo[(key, child_key)]
+        return key, hc
+
+    p = PartialArch.empty()
+    head = en.Tensor(np.zeros((1, 2 * w)))
+    logps, entropies = [], []
+    for act in actions:
+        enc = en.take(state(p.root, p.target)[1], (..., slice(0, w)))
+        head = lstm_per_op(en.relu(en.linear(enc, pol.lin1_w, pol.lin1_b)), head, pol.head)
+        scores = en.linear(en.take(head, (..., slice(0, w))), pol.lin2_w, pol.lin2_b)
+        mask = pol.legal_actions(p)
+        logp = log_softmax_per_op(en.add(scores, en.Tensor(np.where(mask, 0.0, -1e9)[None, :])))
+        idx = pol.actions.index(act)
+        logps.append(en.take(logp, (..., slice(idx, idx + 1))))
+        entropies.append(
+            en.mul(en.tsum(en.mul(en.exp(logp), logp)), en.Tensor(-1.0)) if beta > 0
+            else en.Tensor(0.0)
+        )
+        p.fill(act)
+    return logps, entropies
+
+
+def reinforce_grads(pol, episodes, advs, beta):
+    """Parameter gradients of the REINFORCE loss over (logps, entropies)
+    pairs, built as `reinforce_update` builds it."""
+    total = None
+    for (logps, entropies), adv in zip(episodes, advs):
+        term = en.mul(Episode(None, [], logps, entropies).logp_sum(), en.Tensor(-adv))
+        if beta > 0:
+            ent = Episode(None, [], logps, entropies).entropy_sum()
+            term = en.sub(term, en.mul(ent, en.Tensor(beta)))
+        total = term if total is None else en.add(total, term)
+    for p in pol.params:
+        p.zero_grad()
+    en.mul(en.tsum(total), en.Tensor(1.0 / len(episodes))).backward()
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in pol.params]
+    for p in pol.params:
+        p.zero_grad()
+    return grads
+
+
+class TestWindowBackward:
+    """The window node's reverse pass gives the per-op graph's gradients."""
+
+    def check(self, pol, windows, beta):
+        """``windows`` lists, per memo, the episodes' (rng seed or forced
+        actions); rollouts and the oracle share the windows' memos alike."""
+        rolled, oracle = [], []
+        for window in windows:
+            memo, oracle_memo = Memo(), {}
+            for spec in window:
+                forced = spec if isinstance(spec, list) else None
+                rng = np.random.default_rng(0 if forced else spec)
+                ep = generate_episode(pol, rng, epsilon=0.1, forced_actions=forced,
+                                      memo=memo, entropy_weight=beta)
+                ref = episode_per_op(pol, ep.actions, oracle_memo, beta)
+                assert [l.data.item() for l in ep.logps] == [l.data.item() for l in ref[0]]
+                rolled.append((ep.logps, ep.entropies))
+                oracle.append(ref)
+        advs = np.linspace(-1.0, 1.5, len(rolled))
+        got = reinforce_grads(pol, rolled, advs, beta)
+        want = reinforce_grads(pol, oracle, advs, beta)
+        # every weight matrix and bias, and some token embeddings, are reached
+        reached = {p.name for p, w in zip(pol.params, want) if np.abs(w).max() > 1e-6}
+        assert {p.name for p in pol.params if not p.name.startswith("tok_")} < reached
+        for p, g, w in zip(pol.params, got, want):
+            assert np.abs(g - w).max() <= 1e-12, p.name
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05])
+    def test_shared_memo_window_with_replays(self, beta):
+        pol = tiny_policy(width=6)
+        replays = [generate_episode(pol, np.random.default_rng(s)).actions for s in (40, 41)]
+        self.check(pol, [[30, 31, 32, 33, 34, 35, 36, 37, 38, 39] + replays], beta)
+
+    def test_separate_memos(self):
+        pol = tiny_policy(width=6)
+        self.check(pol, [[50], [51], [52, 53], [54]], 0.0)
 
 
 def parse_actions(pol):
@@ -427,7 +556,7 @@ class TestPretrain:
 
     def test_shared_memo_matches_per_episode_memo(self, monkeypatch):
         rollout = rlgen.generate_episode
-        cell = en.lstm_cell
+        cell = en.lstm_fwd
 
         def run(per_episode):
             actions, calls = [], [0]
@@ -444,7 +573,7 @@ class TestPretrain:
                 return cell(*args)
 
             monkeypatch.setattr(rlgen, "generate_episode", episode)
-            monkeypatch.setattr(en, "lstm_cell", counted)
+            monkeypatch.setattr(en, "lstm_fwd", counted)
             pol = tiny_policy(learning_rate=0.01, entropy_weight=0.03,
                               normalize_advantage=True, epsilon=0.0)
             res = pretrain_priors(pol, budget=40, rng=np.random.default_rng(16))
@@ -456,13 +585,16 @@ class TestPretrain:
         assert res.rate_history == oracle_res.rate_history
         # the per-episode memo already shares within an episode; the 200
         # untrained measuring episodes, most of budget 40, share little more
-        assert calls <= 0.8 * oracle_calls
+        assert 0 < calls <= 0.8 * oracle_calls
         for p, q in zip(params, oracle_params):
             assert np.abs(p - q).max() <= 1e-12
 
     def test_pinned_episodes_and_parameters(self, monkeypatch):
-        """The rollout's draws, tape and updates are pinned: a change to the
-        encoder, the head or the memo must leave every bit in place."""
+        """The rollout's draws and updates are pinned: a change to the
+        encoder, the head or the memo must leave every episode in place.
+        The parameter hash pins the summation order of the window's
+        level-batched reverse pass (`Policy._window_backward`); the per-op
+        tape it replaced summed the same terms in another order."""
         rollout = rlgen.generate_episode
         rendered = []
 
@@ -483,7 +615,7 @@ class TestPretrain:
             "cf3cb6540980614893bade27ee79034c7647cf9c06eb8573a2e1879ac6519c6e"
         )
         assert params.hexdigest() == (
-            "6f0bdf3cb0bfd947900d25f7188c9bb87f39fe4b648a8858fd7b03f453f23f13"
+            "483f2877cd4c312e9ada2629e55ea243881a00456907a0da07f3df0a35ee0752"
         )
 
     def test_measure_satisfaction_range(self):

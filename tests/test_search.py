@@ -319,6 +319,17 @@ class TestRandomSearch:
         ids = [r.id for r in store.records]
         assert len(ids) == len(set(ids))
 
+    def test_step_without_new_candidate_stops_the_search(self, tmp_path):
+        # one-operator trees with both required sources run out after step 2
+        cfg = SearchConfig(candidates_per_step=5, k_top=1, k_sampled=0,
+                           max_steps=5, seed=0, seed_baselines=())
+        store = RecordStore(str(tmp_path / "r.jsonl"))
+        with pytest.raises(ValueError, match="random search step 3 admitted no new "
+                                             "candidate in 500 raw draws"):
+            run_random_search(cfg, tiny_task(), GenConfig(seed=0, max_nodes=1),
+                              tiny_train(), RankerConfig(hidden=4, epochs=1), store)
+        assert [r.batch_index for r in store.records] == [1, 2]
+
     def test_byte_identical_replay(self, tmp_path):
         self._run(tmp_path, "a.jsonl")
         self._run(tmp_path, "b.jsonl")
