@@ -277,8 +277,9 @@ def run_steps(
     zero denominator names an earlier such instruction first). The
     backward pass walks timesteps and instructions in reverse, carries the
     h, c and x_tm1 gradients between timesteps, sums each instruction's
-    parameter gradients over time in place and adds into each parameter
-    once. With a c_t tap the node packs the h rows and then the final c rows.
+    parameter gradients over time in place and returns one term per
+    parameter, after the inputs' gradients. With a c_t tap the node packs
+    the h rows and then the final c rows.
     """
     hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
     if state.c is None and ct_slot is not None:
@@ -350,7 +351,7 @@ def run_steps(
         out[steps * batch:] = c
 
     def backward(g: np.ndarray) -> list[Optional[np.ndarray]]:
-        """Returns the gradients of x and the initial state."""
+        """Returns the gradients of x, the initial state and the parameters."""
         # per instruction, last first: its index, backward kernel, input and
         # output slots, whether it is fused and whether it is a LayerNorm
         rplan = [(i, _KERNELS[ins.op][1], ins.inputs, ins.outputs, ins.fused,
@@ -391,17 +392,19 @@ def run_steps(
                 if grads[slot] is not None:
                     g_xx[block * batch:(block + 1) * batch] += grads[slot]
             g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
+        param_grads = {}
         for ins, gps in zip(instrs, acc):
             if gps is None:
                 continue
             if ins.fused:  # row block j is the group's j-th node's
                 gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
-            for name, gp in zip(ins.params, gps):
-                prog.params[name].accumulate(gp)
-        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)]
+            param_grads.update(zip(ins.params, gps))
+        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)] + [
+            param_grads.get(name) for name in prog.params
+        ]
 
     parents = tuple(t for t in (x, state.x_prev, state.h, state.c) if t is not None)
-    node = en.Tensor(out, parents, backward)
+    node = en.Tensor(out, parents + tuple(prog.params.values()), backward)
     hs = node if ct_slot is None else en.take(node, slice(0, steps * batch))
     last = slice((steps - 1) * batch, steps * batch)
     return hs, CellState(

@@ -13,9 +13,14 @@ and a compiled cell (`compiler.run_steps`) calls the same kernels: one
 layer over a whole sequence is one tape node whose backward pass walks the
 timesteps and the cell's instructions in reverse (`compiler.step` is the
 one-timestep case). The fused LSTM step has a kernel pair too
-(`lstm_fwd`, `lstm_bwd`): the policy rolls out on arrays with it, and one
-tape node per update window runs its backward pass over stacked steps
-(`rlgen.Policy._window_backward`).
+(`lstm_fwd`, `lstm_bwd`): the policy rolls out on arrays with it and
+records its steps, and one tape node per update window
+(`rlgen.Policy.window`) runs the backward pass over the stacked steps; an
+episode's log-probability sum is one node over its rows of that node.
+A fused node (a cell layer, the ranker's tree encoder, a policy window)
+lists the parameters it reads among its parents and returns their
+gradients like any other parent's, so only `backward()` adds into a
+Parameter (`Parameter.accumulate`).
 """
 
 from __future__ import annotations

@@ -357,32 +357,29 @@ def train_and_score(
     loss_cap = math.log(cfg.failure_ppl_threshold)
 
     with np.errstate(all="ignore"):
-        for epoch in range(1, cfg.epochs + 1):
-            for x, y in task.train:
-                try:
+        try:
+            for epoch in range(1, cfg.epochs + 1):
+                for x, y in task.train:
                     loss = model.loss(x, y, cfg.dropout, rng, train=True)
-                except DivergenceError:
-                    return record("diverged", epochs_run=epochs_run)
-                if not np.isfinite(loss.data):
-                    return record("diverged", epochs_run=epochs_run)
-                loss.backward()
-                if not opt.step():
-                    return record("diverged", epochs_run=epochs_run)
-            epochs_run = epoch
-            try:
+                    if not np.isfinite(loss.data):
+                        raise DivergenceError("non-finite training loss")
+                    loss.backward()
+                    if not opt.step():
+                        raise DivergenceError("non-finite parameters after the step")
+                epochs_run = epoch
                 valid = model.mean_loss(task.valid, rng)
-            except DivergenceError:
-                return record("diverged", epochs_run=epochs_run)
-            if not np.isfinite(valid):
-                return record("diverged", epochs_run=epochs_run)
-            if epoch == cfg.failure_check_epoch and valid > loss_cap:
-                return record(
-                    "failed_threshold", valid_metric=valid, epochs_run=epochs_run
-                )
-            if valid < best_valid:
-                best_valid = valid
-            elif cfg.decay_on_no_improve:
-                opt.lr /= cfg.lr_decay_factor
+                if not np.isfinite(valid):
+                    raise DivergenceError("non-finite validation loss")
+                if epoch == cfg.failure_check_epoch and valid > loss_cap:
+                    return record(
+                        "failed_threshold", valid_metric=valid, epochs_run=epochs_run
+                    )
+                if valid < best_valid:
+                    best_valid = valid
+                elif cfg.decay_on_no_improve:
+                    opt.lr /= cfg.lr_decay_factor
+        except DivergenceError:
+            return record("diverged", epochs_run=epochs_run)
 
         try:
             test = model.mean_loss(task.test, rng) if task.test else None

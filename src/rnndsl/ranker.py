@@ -186,7 +186,7 @@ class Ranker:
         sum (for a Child-Sum cell, U applied to the children's summed h).
         The reverse pass walks the groups top down, scatter-adds the
         children's gradients (a child can appear twice under one parent, or
-        under two parents) and adds each parameter's gradient once per call.
+        under two parents) and returns one gradient term per parameter.
         """
         groups, roots = _levels(trees)
         h = self.cfg.hidden
@@ -232,11 +232,12 @@ class Ranker:
             gH = np.zeros_like(H)
             gC = np.zeros_like(C)
             np.add.at(gH, roots, g)
+            grads: dict[str, np.ndarray] = {}  # by parameter name
             terms: dict[str, list] = {}  # label -> [(d zp, kh)] of its groups
             for r0, r1, label, s in reversed(saved):
                 gh, gc = gH[r0:r1], gC[r0:r1]
                 if s is None:  # hash-consed, so one group per leaf label
-                    self.leaf_emb[label].accumulate(gh)
+                    grads[self.leaf_emb[label].name] = gh
                     continue
                 kids, kh, kc, io, u, f, tc = s
                 dc = gc + en.tanh_bwd(gh * io[:, h:], None, tc)[0]
@@ -255,15 +256,15 @@ class Ranker:
                 gb = gzp[0, :, :3 * h].sum(0)  # one i|o|u bias term per node
                 gbf = gzp[:, :, 3 * h:].sum(1)
                 if len(bias) == 1:
-                    U.accumulate(gzp.reshape(-1, 4 * h).T @ kh.reshape(-1, h))
-                    bias[0].accumulate(np.concatenate([gb, gbf.sum(0)]))
+                    grads[U.name] = gzp.reshape(-1, 4 * h).T @ kh.reshape(-1, h)
+                    grads[bias[0].name] = np.concatenate([gb, gbf.sum(0)])
                 else:
-                    U.accumulate(gzp.transpose(0, 2, 1) @ kh)
-                    bias[0].accumulate(gbf)
-                    bias[1].accumulate(gb)
-            return ()
+                    grads[U.name] = gzp.transpose(0, 2, 1) @ kh
+                    grads[bias[0].name] = gbf
+                    grads[bias[1].name] = gb
+            return [grads.get(p.name) for p in self.params]
 
-        return en.Tensor(H[roots], (), backward)
+        return en.Tensor(H[roots], tuple(self.params), backward)
 
     def _eval_tree(self, arch: Architecture) -> EvalNode:
         arch = canonicalize(arch)

@@ -213,12 +213,11 @@ class Memo:
     ``keys`` maps the key of an encoder prefix to its step and ``hc`` holds
     each step's packed [1, 2w] state (`Policy._node_state`). With gradients
     on, each encoder step that ``keys`` missed is recorded in ``enc`` and
-    each head step in ``head``, and the episodes' log-probabilities and
-    entropies are slices of ``node``: one tape node whose value holds each
-    head step's (chosen log-probability, entropy) and whose backward pass
-    is `Policy._window_backward`. A memo serves one parameter version in one
-    grad mode: it must not outlive a parameter change or a change of grad
-    mode.
+    each head step in ``head``, with the chosen log-probability and the
+    entropy; an episode is a range of head steps (`Episode.rows`), and
+    `Policy.window` turns the records into one tape node. A memo serves one
+    parameter version in one grad mode: it must not outlive a parameter
+    change or a change of grad mode.
     """
 
     def __init__(self) -> None:
@@ -231,10 +230,10 @@ class Memo:
         self.levels: list[int] = []
         # per head step: its encoder step, previous head step (-1: the zero
         # state), action index, chosen action, lin1 output, LSTM input and
-        # state, what `lstm_fwd` saved, next state and log-probabilities
+        # state, what `lstm_fwd` saved, next state, log-probabilities, entropy
         self.head: list[tuple] = []
-        self.node: Optional[en.Tensor] = None
-        self.values = np.empty((64, 2))  # node.data is a prefix of it
+        self.policy: Optional[Policy] = None  # the policy that recorded the steps
+        self.node: Optional[en.Tensor] = None  # `Policy.window`'s last node
 
 
 class Policy:
@@ -338,8 +337,6 @@ class Policy:
     def encode_partial(self, p: PartialArch, memo: Memo) -> int:
         """The memo step whose hidden state, ``memo.hc[step][:, :w]``,
         encodes the partial tree."""
-        if not p.complete and p.target is None:
-            raise ValueError("partial tree without a target slot")
         return self._node_state(p.root, p.target, memo)
 
     # -- action selection --------------------------------------------------
@@ -382,11 +379,12 @@ class Policy:
         rng: np.random.Generator,
         forced: Optional[OpKind] = None,
         entropy_weight: Optional[float] = None,
-    ) -> tuple[OpKind, en.Tensor, en.Tensor, tuple[np.ndarray, int]]:
+    ) -> tuple[OpKind, tuple[np.ndarray, int]]:
         """Draw (or force) one action. ``head`` is the head's packed state
-        and its step in ``memo`` (`head_start`); returns the action, its
-        log-probability, the entropy of the distribution (a constant 0 when
-        ``entropy_weight``, by default the config's, is 0) and the next head."""
+        and its step in ``memo`` (`head_start`); returns the action and the
+        next head. With gradients on, the head step is recorded in ``memo``
+        with the chosen log-probability and the entropy of the distribution
+        (0 when ``entropy_weight``, by default the config's, is 0)."""
         head_state, prev = head
         logp, mask, (enc_step, a1, x, saved, head_state) = self.action_logprobs(
             p, head_state, memo
@@ -402,31 +400,30 @@ class Policy:
             probs = np.exp(logp[0])
             probs = probs / probs.sum()
             idx = int(rng.choice(len(probs), p=probs))
+        if not en.grad_enabled():
+            return self.actions[idx], (head_state, -1)
         beta = self.cfg.entropy_weight if entropy_weight is None else entropy_weight
         # entropy of the masked distribution; exp(-1e9) underflows to
         # exactly zero, so illegal entries contribute nothing
         entropy = -float((np.exp(logp) * logp).sum()) if beta > 0 else 0.0
-        if not en.grad_enabled():
-            return self.actions[idx], en.Tensor(logp[:, idx:idx + 1]), \
-                en.Tensor(entropy), (head_state, -1)
-        k = len(memo.head)
+        memo.policy = self
         memo.head.append((enc_step, prev, 0 if prev < 0 else memo.head[prev][2] + 1, idx,
-                          a1, x, head[0], *saved, head_state, logp))
-        if memo.node is None:
-            # the closure holds the records, not the memo: a memo that held
-            # its own node through the closure would be a reference cycle,
-            # freed only by the cyclic collector
-            steps = memo.hc, memo.enc, memo.levels, memo.head
-            memo.node = en.Tensor(np.empty((0, 2)), tuple(self.params),
+                          a1, x, head[0], *saved, head_state, logp, entropy))
+        return self.actions[idx], (head_state, len(memo.head) - 1)
+
+    def window(self, memo: Memo) -> en.Tensor:
+        """The tape node of ``memo``'s head steps: its value [head steps, 2]
+        holds each step's chosen log-probability and entropy, and its
+        backward pass is `_window_backward`. It is rebuilt once the memo has
+        grown; backward is linear, so two nodes over one memo sum correctly."""
+        if memo.node is None or len(memo.node.data) != len(memo.head):
+            # copies of the records, not the memo: a memo that held its own
+            # node through the closure would be a reference cycle
+            steps = list(memo.hc), list(memo.enc), list(memo.levels), list(memo.head)
+            values = np.array([(s[-2][0, s[3]], s[-1]) for s in memo.head])
+            memo.node = en.Tensor(values, tuple(self.params),
                                   lambda g: self._window_backward(*steps, g))
-        if k == len(memo.values):
-            memo.values = np.concatenate([memo.values, np.empty_like(memo.values)])
-        memo.values[k] = logp[0, idx], entropy
-        memo.node.data = memo.values[:k + 1]
-        chosen = en.take(memo.node, (slice(k, k + 1), slice(0, 1)))
-        # the bonus is off: a graph-free constant keeps updates cheap
-        ent = en.take(memo.node, (k, 1)) if beta > 0 else en.Tensor(0.0)
-        return self.actions[idx], chosen, ent, (head_state, k)
+        return memo.node
 
     # -- reverse pass ------------------------------------------------------
 
@@ -468,7 +465,7 @@ class Policy:
         g_c = np.zeros((n_steps + 1, w))
         HC = np.concatenate(hc)
         (enc_step, prev, level, idx, a1, x, hc_in, ifo, u, th, hc_out,
-         logp) = zip(*head)
+         logp, _) = zip(*head)
         enc_step, prev, idx = np.array(enc_step), np.array(prev), np.array(idx)
         a1, x, hc_in, hc_out, logp = (np.concatenate(v) for v in (a1, x, hc_in, hc_out, logp))
         saved = [np.concatenate(v) for v in (ifo, u, th)]
@@ -536,21 +533,30 @@ class Policy:
 class Episode:
     arch: Architecture
     actions: list[OpKind]
-    logps: list[en.Tensor]
-    entropies: list[en.Tensor]
+    memo: Memo  # its update window
+    rows: range  # its head steps in the window; none without gradients
     reward: Optional[float] = None
 
     def logp_sum(self) -> en.Tensor:
-        total = self.logps[0]
-        for l in self.logps[1:]:
-            total = en.add(total, l)
-        return total
+        """The chosen actions' log-probabilities summed, [1, 1]."""
+        return self._rows_sum(0)
 
     def entropy_sum(self) -> en.Tensor:
-        total = self.entropies[0]
-        for e in self.entropies[1:]:
-            total = en.add(total, e)
-        return total
+        """The steps' entropies summed, [1, 1]; 0 at entropy weight 0."""
+        return self._rows_sum(1)
+
+    def _rows_sum(self, col: int) -> en.Tensor:
+        """Column ``col`` of the rows summed, one node over the window's."""
+        if not self.rows:
+            raise ValueError("episode was rolled out without gradients")
+        window, rows = self.memo.policy.window(self.memo), self.rows
+
+        def backward(g):
+            full = np.zeros_like(window.data)
+            full[rows, col:col + 1] = g
+            return (full,)
+
+        return en.Tensor(window.data[rows, col].sum().reshape(1, 1), (window,), backward)
 
 
 def generate_episode(
@@ -566,32 +572,24 @@ def generate_episode(
     ``memo`` holds the encoder's states by value (`Policy._node_state`) and
     is the rollout's only cache: each action re-encodes the partial tree
     through it, so only the path to the filled slot and to the new target
-    costs steps. It is also the update window whose tape node the episode's
-    log-probabilities and entropies hang from (`Memo`). ``None`` means a
-    fresh memo for this episode. ``entropy_weight`` (by default the
-    config's) switches the entropy terms on when positive.
+    costs steps. It is also the update window: with gradients on, the
+    episode's head steps are appended to it as the episode's rows (`Memo`),
+    and the rollout itself builds no tape node. ``None`` means a fresh memo
+    for this episode. ``entropy_weight`` (by default the config's) switches
+    the entropy terms on when positive.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch.empty()
     head = policy.head_start()
     actions: list[OpKind] = []
-    logps: list[en.Tensor] = []
-    entropies: list[en.Tensor] = []
     memo = Memo() if memo is None else memo
-    i = 0
+    first = len(memo.head)
     while not p.complete:
-        forced = forced_actions[i] if forced_actions is not None else None
-        act, logp, ent, head = policy.next_action(
-            p, head, memo, eps, rng, forced, entropy_weight
-        )
+        forced = forced_actions[len(actions)] if forced_actions is not None else None
+        act, head = policy.next_action(p, head, memo, eps, rng, forced, entropy_weight)
         p.fill(act)
         actions.append(act)
-        logps.append(logp)
-        entropies.append(ent)
-        i += 1
-    return Episode(
-        arch=p.to_architecture(), actions=actions, logps=logps, entropies=entropies
-    )
+    return Episode(p.to_architecture(), actions, memo, range(first, len(memo.head)))
 
 
 def sample_architecture(
@@ -658,44 +656,45 @@ class PretrainResult:
     rate_history: list[float]
 
 
-def measure_satisfaction(
-    policy: Policy, rng: np.random.Generator, n: int = 200, epsilon: float = 0.0
-) -> float:
+def measure_satisfaction(policy: Policy, rng: np.random.Generator, n: int = 200) -> float:
+    """The share of ``n`` sampled architectures that satisfy every prior."""
     ok = 0
     with en.no_grad():
         memo = Memo()
         for _ in range(n):
-            arch = generate_episode(policy, rng, epsilon=epsilon, memo=memo).arch
+            arch = generate_episode(policy, rng, epsilon=0.0, memo=memo).arch
             ok += all(prior_satisfaction(arch))
     return ok / n
+
+
+PRETRAIN_BATCH = 10  # rolled-out episodes per update
+PRETRAIN_WINDOW = 500  # episodes in the moving full-satisfaction rate
+PRETRAIN_STOP_RATE = 0.95  # the moving rate that stops pre-training
+PRETRAIN_REPLAYS = 3  # replayed episodes per update, at most
+PRETRAIN_REPLAY_CAPACITY = 200  # satisfying action sequences kept for replay
+PRETRAIN_ANNEAL_FRACTION = 0.6  # budget share over which the entropy bonus anneals to 0
 
 
 def pretrain_priors(
     policy: Policy,
     budget: int = 15000,
-    batch_size: int = 10,
-    window: int = 500,
-    stop_rate: float = 0.95,
-    n_replay: int = 3,
-    replay_capacity: int = 200,
-    anneal_fraction: float = 0.6,
     rng: Optional[np.random.Generator] = None,
 ) -> PretrainResult:
     """Train the policy to satisfy the structural priors.
 
     Episodes are generated by the policy and rewarded by the fraction of
     priors their architecture satisfies; no cell training is involved.
-    Stops when the full-satisfaction rate over the last ``window`` episodes
-    reaches ``stop_rate``, or at ``budget`` episodes.
+    Stops when the full-satisfaction rate over the last `PRETRAIN_WINDOW`
+    episodes reaches `PRETRAIN_STOP_RATE`, or at ``budget`` episodes.
 
     The raw fraction reward is a sparse signal, so three variance-reduction
     devices are layered on top: batch advantage normalization (enabled via
     ``RLConfig.normalize_advantage``), an entropy bonus annealed linearly to
-    zero over ``anneal_fraction`` of the budget (starting from
+    zero over `PRETRAIN_ANNEAL_FRACTION` of the budget (starting from
     ``RLConfig.entropy_weight``), and self-imitation replay — action
     sequences of the policy's own fully satisfying episodes are kept in a
-    bounded buffer, and up to ``n_replay`` of them are re-scored under the
-    current policy and added to each update batch.
+    bounded buffer, and up to `PRETRAIN_REPLAYS` of them are re-scored
+    under the current policy and added to each update batch.
     """
     if rng is None:
         rng = np.random.default_rng(policy.cfg.seed + 17)
@@ -712,22 +711,22 @@ def pretrain_priors(
     memo = Memo()  # one per update window: its episodes, replays and update
     while run < budget:
         beta = policy.cfg.entropy_weight * max(
-            0.0, 1.0 - run / (anneal_fraction * budget)
+            0.0, 1.0 - run / (PRETRAIN_ANNEAL_FRACTION * budget)
         )
         ep = generate_episode(policy, rng, epsilon=0.0, memo=memo, entropy_weight=beta)
         sat = prior_satisfaction(ep.arch)
         ep.reward = sum(sat) / len(sat)
         batch.append(ep)
         recent.append(all(sat))
-        if len(recent) > window:
+        if len(recent) > PRETRAIN_WINDOW:
             recent.pop(0)
         if all(sat):
             buffer.append(list(ep.actions))
-            if len(buffer) > replay_capacity:
+            if len(buffer) > PRETRAIN_REPLAY_CAPACITY:
                 buffer.pop(0)
         run += 1
-        if len(batch) >= batch_size:
-            for _ in range(min(n_replay, len(buffer))):
+        if len(batch) >= PRETRAIN_BATCH:
+            for _ in range(min(PRETRAIN_REPLAYS, len(buffer))):
                 acts = buffer[int(rng.integers(len(buffer)))]
                 rep = generate_episode(policy, rng, epsilon=0.0, forced_actions=acts,
                                        memo=memo, entropy_weight=beta)
@@ -737,7 +736,7 @@ def pretrain_priors(
             batch, memo = [], Memo()
             rate = sum(recent) / len(recent)
             history.append(rate)
-            if len(recent) >= window and rate >= stop_rate:
+            if len(recent) >= PRETRAIN_WINDOW and rate >= PRETRAIN_STOP_RATE:
                 break
     final = sum(recent) / len(recent) if recent else 0.0
     return PretrainResult(run, baseline_rate, final, history)

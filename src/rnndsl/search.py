@@ -32,6 +32,7 @@ from .randgen import (
 from .ranker import Ranker, RankerConfig, select
 from .rlgen import (
     Episode,
+    Memo,
     Policy,
     RewardConfig,
     RLConfig,
@@ -229,6 +230,11 @@ def run_random_search(
 # reinforcement-learning search
 # ---------------------------------------------------------------------------
 
+# consecutive episodes that dispatch no evaluation before the RL search
+# gives up: each tree it drew was in the store or offered nothing to evaluate
+IDLE_EPISODES_LIMIT = 100
+
+
 @dataclass
 class RLSearchResult:
     store: RecordStore
@@ -294,9 +300,11 @@ def run_rl_search(
     batches = 0
     relaxed = 0
     since_update = 0
+    idle = 0
+    memo = Memo()  # one per update window, as in `rlgen.pretrain_priors`
 
     while evaluations < cfg.max_evaluations:
-        ep = generate_episode(policy, rng)
+        ep = generate_episode(policy, rng, memo=memo)
         r, good, dispatched = _episode_result(
             ep, task, train_cfg, reward_cfg, store, batches
         )
@@ -304,6 +312,12 @@ def run_rl_search(
         rewards_seen.append(r)
         evaluations += dispatched
         since_update += 1
+        idle = 0 if dispatched else idle + 1
+        if idle >= IDLE_EPISODES_LIMIT:
+            raise ValueError(
+                f"RL search: {idle} consecutive episodes dispatched no new "
+                f"evaluation ({evaluations} evaluations done)"
+            )
         (good_pending if good else fail_pending).append(ep)
 
         batch: list[Episode] = []
@@ -324,6 +338,14 @@ def run_rl_search(
             if rlgen.reinforce_update(policy, batch, opt):
                 batches += 1
             since_update = 0
+            # failures carried past the update are re-scored into the next
+            # window with their actions forced, which draws nothing from rng
+            memo = Memo()
+            for i, old in enumerate(fail_pending):
+                fail_pending[i] = generate_episode(
+                    policy, rng, forced_actions=old.actions, memo=memo
+                )
+                fail_pending[i].reward = old.reward
     return RLSearchResult(store, store.best(), rewards_seen, batches, relaxed)
 
 

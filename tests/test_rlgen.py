@@ -10,7 +10,6 @@ import rnndsl.engine as en
 from rnndsl import rlgen
 from rnndsl.dsl import OpKind, analyze, builtin, canonicalize, parse, render
 from rnndsl.rlgen import (
-    Episode,
     Memo,
     PartialArch,
     Policy,
@@ -42,6 +41,12 @@ def encoding(pol, p):
     """The partial tree's encoding, h [1, w] of its root's last step."""
     memo = Memo()
     return memo.hc[pol.encode_partial(p, memo)][:, :pol.cfg.width]
+
+
+def rows(ep):
+    """The episode's rows of its window node: per action, the chosen
+    log-probability and the entropy."""
+    return ep.memo.policy.window(ep.memo).data[ep.rows]
 
 
 class TestMasking:
@@ -133,11 +138,11 @@ class TestEncoding:
         # replay the same action sequence with a fresh memo at every step
         p = PartialArch.empty()
         head = pol.head_start()[0]
-        for act, logp in zip(ep.actions, ep.logps):
+        for act, logp in zip(ep.actions, rows(ep)[:, 0]):
             fresh, _, step = pol.action_logprobs(p, head, Memo())
             head = step[-1]
             idx = pol.actions.index(act)
-            assert fresh[0, idx] == logp.data.item()
+            assert fresh[0, idx] == logp
             p.fill(act)
 
     def test_shared_memo_encodes_bit_for_bit(self, monkeypatch):
@@ -244,8 +249,27 @@ class TestEpisodes:
         ep = generate_episode(pol, np.random.default_rng(2))
         total_nodes = sum(1 for _ in ep.arch.root.walk())
         assert len(ep.actions) == total_nodes
-        assert len(ep.logps) == total_nodes
-        assert len(ep.entropies) == total_nodes
+        assert len(ep.rows) == total_nodes
+        assert rows(ep).shape == (total_nodes, 2)
+
+    def test_rollout_builds_no_tensor(self, monkeypatch):
+        """Under gradients a rollout only records its steps in the memo;
+        the tape node is built when the update asks for it."""
+        pol = tiny_policy()
+        made = []
+        init = en.Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(en.Tensor, "__init__", counted)
+        memo = Memo()
+        eps = [generate_episode(pol, np.random.default_rng(s), memo=memo) for s in range(3)]
+        assert en.grad_enabled() and made == []
+        assert [len(e.rows) for e in eps] == [len(e.actions) for e in eps]
+        eps[0].logp_sum()
+        assert len(made) == 2  # the window node and the episode's sum
 
     def test_forced_replay_rescores_identically(self):
         pol = tiny_policy()
@@ -289,7 +313,9 @@ class TestEpisodes:
         monkeypatch.setattr(rlgen, "generate_episode", kept)
         assert sample_architecture(pol, np.random.default_rng(7)) == want
         (ep,) = episodes
-        assert all(t._parents == () for t in ep.logps + ep.entropies)
+        assert not ep.rows and ep.memo.head == [] and ep.memo.enc == []
+        with pytest.raises(ValueError, match="without gradients"):
+            ep.logp_sum()
         assert en.grad_enabled()
 
 
@@ -474,19 +500,25 @@ def episode_per_op(pol, actions, memo, beta):
     return logps, entropies
 
 
-def reinforce_grads(pol, episodes, advs, beta):
-    """Parameter gradients of the REINFORCE loss over (logps, entropies)
-    pairs, built as `reinforce_update` builds it."""
+def chain_sum(tensors):
+    total = tensors[0]
+    for t in tensors[1:]:
+        total = en.add(total, t)
+    return total
+
+
+def reinforce_grads(pol, sums, advs, beta):
+    """Parameter gradients of the REINFORCE loss over (log-probability sum,
+    entropy sum) pairs, built as `reinforce_update` builds it."""
     total = None
-    for (logps, entropies), adv in zip(episodes, advs):
-        term = en.mul(Episode(None, [], logps, entropies).logp_sum(), en.Tensor(-adv))
+    for (logp, ent), adv in zip(sums, advs):
+        term = en.mul(logp, en.Tensor(-adv))
         if beta > 0:
-            ent = Episode(None, [], logps, entropies).entropy_sum()
             term = en.sub(term, en.mul(ent, en.Tensor(beta)))
         total = term if total is None else en.add(total, term)
     for p in pol.params:
         p.zero_grad()
-    en.mul(en.tsum(total), en.Tensor(1.0 / len(episodes))).backward()
+    en.mul(en.tsum(total), en.Tensor(1.0 / len(sums))).backward()
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in pol.params]
     for p in pol.params:
         p.zero_grad()
@@ -507,10 +539,13 @@ class TestWindowBackward:
                 rng = np.random.default_rng(0 if forced else spec)
                 ep = generate_episode(pol, rng, epsilon=0.1, forced_actions=forced,
                                       memo=memo, entropy_weight=beta)
-                ref = episode_per_op(pol, ep.actions, oracle_memo, beta)
-                assert [l.data.item() for l in ep.logps] == [l.data.item() for l in ref[0]]
-                rolled.append((ep.logps, ep.entropies))
-                oracle.append(ref)
+                logps, entropies = episode_per_op(pol, ep.actions, oracle_memo, beta)
+                assert rows(ep).tolist() == [
+                    [l.data.item(), e.data.item()] for l, e in zip(logps, entropies)
+                ]
+                rolled.append(ep)
+                oracle.append((chain_sum(logps), chain_sum(entropies)))
+        rolled = [(ep.logp_sum(), ep.entropy_sum()) for ep in rolled]
         advs = np.linspace(-1.0, 1.5, len(rolled))
         got = reinforce_grads(pol, rolled, advs, beta)
         want = reinforce_grads(pol, oracle, advs, beta)
@@ -531,6 +566,51 @@ class TestWindowBackward:
         self.check(pol, [[50], [51], [52, 53], [54]], 0.0)
 
 
+class TestRLSearchWindows:
+    def test_carried_failure_is_scored_at_current_parameters(self, monkeypatch):
+        """A failure deferred past an update enters the next update with
+        the gradient of its log-probability at the parameters of that
+        update, as the per-op graph gives it."""
+        from rnndsl import search
+
+        # two failures, then goods: the first update takes three goods and
+        # one failure and defers the other failure to the second update
+        script = iter([(-1.0, False), (-0.5, False), (1.0, True), (2.0, True),
+                       (1.5, True), (0.5, True), (1.2, True), (0.8, True)])
+        monkeypatch.setattr(search, "_episode_result", lambda *args: (*next(script), 1))
+        update, step = rlgen.reinforce_update, en.Optimizer.step
+        updates, grads = [], []
+
+        def spy(policy, batch, opt):
+            updates.append(([p.data.copy() for p in policy.params],
+                            [(list(e.actions), e.reward) for e in batch]))
+            return update(policy, batch, opt)
+
+        def kept_step(opt):
+            grads.append([np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                          for p in opt.params])
+            return step(opt)
+
+        monkeypatch.setattr(rlgen, "reinforce_update", spy)
+        monkeypatch.setattr(en.Optimizer, "step", kept_step)
+        pol = tiny_policy(width=6, use_baseline=False)
+        cfg = search.SearchConfig(mode="rl", max_evaluations=8, min_good=3,
+                                  max_failing=1, min_batch=4)
+        result = search.run_rl_search(cfg, task=None, policy=pol, train_cfg=None)
+        assert result.batches_applied == 2
+        (_, first), (params, batch) = updates
+        assert batch[-1][1] == -0.5 and batch[-1] not in first  # the carried failure
+        for p, data in zip(pol.params, params):
+            p.data[...] = data
+        sums = []
+        for actions, _ in batch:
+            logps, entropies = episode_per_op(pol, actions, {}, 0.0)
+            sums.append((chain_sum(logps), chain_sum(entropies)))
+        want = reinforce_grads(pol, sums, [r for _, r in batch], 0.0)
+        for p, g, w in zip(pol.params, grads[1], want):
+            assert np.abs(g - w).max() <= 1e-12, p.name
+
+
 def parse_actions(pol):
     """A short legal action sequence: Tanh(Add(MM(x_t),h_tm1))."""
     return [
@@ -545,14 +625,11 @@ def parse_actions(pol):
 class TestPretrain:
     def test_smoke_and_result_shape(self):
         pol = tiny_policy(width=8, learning_rate=0.01)
-        res = pretrain_priors(
-            pol, budget=40, batch_size=5, window=20,
-            rng=np.random.default_rng(11),
-        )
+        res = pretrain_priors(pol, budget=40, rng=np.random.default_rng(11))
         assert res.episodes_run == 40
         assert 0.0 <= res.baseline_rate <= 1.0
         assert 0.0 <= res.final_rate <= 1.0
-        assert len(res.rate_history) == 8
+        assert len(res.rate_history) == 40 // rlgen.PRETRAIN_BATCH
 
     def test_shared_memo_matches_per_episode_memo(self, monkeypatch):
         rollout = rlgen.generate_episode

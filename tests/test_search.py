@@ -1,5 +1,6 @@
 """Search orchestration: record store, loops, reports, config loading."""
 
+import hashlib
 import json
 import math
 
@@ -229,6 +230,36 @@ class TestRLBatchComposition:
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
         assert len(result.episode_rewards) == 7
+
+    def test_idle_episodes_stop_the_search(self, monkeypatch):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
+            return 0.5, True, 0  # every tree already evaluated
+
+        monkeypatch.setattr(search, "_episode_result", fake_result)
+        monkeypatch.setattr(rlgen, "reinforce_update", lambda p, b, o: True)
+        cfg = SearchConfig(mode="rl", max_evaluations=7)
+        policy = Policy(RLConfig(width=8, seed=0))
+        with pytest.raises(ValueError, match=(
+            f"{search.IDLE_EPISODES_LIMIT} consecutive episodes .* "
+            r"\(0 evaluations done\)"
+        )):
+            run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
+
+    def test_desk_store_pinned(self, tmp_path):
+        """The first 24 evaluations of the acceptance-09 RL search, byte
+        for byte: a change to the rollouts, the update windows or the
+        update must leave them in place."""
+        task = make_task(TaskSpec(kind="copy_memory", seed=3, batch_size=16,
+                                  train_size=128, valid_size=64, test_size=64))
+        train = TrainConfig(epochs=2, hidden_size=16, failure_check_epoch=1)
+        policy = Policy(RLConfig(width=16, seed=0, learning_rate=0.01,
+                                 normalize_advantage=True))
+        path = tmp_path / "rl.jsonl"
+        cfg = SearchConfig(mode="rl", max_evaluations=24, seed=0, seed_baselines=())
+        run_rl_search(cfg, task, policy, train, store=RecordStore(str(path)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c29a34f5ec80b3a3f3fede92cf27a7ba447be22cc3c9368f87d92cf550809c71"
+        )
 
 
 class TestReports:
