@@ -46,6 +46,14 @@ class TaskSpec:
     copy_len: int = 3
     delay: int = 5
 
+    def __post_init__(self) -> None:
+        for name, least in (("batch_size", 1), ("seq_len", 2), ("train_size", 1),
+                            ("valid_size", 1), ("test_size", 0), ("n_symbols", 1),
+                            ("copy_len", 1), ("delay", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"TaskSpec.{name} must be >= {least}, got {getattr(self, name)}")
+
 
 @dataclass
 class Task:

@@ -2,8 +2,10 @@
 
 Trees grow from the output h_t downward, filling child slots left to
 right; a source leaf is forced whenever the height bound would otherwise
-be exceeded. Emitted candidates are canonical, admissible, deduplicated,
-and expanded into one candidate per valid c_t tap.
+be exceeded. The restriction rules are checked while a tree is drawn, and
+only a tree that passes them is built. Emitted candidates are canonical,
+admissible, deduplicated, and expanded into one candidate per valid c_t
+tap.
 """
 
 from __future__ import annotations
@@ -79,51 +81,108 @@ def _weights_for(cfg: GenConfig, kinds: list[OpKind]) -> np.ndarray:
     return w / w.sum()
 
 
-_DrawTable = tuple[list[float], list[OpKind], list[int], list[Optional[ArchNode]]]
+# one table per depth: cumulative weights, the last index, and per index
+# the kind, its one-hot bit and its children's (depth, banned bits) slots,
+# last child first
+_Level = tuple[list[float], int, list[OpKind], list[int], list[tuple[tuple[int, int], ...]]]
+# the levels, max_nodes, and the bits of the required sources
+_DrawPlan = tuple[list[_Level], int, int]
+
+_BIT = {k: 1 << i for i, k in enumerate(OpKind)}
 
 
-def _draw_table(cfg: GenConfig, kinds: list[OpKind]) -> _DrawTable:
-    """Cumulative weights, kinds, arities and one shared leaf node per
-    source (None for an operator), indexed by draw position; built once
-    per batch so that a draw does no enum lookups."""
-    return (
-        list(np.cumsum(_weights_for(cfg, kinds))),
-        kinds,
-        [k.arity for k in kinds],
-        [ArchNode(k) if k.is_source else None for k in kinds],
-    )
+def _child_slots(op: OpKind, depth: int) -> tuple[tuple[int, int], ...]:
+    """The slots of ``op``'s children, pushed last first. A child may not
+    repeat its parent's operator (stacked_identical), and Gate3's third
+    child must be a Sigmoid (gate_not_sigmoid)."""
+    slots = [(depth, _BIT[op]) for _ in range(op.arity)]
+    if op is OpKind.GATE3:
+        slots[2] = (depth, ~_BIT[OpKind.SIGMOID])
+    return tuple(reversed(slots))
 
 
-def _draw_tables(cfg: GenConfig) -> tuple[_DrawTable, _DrawTable]:
-    """(every kind, sources only): the choices above and at the height bound."""
+def _draw_plan(cfg: GenConfig) -> _DrawPlan:
+    """Draw tables built once per batch, so that a draw does no enum
+    lookups: every kind above the height bound, sources only at it. No
+    operator is drawn at depth >= max_height, so the height rule holds by
+    construction."""
     srcs = cfg.sources()
-    return _draw_table(cfg, cfg.operators() + srcs), _draw_table(cfg, srcs)
+    tables = cfg.operators() + srcs, srcs
+    levels = []
+    for depth in range(max(cfg.max_height, 0) + 1):
+        kinds = tables[depth >= cfg.max_height]
+        levels.append((
+            list(np.cumsum(_weights_for(cfg, kinds))),
+            len(kinds) - 1,
+            kinds,
+            [_BIT[k] for k in kinds],
+            [_child_slots(k, depth + 1) for k in kinds],
+        ))
+    required = 0
+    for k in cfg.require_sources:
+        required |= _BIT[k]
+    return levels, cfg.max_nodes, required
 
 
-def _grow_raw(
-    cfg: GenConfig,
-    rng: np.random.Generator,
-    every: _DrawTable,
-    sources: _DrawTable,
-) -> ArchNode:
-    # inverse-CDF sampling over precomputed cumulative weights, one
-    # rng.random() per node in preorder; children are drawn left to right
+def _draw_raw(plan: _DrawPlan, rng: np.random.Generator) -> tuple[list[OpKind], bool]:
+    """Draw one raw tree: its kinds in preorder, and whether it passes the
+    restriction rules.
+
+    Inverse-CDF sampling over precomputed cumulative weights, one
+    rng.random() per node in preorder, children left to right. The rules
+    are checked as each node is drawn: its slot's banned kinds, the
+    operator count and, at the end, the required sources. A tree that fails
+    is still drawn to its end, unchecked, so the stream does not depend on
+    the rules."""
+    levels, max_nodes, required = plan
     random = rng.random
     bisect_left = bisect.bisect_left
-    max_height = cfg.max_height
+    drawn: list[OpKind] = []
+    append = drawn.append
+    stack = [(0, 0)]
+    pop = stack.pop
+    ops = 0
+    leaves = 0
+    while stack:
+        depth, banned = pop()
+        cum, last, kinds, bits, slots = levels[depth]
+        i = bisect_left(cum, random())
+        if i > last:
+            i = last
+        append(kinds[i])
+        bit = bits[i]
+        kids = slots[i]
+        stack += kids
+        if kids:
+            ops += 1
+        else:
+            leaves |= bit
+        if bit & banned or ops > max_nodes:
+            break
+    else:
+        return drawn, (leaves & required) == required
+    while stack:
+        cum, last, kinds, _, slots = levels[pop()[0]]
+        i = bisect_left(cum, random())
+        if i > last:
+            i = last
+        append(kinds[i])
+        stack += slots[i]
+    return drawn, False
 
-    def draw(depth: int) -> ArchNode:
-        cum, kinds, arities, leaves = sources if depth >= max_height else every
-        idx = bisect_left(cum, random())
-        if idx >= len(kinds):
-            idx = len(kinds) - 1
-        arity = arities[idx]
-        if arity == 0:
-            return leaves[idx]
-        depth += 1
-        return ArchNode(kinds[idx], tuple([draw(depth) for _ in range(arity)]))
 
-    return draw(0)
+def _build_raw(drawn: list[OpKind]) -> ArchNode:
+    """The tree of a preorder draw, built from its last node back."""
+    stack: list[ArchNode] = []
+    for op in reversed(drawn):
+        arity = op.arity
+        if arity:
+            kids = tuple(stack[:-arity - 1:-1])
+            del stack[-arity:]
+            stack.append(ArchNode(op, kids))
+        else:
+            stack.append(ArchNode(op))
+    return stack[0]
 
 
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
@@ -161,13 +220,17 @@ def generate_batch(
     seen = set(seen or ())
     out: list[Architecture] = []
     budget = RAW_DRAWS_PER_CANDIDATE * n
-    every, sources = _draw_tables(cfg)
+    plan = _draw_plan(cfg)
     while len(out) < n and budget > 0:
         budget -= 1
         # restriction flags are invariant under canonicalization, so the
-        # (frequently rejected) raw tree is checked before the more
-        # expensive canonical pass
-        raw = Architecture(_grow_raw(cfg, rng, every, sources))
+        # raw tree is checked before the canonical pass: the draw's rules
+        # reject most trees unbuilt, and dsl.structural_violations decides
+        # on the rest
+        drawn, passed = _draw_raw(plan, rng)
+        if not passed:
+            continue
+        raw = Architecture(_build_raw(drawn))
         if not check_restrictions(raw, cfg).admissible:
             continue
         cand = canonicalize(raw)

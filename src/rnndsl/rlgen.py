@@ -538,25 +538,18 @@ class Episode:
     reward: Optional[float] = None
 
     def logp_sum(self) -> en.Tensor:
-        """The chosen actions' log-probabilities summed, [1, 1]."""
-        return self._rows_sum(0)
-
-    def entropy_sum(self) -> en.Tensor:
-        """The steps' entropies summed, [1, 1]; 0 at entropy weight 0."""
-        return self._rows_sum(1)
-
-    def _rows_sum(self, col: int) -> en.Tensor:
-        """Column ``col`` of the rows summed, one node over the window's."""
+        """The chosen actions' log-probabilities summed, [1, 1]: one node
+        over the window's."""
         if not self.rows:
             raise ValueError("episode was rolled out without gradients")
         window, rows = self.memo.policy.window(self.memo), self.rows
 
         def backward(g):
             full = np.zeros_like(window.data)
-            full[rows, col:col + 1] = g
+            full[rows, 0:1] = g
             return (full,)
 
-        return en.Tensor(window.data[rows, col].sum().reshape(1, 1), (window,), backward)
+        return en.Tensor(window.data[rows, 0].sum().reshape(1, 1), (window,), backward)
 
 
 def generate_episode(
@@ -601,6 +594,36 @@ def sample_architecture(
         return generate_episode(policy, rng, epsilon=epsilon).arch
 
 
+def reinforce_loss(
+    policy: Policy, episodes: Sequence[Episode], advs: Sequence[float], beta: float
+) -> en.Tensor:
+    """The REINFORCE loss, [1, 1]: the mean over episodes of -adv times the
+    summed log-probabilities, minus ``beta`` times the summed entropies.
+
+    It is one node per update window, over the window node, that weights
+    each row by its gradient: (1/N) * -adv for the log-probability and
+    -(1/N) * beta for the entropy, the products a chain of scalar nodes per
+    episode would form, so the bits are the same."""
+    scale = 1.0 / len(episodes)
+    weighted: dict[int, tuple[en.Tensor, np.ndarray]] = {}
+    for e, adv in zip(episodes, advs):
+        if not e.rows:
+            raise ValueError("episode was rolled out without gradients")
+        if id(e.memo) not in weighted:
+            window = policy.window(e.memo)
+            weighted[id(e.memo)] = window, np.zeros_like(window.data)
+        weights = weighted[id(e.memo)][1]
+        weights[e.rows, 0] += scale * -float(adv)
+        if beta > 0:
+            weights[e.rows, 1] += -scale * beta
+    loss = None
+    for window, weights in weighted.values():
+        term = en.Tensor((window.data * weights).sum().reshape(1, 1), (window,),
+                         lambda g, weights=weights: (g * weights,))
+        loss = term if loss is None else en.add(loss, term)
+    return loss
+
+
 def reinforce_update(
     policy: Policy,
     episodes: Sequence[Episode],
@@ -622,14 +645,7 @@ def reinforce_update(
     else:
         advs = rewards
     beta = policy.cfg.entropy_weight if entropy_weight is None else entropy_weight
-    total = None
-    for e, adv in zip(episodes, advs):
-        term = en.mul(e.logp_sum(), en.Tensor(-float(adv)))
-        if beta > 0:
-            term = en.sub(term, en.mul(e.entropy_sum(), en.Tensor(beta)))
-        total = term if total is None else en.add(total, term)
-    loss = en.mul(en.tsum(total), en.Tensor(1.0 / len(episodes)))
-    loss.backward()
+    reinforce_loss(policy, episodes, advs, beta).backward()
     finite = all(
         p.grad is None or np.all(np.isfinite(p.grad)) for p in policy.params
     )

@@ -303,3 +303,24 @@ class TestHopelessGenerator:
         assert stdout == ""
         assert err.splitlines() == ["error[ValueError]: GenConfig.max_nodes must be >= 1, got -1"]
         assert not out.exists()
+
+
+class TestBadTaskSize:
+    @pytest.mark.parametrize("field,value,least", [
+        ("batch_size", 0, 1), ("train_size", 0, 1), ("valid_size", 0, 1),
+        ("n_symbols", 0, 1), ("copy_len", 0, 1), ("test_size", -1, 0),
+        ("delay", -1, 0), ("seq_len", 1, 2),
+    ])
+    def test_refused_before_any_work(self, capsys, tmp_path, field, value, least):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": {field: value}}))
+        out = tmp_path / "r.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "search", "random", "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error[ValueError]: TaskSpec.{field} must be >= {least}, got {value}"
+        ]
+        assert not out.exists()

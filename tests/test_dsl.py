@@ -28,7 +28,7 @@ from rnndsl.dsl import (
     subtree_uses,
     tree_height,
 )
-from rnndsl.randgen import GenConfig, _draw_tables, _grow_raw
+from rnndsl.randgen import GenConfig, _build_raw, _draw_plan, _draw_raw
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
@@ -349,11 +349,11 @@ class TestOnePassMatchesMultiWalk:
     def test_same_flags_in_same_order(self, extended):
         cfg = GenConfig(extended_dsl=extended)
         rng = np.random.default_rng(11 + extended)
-        tables = _draw_tables(cfg)
+        plan = _draw_plan(cfg)
         seen_flags = set()
         n_taps = 0
         for _ in range(2500):
-            arch = Architecture(_grow_raw(cfg, rng, *tables))
+            arch = Architecture(_build_raw(_draw_raw(plan, rng)[0]))
             variants = [arch]
             if subtree_uses(arch.root, OpKind.CM1):
                 variants += enumerate_ct_taps(arch)

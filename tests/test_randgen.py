@@ -1,5 +1,6 @@
 """Random candidate generation, restrictions, dedup, c_t expansion."""
 
+import bisect
 import hashlib
 
 import numpy as np
@@ -12,9 +13,11 @@ from rnndsl.dsl import (
     EXTENDED_OPERATORS,
     EXTENDED_SOURCES,
     Architecture,
+    ArchNode,
     OpKind,
     analyze,
     builtin,
+    canonicalize,
     parse,
     render,
 )
@@ -30,8 +33,58 @@ EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t))))
 
 
 def grow_raw(cfg, rng):
-    """One raw draw, root-first and unfiltered."""
-    return Architecture(randgen._grow_raw(cfg, rng, *randgen._draw_tables(cfg)))
+    """One raw draw, root-first and unfiltered: built whether or not it
+    passes the draw's rules."""
+    drawn, _ = randgen._draw_raw(randgen._draw_plan(cfg), rng)
+    return Architecture(randgen._build_raw(drawn))
+
+
+def oracle_tables(cfg):
+    """(every kind, sources only), each as cumulative weights, kinds and
+    arities: the tables of the recursive grower."""
+
+    def table(kinds):
+        weights = cfg.operator_weights or {}
+        w = np.array([max(0.0, weights.get(k, 1.0)) for k in kinds])
+        return list(np.cumsum(w / w.sum())), kinds, [k.arity for k in kinds]
+
+    srcs = cfg.sources()
+    return table(cfg.operators() + srcs), table(srcs)
+
+
+def oracle_grow(cfg, rng, every, sources):
+    """The recursive grower that `_draw_raw` replaced: one rng.random() per
+    node in preorder, children left to right, sources only at depth >=
+    max_height, and every tree built whole."""
+
+    def draw(depth):
+        cum, kinds, arities = sources if depth >= cfg.max_height else every
+        idx = min(bisect.bisect_left(cum, rng.random()), len(kinds) - 1)
+        kids = tuple([draw(depth + 1) for _ in range(arities[idx])])
+        return ArchNode(kinds[idx], kids)
+
+    return draw(0)
+
+
+def oracle_batch(cfg, n, rng):
+    """`generate_batch` as it was: every raw tree built, then checked whole
+    by `check_restrictions`."""
+    tables = oracle_tables(cfg)
+    seen, out = set(), []
+    budget = randgen.RAW_DRAWS_PER_CANDIDATE * n
+    while len(out) < n and budget > 0:
+        budget -= 1
+        raw = Architecture(oracle_grow(cfg, rng, *tables))
+        if not check_restrictions(raw, cfg).admissible:
+            continue
+        for variant in expand_ct_variants(canonicalize(raw)):
+            vid = arch_id(variant)
+            if vid not in seen:
+                seen.add(vid)
+                out.append(variant)
+                if len(out) >= n:
+                    break
+    return out
 
 
 class TestGrowRandom:
@@ -142,24 +195,80 @@ class TestGenerateBatch:
             assert arch_id(arch) == arch_id(canonicalize(arch))
 
 
+TIGHT = {"max_nodes": 6, "max_height": 3,
+         "require_sources": (OpKind.HM1, OpKind.X, OpKind.CM1)}
+SKEWED = {"operator_weights": {OpKind.GATE3: 2.0, OpKind.SIGMOID: 3.0,
+                               OpKind.MM: 0.3, OpKind.ADD: 0.5}}
+
+# (GenConfig fields, rng seed): the TestOnePassMatchesMultiWalk corpora (core
+# and extended DSL at its default and tight bounds, rng 11 and 12), then the
+# other knobs the draw's rules read
+AGREEMENT = [
+    ({}, 11),
+    (TIGHT, 11),
+    ({"extended_dsl": True}, 12),
+    ({"extended_dsl": True, **TIGHT}, 12),
+    ({"allow_cm1": False}, 13),
+    ({"require_sources": (OpKind.X,)}, 14),
+    (SKEWED, 15),
+]
+
+
+class TestDrawMatchesOracle:
+    """`_draw_raw` checks the restriction rules while it draws; its verdict
+    must be `check_restrictions` of the tree it built, and the tree and the
+    generator state after it must be the recursive grower's."""
+
+    @pytest.mark.parametrize("fields,seed", AGREEMENT)
+    def test_verdict_tree_and_state(self, fields, seed):
+        cfg = GenConfig(**fields)
+        plan, tables = randgen._draw_plan(cfg), oracle_tables(cfg)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        passed_count = 0
+        for _ in range(2500):
+            drawn, passed = randgen._draw_raw(plan, rng)
+            arch = Architecture(randgen._build_raw(drawn))
+            assert arch.root == oracle_grow(cfg, ref, *tables)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert passed == check_restrictions(arch, cfg).admissible, render(arch)
+            passed_count += passed
+        assert 0 < passed_count < 2500
+
+    @pytest.mark.parametrize("fields,seed", [({}, 0), ({}, 1), ({}, 2),
+                                             ({"extended_dsl": True, **TIGHT}, 12),
+                                             (SKEWED, 15)])
+    def test_batch_matches_oracle(self, fields, seed):
+        cfg = GenConfig(seed=seed, **fields)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generate_batch(cfg, 150, rng=rng) == oracle_batch(cfg, 150, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestDrawStream:
-    """The generator's output and its raw-tree count are pinned: a faster
-    sampler must make the same rng.random() calls in the same order."""
+    """The generator's output, its raw-tree count and the generator state
+    after it are pinned: a faster sampler must make the same rng.random()
+    calls in the same order."""
 
     def test_pinned_ids_and_raw_tree_count(self, monkeypatch):
-        checked = []
-        check = randgen.check_restrictions
+        draws = 0
+        draw = randgen._draw_raw
 
-        def counted(arch, cfg):
-            checked.append(arch)
-            return check(arch, cfg)
+        def counted(plan, rng):
+            nonlocal draws
+            draws += 1
+            return draw(plan, rng)
 
-        monkeypatch.setattr(randgen, "check_restrictions", counted)
-        batch = generate_batch(GenConfig(seed=0), 300, rng=np.random.default_rng((0, 2)))
+        monkeypatch.setattr(randgen, "_draw_raw", counted)
+        rng = np.random.default_rng((0, 2))
+        batch = generate_batch(GenConfig(seed=0), 300, rng=rng)
         ids = "\n".join(arch_id(a) for a in batch)
         assert len(batch) == 300
         assert hashlib.sha256(ids.encode()).hexdigest() == (
             "020397fabd04021c580f0fc5f4b1d57b7ebd806f272195d0349aa08ca0cf08b4"
         )
-        # one check per raw tree, each a fresh draw
-        assert len(checked) == 12946
+        # one draw per raw tree
+        assert draws == 12946
+        assert rng.bit_generator.state["state"] == {
+            "state": 106480907708026234580090072675587569328,
+            "inc": 19681440599402660950022900364292316661,
+        }

@@ -507,18 +507,23 @@ def chain_sum(tensors):
     return total
 
 
-def reinforce_grads(pol, sums, advs, beta):
-    """Parameter gradients of the REINFORCE loss over (log-probability sum,
-    entropy sum) pairs, built as `reinforce_update` builds it."""
+def chain_loss(sums, advs, beta):
+    """The REINFORCE loss over (log-probability sum, entropy sum) pairs as a
+    chain of scalar nodes per episode: the oracle of `reinforce_loss`."""
     total = None
     for (logp, ent), adv in zip(sums, advs):
         term = en.mul(logp, en.Tensor(-adv))
         if beta > 0:
             term = en.sub(term, en.mul(ent, en.Tensor(beta)))
         total = term if total is None else en.add(total, term)
+    return en.mul(en.tsum(total), en.Tensor(1.0 / len(sums)))
+
+
+def param_grads(pol, loss):
+    """The policy parameters' gradients of ``loss``, zeros where none."""
     for p in pol.params:
         p.zero_grad()
-    en.mul(en.tsum(total), en.Tensor(1.0 / len(sums))).backward()
+    loss.backward()
     grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in pol.params]
     for p in pol.params:
         p.zero_grad()
@@ -545,10 +550,9 @@ class TestWindowBackward:
                 ]
                 rolled.append(ep)
                 oracle.append((chain_sum(logps), chain_sum(entropies)))
-        rolled = [(ep.logp_sum(), ep.entropy_sum()) for ep in rolled]
         advs = np.linspace(-1.0, 1.5, len(rolled))
-        got = reinforce_grads(pol, rolled, advs, beta)
-        want = reinforce_grads(pol, oracle, advs, beta)
+        got = param_grads(pol, rlgen.reinforce_loss(pol, rolled, advs, beta))
+        want = param_grads(pol, chain_loss(oracle, advs, beta))
         # every weight matrix and bias, and some token embeddings, are reached
         reached = {p.name for p, w in zip(pol.params, want) if np.abs(w).max() > 1e-6}
         assert {p.name for p in pol.params if not p.name.startswith("tok_")} < reached
@@ -606,7 +610,7 @@ class TestRLSearchWindows:
         for actions, _ in batch:
             logps, entropies = episode_per_op(pol, actions, {}, 0.0)
             sums.append((chain_sum(logps), chain_sum(entropies)))
-        want = reinforce_grads(pol, sums, [r for _, r in batch], 0.0)
+        want = param_grads(pol, chain_loss(sums, [r for _, r in batch], 0.0))
         for p, g, w in zip(pol.params, grads[1], want):
             assert np.abs(g - w).max() <= 1e-12, p.name
 
