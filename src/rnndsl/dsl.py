@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 
 class OpKind(Enum):
@@ -113,6 +113,16 @@ CORE_SOURCES = [OpKind.X, OpKind.XM1, OpKind.HM1, OpKind.CM1]
 EXTENDED_SOURCES = CORE_SOURCES + [OpKind.POSENC]
 
 
+def vocabulary(extended: bool, allow_cm1: bool) -> tuple[list[OpKind], list[OpKind]]:
+    """The operators and the sources a generator may choose, in a fixed
+    order (the random draw's tables, the policy's action space)."""
+    ops = list(EXTENDED_OPERATORS if extended else CORE_OPERATORS)
+    srcs = list(EXTENDED_SOURCES if extended else CORE_SOURCES)
+    if not allow_cm1:
+        srcs.remove(OpKind.CM1)
+    return ops, srcs
+
+
 @dataclass(frozen=True)
 class ArchNode:
     op: OpKind
@@ -136,6 +146,22 @@ class ArchNode:
 class Architecture:
     root: ArchNode
     ct_node: Optional[int] = None
+
+
+def from_preorder(kinds: Sequence[OpKind]) -> ArchNode:
+    """The tree whose kinds in preorder, children left to right, are
+    ``kinds``: the order both generators fill slots in. Built from the last
+    node back."""
+    stack: list[ArchNode] = []
+    for op in reversed(kinds):
+        arity = op.arity
+        if arity:
+            kids = tuple(stack[:-arity - 1:-1])
+            del stack[-arity:]
+            stack.append(ArchNode(op, kids))
+        else:
+            stack.append(ArchNode(op))
+    return stack[0]
 
 
 class ParseError(ValueError):
@@ -479,6 +505,9 @@ def tree_height(root: ArchNode) -> int:
     return best
 
 
+_MISSING = {OpKind.X: "missing_x", OpKind.HM1: "missing_h"}
+
+
 def structural_violations(
     arch: Architecture,
     max_nodes: int = 21,
@@ -521,7 +550,7 @@ def structural_violations(
         depth += 1
         stack.extend([(c, depth) for c in reversed(kids)])
     flags = [
-        "missing_x" if req is OpKind.X else "missing_h"
+        _MISSING.get(req) or f"missing_{req.value}"
         for req in require_sources
         if req not in sources
     ]

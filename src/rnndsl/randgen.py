@@ -19,17 +19,14 @@ import numpy as np
 
 from .dsl import (
     Architecture,
-    ArchNode,
-    CORE_OPERATORS,
-    CORE_SOURCES,
-    EXTENDED_OPERATORS,
-    EXTENDED_SOURCES,
     OpKind,
     canonicalize,
     enumerate_ct_taps,
+    from_preorder,
     render,
     structural_violations,
     subtree_uses,
+    vocabulary,
 )
 
 
@@ -47,15 +44,12 @@ class GenConfig:
         for name in ("max_nodes", "max_height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"GenConfig.{name} must be >= 1, got {getattr(self, name)}")
-
-    def operators(self) -> list[OpKind]:
-        return list(EXTENDED_OPERATORS if self.extended_dsl else CORE_OPERATORS)
-
-    def sources(self) -> list[OpKind]:
-        srcs = list(EXTENDED_SOURCES if self.extended_dsl else CORE_SOURCES)
-        if not self.allow_cm1:
-            srcs.remove(OpKind.CM1)
-        return srcs
+        # a required source the draw can never place would spend every raw
+        # draw of a batch and admit nothing
+        srcs = [k.value for k in vocabulary(self.extended_dsl, self.allow_cm1)[1]]
+        never = [k.value for k in self.require_sources if k.value not in srcs]
+        if never:
+            raise ValueError(f"GenConfig.require_sources must be among {srcs}, got {never}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,8 @@ def _draw_plan(cfg: GenConfig) -> _DrawPlan:
     lookups: every kind above the height bound, sources only at it. No
     operator is drawn at depth >= max_height, so the height rule holds by
     construction."""
-    srcs = cfg.sources()
-    tables = cfg.operators() + srcs, srcs
+    ops, srcs = vocabulary(cfg.extended_dsl, cfg.allow_cm1)
+    tables = ops + srcs, srcs
     levels = []
     for depth in range(max(cfg.max_height, 0) + 1):
         kinds = tables[depth >= cfg.max_height]
@@ -171,20 +165,6 @@ def _draw_raw(plan: _DrawPlan, rng: np.random.Generator) -> tuple[list[OpKind], 
     return drawn, False
 
 
-def _build_raw(drawn: list[OpKind]) -> ArchNode:
-    """The tree of a preorder draw, built from its last node back."""
-    stack: list[ArchNode] = []
-    for op in reversed(drawn):
-        arity = op.arity
-        if arity:
-            kids = tuple(stack[:-arity - 1:-1])
-            del stack[-arity:]
-            stack.append(ArchNode(op, kids))
-        else:
-            stack.append(ArchNode(op))
-    return stack[0]
-
-
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
     flags = structural_violations(
         arch,
@@ -230,7 +210,7 @@ def generate_batch(
         drawn, passed = _draw_raw(plan, rng)
         if not passed:
             continue
-        raw = Architecture(_build_raw(drawn))
+        raw = Architecture(from_preorder(drawn))
         if not check_restrictions(raw, cfg).admissible:
             continue
         cand = canonicalize(raw)

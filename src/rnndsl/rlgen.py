@@ -9,23 +9,21 @@ with a multinomial under an epsilon-greedy scheme.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import engine as en
 from .dsl import (
     Architecture,
-    ArchNode,
-    CORE_OPERATORS,
-    CORE_SOURCES,
-    EXTENDED_OPERATORS,
-    EXTENDED_SOURCES,
     OpKind,
     canonicalize,  # noqa: F401  (the benchmark tracer wraps rlgen.canonicalize)
+    from_preorder,
     tree_height,
+    vocabulary,
 )
 
 EMPTY_TOKEN = "empty"
@@ -46,13 +44,6 @@ class RLConfig:
     normalize_advantage: bool = False
     entropy_weight: float = 0.0
     seed: int = 0
-
-    def action_space(self) -> list[OpKind]:
-        ops = list(EXTENDED_OPERATORS if self.extended_dsl else CORE_OPERATORS)
-        srcs = list(EXTENDED_SOURCES if self.extended_dsl else CORE_SOURCES)
-        if not self.allow_cm1:
-            srcs.remove(OpKind.CM1)
-        return ops + srcs
 
 
 @dataclass
@@ -81,125 +72,81 @@ def reward(cfg: RewardConfig, loss: Optional[float], status: str = "ok") -> floa
 # priors
 # ---------------------------------------------------------------------------
 
-def _depth_nodes(root: ArchNode) -> int:
-    """Operator nodes on the longest root-to-leaf path."""
-    return tree_height(root) + 1 if not root.op.is_source else 0
-
-
 def prior_depth(arch: Architecture, lo: int = 3, hi: int = 11) -> bool:
-    return lo <= _depth_nodes(arch.root) <= hi
-
-
-def prior_components(arch: Architecture) -> bool:
-    ops = [n.op for n in arch.root.walk()]
-    return (
-        OpKind.X in ops
-        and OpKind.HM1 in ops
-        and OpKind.MM in ops
-        and any(o.is_activation for o in ops)
-    )
-
-
-def prior_no_repeated_child(arch: Architecture) -> bool:
-    return all(
-        c.op is not n.op
-        for n in arch.root.walk()
-        if not n.op.is_source
-        for c in n.children
-    )
-
-
-def prior_no_stacked_activation(arch: Architecture) -> bool:
-    return all(
-        not (n.op.is_activation and c.op.is_activation)
-        for n in arch.root.walk()
-        for c in n.children
-    )
-
-
-def prior_gate_inputs_distinct(arch: Architecture) -> bool:
-    from .dsl import render_node
-
-    for n in arch.root.walk():
-        if n.op is OpKind.GATE3:
-            r = [render_node(c) for c in n.children]
-            if len(set(r)) != 3:
-                return False
-    return True
-
-
-def prior_mm_on_source(arch: Architecture) -> bool:
-    return all(
-        n.children[0].op.is_source
-        for n in arch.root.walk()
-        if n.op is OpKind.MM
-    )
-
-
-PRIORS = (
-    prior_depth,
-    prior_components,
-    prior_no_repeated_child,
-    prior_no_stacked_activation,
-    prior_gate_inputs_distinct,
-    prior_mm_on_source,
-)
+    """Whether the operator nodes on the longest root-to-leaf path number
+    between ``lo`` and ``hi``."""
+    root = arch.root
+    return lo <= (0 if root.op.is_source else tree_height(root) + 1) <= hi
 
 
 def prior_satisfaction(arch: Architecture) -> list[bool]:
-    return [p(arch) for p in PRIORS]
+    """The six priors: the depth bound; x_t, h_tm1, MM and an activation all
+    present; no child repeating its parent's operator; no activation
+    directly over an activation; three distinct Gate3 children; every MM
+    over a source. One walk of the tree decides the last five."""
+    kinds: set[OpKind] = set()
+    repeated = stacked = gate_alike = mm_deep = False
+    stack = [arch.root]
+    while stack:
+        n = stack.pop()
+        op = n.op
+        kinds.add(op)
+        kids = n.children
+        if not kids:
+            continue
+        activation = op.is_activation
+        for c in kids:
+            repeated |= c.op is op
+            stacked |= activation and c.op.is_activation
+        if op is OpKind.GATE3:
+            a, b, g = kids
+            gate_alike |= a == b or a == g or b == g
+        elif op is OpKind.MM:
+            mm_deep |= not kids[0].op.is_source
+        stack += kids
+    return [
+        prior_depth(arch),
+        {OpKind.X, OpKind.HM1, OpKind.MM} <= kinds and any(k.is_activation for k in kinds),
+        not repeated,
+        not stacked,
+        not gate_alike,
+        not mm_deep,
+    ]
 
 
 # ---------------------------------------------------------------------------
 # partial trees
 # ---------------------------------------------------------------------------
 
-class PartialNode:
-    __slots__ = ("op", "children")
-
-    def __init__(self, op: Optional[OpKind] = None):
-        self.op = op
-        self.children: list[PartialNode] = []
-
-    def to_arch_node(self) -> ArchNode:
-        assert self.op is not None
-        return ArchNode(self.op, tuple(c.to_arch_node() for c in self.children))
-
-
 @dataclass
 class PartialArch:
-    root: PartialNode
-    open_slots: list[tuple[PartialNode, int]]  # leftmost-first (node, depth)
-    operator_count: int = 0  # filled slots holding an operator
+    """A tree grown in preorder, children left to right: the actions so far
+    and the depths of the open slots, the leftmost (the target) last. The
+    filled nodes come first in the tree's preorder, the open slots after
+    them."""
 
-    @classmethod
-    def empty(cls) -> "PartialArch":
-        root = PartialNode()
-        return cls(root=root, open_slots=[(root, 0)])
+    actions: list[OpKind] = field(default_factory=list)
+    open_depths: list[int] = field(default_factory=lambda: [0])
+    operator_count: int = 0  # filled slots holding an operator
 
     @property
     def complete(self) -> bool:
-        return not self.open_slots
-
-    @property
-    def target(self) -> Optional[PartialNode]:
-        return self.open_slots[0][0] if self.open_slots else None
+        return not self.open_depths
 
     @property
     def target_depth(self) -> int:
-        return self.open_slots[0][1]
+        return self.open_depths[-1]
 
     def fill(self, kind: OpKind) -> None:
-        node, depth = self.open_slots.pop(0)
-        node.op = kind
-        node.children = [PartialNode() for _ in range(kind.arity)]
-        self.open_slots[:0] = [(k, depth + 1) for k in node.children]
+        depth = self.open_depths.pop()
+        self.open_depths += [depth + 1] * kind.arity
         self.operator_count += not kind.is_source
+        self.actions.append(kind)
 
     def to_architecture(self) -> Architecture:
         if not self.complete:
             raise ValueError("partial tree still has empty slots")
-        return Architecture(self.root.to_arch_node())
+        return Architecture(from_preorder(self.actions))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +188,8 @@ class Policy:
         self.cfg = cfg or RLConfig()
         w = self.cfg.width
         rng = np.random.default_rng(self.cfg.seed)
-        self.actions = self.cfg.action_space()
+        ops, srcs = vocabulary(self.cfg.extended_dsl, self.cfg.allow_cm1)
+        self.actions = ops + srcs
         self._sources = np.array([a.is_source for a in self.actions])
         self._operators = ~self._sources
         self.params: list[en.Parameter] = []
@@ -260,9 +208,10 @@ class Policy:
 
         self.tokens = [k.value for k in OpKind] + [EMPTY_TOKEN, TARGET_TOKEN]
         # the encoder input of a node's first step, by its operator or slot
-        # token: -1 - the token's index (`_memo_step`)
+        # token: -1 - the token's index (`_memo_step`), and its child count
         self._token_input = {
-            t: -1 - j for j, t in enumerate([*OpKind, EMPTY_TOKEN, TARGET_TOKEN])
+            t: (-1 - j, t.arity if isinstance(t, OpKind) else 0)
+            for j, t in enumerate([*OpKind, EMPTY_TOKEN, TARGET_TOKEN])
         }
         self.tok_emb = {t: par(f"tok_{t}", (1, w)) for t in self.tokens}
         # fused i|f|o|u gate blocks: one [4w x w] matrix per input
@@ -311,24 +260,23 @@ class Policy:
                                   levels[prev] if prev >= 0 else -1))
         return step
 
-    def _node_state(self, node: PartialNode, target: Optional[PartialNode], memo: Memo) -> int:
-        """A node's last encoder step: the shared LSTM over [token, child
-        states], state reset per node. The state after the token and the
-        first j children depends only on the token, those children's steps
-        and the parameters, so ``memo`` holds it by (token) or (step of the
-        previous prefix, step of child j), across episodes when the caller
-        shares it. Each action walks the whole partial tree again; a
-        subtree seen before is a chain of lookups and costs no step."""
+    def _node_state(self, kinds: Iterator, memo: Memo) -> int:
+        """The last encoder step of the node whose preorder starts at the
+        next of ``kinds`` (operators, sources and slot tokens): the shared
+        LSTM over [token, child states], state reset per node. The state
+        after the token and the first j children depends only on the token,
+        those children's steps and the parameters, so ``memo`` holds it by
+        (token) or (step of the previous prefix, step of child j), across
+        episodes when the caller shares it. Each action walks the whole
+        partial tree again; a subtree seen before is a chain of lookups and
+        costs no step."""
         keys = memo.keys
-        token = self._token_input[
-            node.op if node.op is not None
-            else TARGET_TOKEN if node is target else EMPTY_TOKEN
-        ]
+        token, arity = self._token_input[next(kinds)]
         step = keys.get(token)
         if step is None:
             step = self._memo_step(memo, token, token, -1)
-        for child in node.children:
-            kid = self._node_state(child, target, memo)
+        for _ in range(arity):
+            kid = self._node_state(kinds, memo)
             key = (step, kid)
             known = keys.get(key)
             step = self._memo_step(memo, key, kid, step) if known is None else known
@@ -336,8 +284,10 @@ class Policy:
 
     def encode_partial(self, p: PartialArch, memo: Memo) -> int:
         """The memo step whose hidden state, ``memo.hc[step][:, :w]``,
-        encodes the partial tree."""
-        return self._node_state(p.root, p.target, memo)
+        encodes the partial tree: its actions, then its open slots in
+        preorder, the first the target and the rest empty."""
+        kinds = itertools.chain(p.actions, (TARGET_TOKEN,), itertools.repeat(EMPTY_TOKEN))
+        return self._node_state(kinds, memo)
 
     # -- action selection --------------------------------------------------
 
@@ -572,17 +522,15 @@ def generate_episode(
     the entropy terms on when positive.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
-    p = PartialArch.empty()
+    p = PartialArch()
     head = policy.head_start()
-    actions: list[OpKind] = []
     memo = Memo() if memo is None else memo
     first = len(memo.head)
     while not p.complete:
-        forced = forced_actions[len(actions)] if forced_actions is not None else None
+        forced = forced_actions[len(p.actions)] if forced_actions is not None else None
         act, head = policy.next_action(p, head, memo, eps, rng, forced, entropy_weight)
         p.fill(act)
-        actions.append(act)
-    return Episode(p.to_architecture(), actions, memo, range(first, len(memo.head)))
+    return Episode(p.to_architecture(), p.actions, memo, range(first, len(memo.head)))
 
 
 def sample_architecture(

@@ -292,6 +292,8 @@ class TestRemovedOptions:
 
 
 class TestHopelessGenerator:
+    CORE = ["x_t", "x_tm1", "h_tm1", "c_tm1"]  # the core DSL's sources
+
     def test_max_nodes_below_one_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gen": {"max_nodes": -1}}))
@@ -302,6 +304,26 @@ class TestHopelessGenerator:
         assert code == 1
         assert stdout == ""
         assert err.splitlines() == ["error[ValueError]: GenConfig.max_nodes must be >= 1, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gen,drawn,never", [
+        ({"require_sources": ["MM"]}, CORE, "MM"),
+        ({"require_sources": ["x_t", "posenc"]}, CORE, "posenc"),
+        ({"require_sources": ["c_tm1"], "allow_cm1": False}, CORE[:3], "c_tm1"),
+    ])
+    def test_undrawable_required_source_exit_1(self, capsys, tmp_path, gen, drawn, never):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gen": gen}))
+        out = tmp_path / "r.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "search", "random", "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == [
+            f"error[ValueError]: GenConfig.require_sources must be among {drawn}, "
+            f"got {[never]}"
+        ]
         assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from rnndsl.dsl import (
     builtin_names,
     canonicalize,
     enumerate_ct_taps,
+    from_preorder,
     node_at_index,
     numbered_operator_nodes,
     operator_count,
@@ -28,7 +29,7 @@ from rnndsl.dsl import (
     subtree_uses,
     tree_height,
 )
-from rnndsl.randgen import GenConfig, _build_raw, _draw_plan, _draw_raw
+from rnndsl.randgen import GenConfig, _draw_plan, _draw_raw
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
@@ -306,6 +307,14 @@ class TestStructuralViolations:
     def test_missing_sources(self):
         flags = structural_violations(parse("Tanh(MM(x_t))"))
         assert "missing_h" in flags
+        # every other required source is named by its own value
+        gru = builtin("gru")
+        assert structural_violations(gru, require_sources=(OpKind.X, OpKind.CM1)) == [
+            "missing_c_tm1"
+        ]
+        assert structural_violations(gru, require_sources=(OpKind.X, OpKind.POSENC)) == [
+            "missing_posenc"
+        ]
 
 
 def multi_walk_violations(arch, max_nodes, max_height, require_sources):
@@ -315,7 +324,8 @@ def multi_walk_violations(arch, max_nodes, max_height, require_sources):
     sources = {n.op for n in root.walk() if n.op.is_source}
     for req in require_sources:
         if req not in sources:
-            flags.append("missing_x" if req is OpKind.X else "missing_h")
+            flags.append({OpKind.X: "missing_x", OpKind.HM1: "missing_h"}.get(
+                req, f"missing_{req.value}"))
     for n in root.walk():
         if n.op is OpKind.GATE3 and n.children[2].op is not OpKind.SIGMOID:
             if "gate_not_sigmoid" not in flags:
@@ -353,7 +363,7 @@ class TestOnePassMatchesMultiWalk:
         seen_flags = set()
         n_taps = 0
         for _ in range(2500):
-            arch = Architecture(_build_raw(_draw_raw(plan, rng)[0]))
+            arch = Architecture(from_preorder(_draw_raw(plan, rng)[0]))
             variants = [arch]
             if subtree_uses(arch.root, OpKind.CM1):
                 variants += enumerate_ct_taps(arch)
@@ -370,8 +380,8 @@ class TestOnePassMatchesMultiWalk:
                     seen_flags.update(want)
         assert n_taps > 1000
         assert seen_flags == {
-            "missing_x", "missing_h", "gate_not_sigmoid", "stacked_identical",
-            "too_big", "too_tall", "ct_without_cm1", "trivial_ct",
+            "missing_x", "missing_h", "missing_c_tm1", "gate_not_sigmoid",
+            "stacked_identical", "too_big", "too_tall", "ct_without_cm1", "trivial_ct",
         }
 
     def test_gate_and_stacking_flags_keep_tree_order(self):

@@ -18,8 +18,10 @@ from rnndsl.dsl import (
     analyze,
     builtin,
     canonicalize,
+    from_preorder,
     parse,
     render,
+    vocabulary,
 )
 from rnndsl.randgen import (
     GenConfig,
@@ -36,7 +38,7 @@ def grow_raw(cfg, rng):
     """One raw draw, root-first and unfiltered: built whether or not it
     passes the draw's rules."""
     drawn, _ = randgen._draw_raw(randgen._draw_plan(cfg), rng)
-    return Architecture(randgen._build_raw(drawn))
+    return Architecture(from_preorder(drawn))
 
 
 def oracle_tables(cfg):
@@ -48,8 +50,8 @@ def oracle_tables(cfg):
         w = np.array([max(0.0, weights.get(k, 1.0)) for k in kinds])
         return list(np.cumsum(w / w.sum())), kinds, [k.arity for k in kinds]
 
-    srcs = cfg.sources()
-    return table(cfg.operators() + srcs), table(srcs)
+    ops, srcs = vocabulary(cfg.extended_dsl, cfg.allow_cm1)
+    return table(ops + srcs), table(srcs)
 
 
 def oracle_grow(cfg, rng, every, sources):
@@ -227,7 +229,7 @@ class TestDrawMatchesOracle:
         passed_count = 0
         for _ in range(2500):
             drawn, passed = randgen._draw_raw(plan, rng)
-            arch = Architecture(randgen._build_raw(drawn))
+            arch = Architecture(from_preorder(drawn))
             assert arch.root == oracle_grow(cfg, ref, *tables)
             assert rng.bit_generator.state == ref.bit_generator.state
             assert passed == check_restrictions(arch, cfg).admissible, render(arch)

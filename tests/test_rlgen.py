@@ -1,14 +1,27 @@
 """Policy-driven incremental generation: masking, rewards, REINFORCE."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import rnndsl.engine as en
-from rnndsl import rlgen
-from rnndsl.dsl import OpKind, analyze, builtin, canonicalize, parse, render
+from rnndsl import randgen, rlgen
+from rnndsl.dsl import (
+    Architecture,
+    OpKind,
+    analyze,
+    builtin,
+    canonicalize,
+    from_preorder,
+    parse,
+    render,
+    render_node,
+    tree_height,
+)
+from rnndsl.randgen import GenConfig
 from rnndsl.rlgen import (
     Memo,
     PartialArch,
@@ -18,12 +31,7 @@ from rnndsl.rlgen import (
     generate_episode,
     measure_satisfaction,
     pretrain_priors,
-    prior_components,
     prior_depth,
-    prior_gate_inputs_distinct,
-    prior_mm_on_source,
-    prior_no_repeated_child,
-    prior_no_stacked_activation,
     prior_satisfaction,
     reinforce_update,
     reward,
@@ -52,14 +60,14 @@ def rows(ep):
 class TestMasking:
     def test_root_slot_excludes_sources(self):
         pol = tiny_policy()
-        p = PartialArch.empty()
+        p = PartialArch()
         mask = pol.legal_actions(p)
         for a, ok in zip(pol.actions, mask):
             assert ok == (not a.is_source)
 
     def test_max_depth_forces_sources(self):
         pol = tiny_policy(max_depth=2)
-        p = PartialArch.empty()
+        p = PartialArch()
         p.fill(OpKind.ADD)
         p.fill(OpKind.TANH)
         assert p.target_depth == 2
@@ -69,25 +77,33 @@ class TestMasking:
 
     def test_max_nodes_forces_sources(self):
         pol = tiny_policy(max_nodes=1)
-        p = PartialArch.empty()
+        p = PartialArch()
         p.fill(OpKind.ADD)
         mask = pol.legal_actions(p)
         for a, ok in zip(pol.actions, mask):
             assert ok == a.is_source
 
     def test_mask_matches_tree_walk(self):
-        # the old mask: count operators by walking the partial tree
+        # the old mask: count operators and find the target's depth by
+        # walking the partial tree, here rebuilt from its preorder actions
         def walked(pol, p):
-            n, stack = 0, [p.root]
-            while stack:
-                m = stack.pop()
-                n += m.op is not None and not m.op.is_source
-                stack.extend(m.children)
-            force_source = (
-                p.target_depth >= pol.cfg.max_depth or n >= pol.cfg.max_nodes
-            )
+            kinds = iter(p.actions)
+
+            def target_depth(depth):
+                kind = next(kinds, None)
+                if kind is None:
+                    return depth  # the first open slot
+                for _ in range(kind.arity):
+                    found = target_depth(depth + 1)
+                    if found is not None:
+                        return found
+                return None
+
+            depth = target_depth(0)
+            n = sum(not a.is_source for a in p.actions)
+            force_source = depth >= pol.cfg.max_depth or n >= pol.cfg.max_nodes
             return np.array([
-                p.target_depth > 0 if a.is_source else not force_source
+                depth > 0 if a.is_source else not force_source
                 for a in pol.actions
             ])
 
@@ -97,7 +113,7 @@ class TestMasking:
         for i in range(200):
             max_depth, max_nodes = limits[i % len(limits)]
             pol = tiny_policy(max_depth=max_depth, max_nodes=max_nodes)
-            p = PartialArch.empty()
+            p = PartialArch()
             while not p.complete:
                 mask = pol.legal_actions(p)
                 assert np.array_equal(mask, walked(pol, p))
@@ -112,7 +128,7 @@ class TestMasking:
 
     def test_probabilities_normalized_and_masked(self):
         pol = tiny_policy()
-        p = PartialArch.empty()
+        p = PartialArch()
         logp, mask, _ = pol.action_logprobs(p, pol.head_start()[0], Memo())
         probs = np.exp(logp[0])
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -122,9 +138,9 @@ class TestMasking:
 class TestEncoding:
     def test_target_position_changes_encoding(self):
         pol = tiny_policy()
-        a = PartialArch.empty()
+        a = PartialArch()
         a.fill(OpKind.ADD)  # slots: left(target), right
-        b = PartialArch.empty()
+        b = PartialArch()
         b.fill(OpKind.ADD)
         b.fill(OpKind.X)  # now right slot is the target
         ea = encoding(pol, a)
@@ -136,7 +152,7 @@ class TestEncoding:
         rng = np.random.default_rng(3)
         ep = generate_episode(pol, rng)  # one memo for the whole episode
         # replay the same action sequence with a fresh memo at every step
-        p = PartialArch.empty()
+        p = PartialArch()
         head = pol.head_start()[0]
         for act, logp in zip(ep.actions, rows(ep)[:, 0]):
             fresh, _, step = pol.action_logprobs(p, head, Memo())
@@ -197,37 +213,128 @@ class TestReward:
         )
 
 
+# the oracle of `prior_satisfaction`: the six priors as they were, one
+# predicate and one walk each
+def oracle_depth(arch, lo=3, hi=11):
+    root = arch.root
+    depth = tree_height(root) + 1 if not root.op.is_source else 0
+    return lo <= depth <= hi
+
+
+def oracle_components(arch):
+    ops = [n.op for n in arch.root.walk()]
+    return (
+        OpKind.X in ops
+        and OpKind.HM1 in ops
+        and OpKind.MM in ops
+        and any(o.is_activation for o in ops)
+    )
+
+
+def oracle_no_repeated_child(arch):
+    return all(
+        c.op is not n.op
+        for n in arch.root.walk()
+        if not n.op.is_source
+        for c in n.children
+    )
+
+
+def oracle_no_stacked_activation(arch):
+    return all(
+        not (n.op.is_activation and c.op.is_activation)
+        for n in arch.root.walk()
+        for c in n.children
+    )
+
+
+def oracle_gate_inputs_distinct(arch):
+    for n in arch.root.walk():
+        if n.op is OpKind.GATE3:
+            if len({render_node(c) for c in n.children}) != 3:
+                return False
+    return True
+
+
+def oracle_mm_on_source(arch):
+    return all(
+        n.children[0].op.is_source
+        for n in arch.root.walk()
+        if n.op is OpKind.MM
+    )
+
+
+ORACLE_PRIORS = (
+    oracle_depth,
+    oracle_components,
+    oracle_no_repeated_child,
+    oracle_no_stacked_activation,
+    oracle_gate_inputs_distinct,
+    oracle_mm_on_source,
+)
+DEPTH, COMPONENTS, NO_REPEAT, NO_STACK, GATE_DISTINCT, MM_SOURCE = range(6)
+
+
+def prior(arch, which):
+    return prior_satisfaction(arch)[which]
+
+
 class TestPriors:
     def test_depth_counts_operator_nodes(self):
         assert not prior_depth(parse("Tanh(Add(x_t,h_tm1))"))  # depth 2
         assert prior_depth(parse("Tanh(Add(MM(x_t),h_tm1))"))  # depth 3
+        assert not prior(parse("Tanh(Add(x_t,h_tm1))"), DEPTH)
 
     def test_components(self):
-        assert prior_components(builtin("tanh_rnn"))
-        assert not prior_components(parse("Tanh(MM(x_t))"))
-        assert not prior_components(parse("Add(MM(x_t),MM(h_tm1))"))
+        assert prior(builtin("tanh_rnn"), COMPONENTS)
+        assert not prior(parse("Tanh(MM(x_t))"), COMPONENTS)
+        assert not prior(parse("Add(MM(x_t),MM(h_tm1))"), COMPONENTS)
 
     def test_no_repeated_child(self):
-        assert not prior_no_repeated_child(parse("Tanh(Tanh(MM(x_t)))"))
-        assert not prior_no_repeated_child(parse("Add(Add(x_t,x_t),h_tm1)"))
-        assert prior_no_repeated_child(builtin("gru"))
+        assert not prior(parse("Tanh(Tanh(MM(x_t)))"), NO_REPEAT)
+        assert not prior(parse("Add(Add(x_t,x_t),h_tm1)"), NO_REPEAT)
+        assert prior(builtin("gru"), NO_REPEAT)
 
     def test_no_stacked_activation(self):
-        assert not prior_no_stacked_activation(parse("Tanh(Sigmoid(MM(x_t)))"))
-        assert prior_no_stacked_activation(builtin("gru"))
+        assert not prior(parse("Tanh(Sigmoid(MM(x_t)))"), NO_STACK)
+        assert prior(builtin("gru"), NO_STACK)
 
     def test_gate_inputs_distinct(self):
         bad = parse("Gate3(MM(x_t),MM(x_t),Sigmoid(MM(h_tm1)))")
-        assert not prior_gate_inputs_distinct(bad)
-        assert prior_gate_inputs_distinct(builtin("gru"))
+        assert not prior(bad, GATE_DISTINCT)
+        assert not prior(parse("Gate3(x_t,h_tm1,x_t)"), GATE_DISTINCT)
+        assert prior(parse("Gate3(MM(x_t),MM(h_tm1),Sigmoid(MM(x_t)))"), GATE_DISTINCT)
+        assert prior(builtin("gru"), GATE_DISTINCT)
 
     def test_mm_on_source(self):
-        assert not prior_mm_on_source(parse("Tanh(MM(Add(x_t,h_tm1)))"))
-        assert prior_mm_on_source(builtin("gru"))
-        assert not prior_mm_on_source(builtin("bc3"))  # MM over products
+        assert not prior(parse("Tanh(MM(Add(x_t,h_tm1)))"), MM_SOURCE)
+        assert prior(builtin("gru"), MM_SOURCE)
+        assert not prior(builtin("bc3"), MM_SOURCE)  # MM over products
 
     def test_satisfaction_vector_length(self):
         assert len(prior_satisfaction(builtin("gru"))) == 6
+
+    def test_one_walk_matches_oracle(self):
+        """Raw draws of the core and extended DSL at default and tight
+        bounds, unfiltered, and policy samples at epsilon 0.5: every prior
+        agrees with its oracle, and each is both true and false."""
+        tight = {"max_nodes": 6, "max_height": 3}
+        trees = []
+        for fields, seed in [({}, 21), (tight, 22), ({"extended_dsl": True}, 23),
+                             ({"extended_dsl": True, **tight}, 24)]:
+            plan = randgen._draw_plan(GenConfig(**fields))
+            rng = np.random.default_rng(seed)
+            trees += [Architecture(from_preorder(randgen._draw_raw(plan, rng)[0]))
+                      for _ in range(4750)]
+        pol, rng = tiny_policy(), np.random.default_rng(25)
+        trees += [sample_architecture(pol, rng, epsilon=0.5) for _ in range(1000)]
+        assert len(trees) >= 20000
+        seen = set()
+        for arch in trees:
+            got = prior_satisfaction(arch)
+            assert got == [p(arch) for p in ORACLE_PRIORS], render(arch)
+            seen.update(enumerate(got))
+        assert seen == set(itertools.product(range(6), (False, True)))
 
 
 class TestEpisodes:
@@ -425,7 +532,7 @@ class TestReinforce:
         )
         def root_entropy():
             logp, mask, _ = pol.action_logprobs(
-                PartialArch.empty(), pol.head_start()[0], Memo()
+                PartialArch(), pol.head_start()[0], Memo()
             )
             p = np.exp(logp[0][mask])
             return -(p * np.log(p)).sum()
@@ -466,26 +573,31 @@ def episode_per_op(pol, actions, memo, beta):
     ``memo``: the oracle of the window's level-batched reverse pass."""
     w = pol.cfg.width
 
-    def state(node, target):
-        token = (node.op.value if node.op is not None
-                 else rlgen.TARGET_TOKEN if node is target else rlgen.EMPTY_TOKEN)
+    def state(kinds):
+        # the node at the next of the partial tree's preorder kinds
+        kind = next(kinds)
+        token = kind.value if isinstance(kind, OpKind) else kind
         if token not in memo:
             hc = lstm_per_op(pol.tok_emb[token], en.Tensor(np.zeros((1, 2 * w))), pol.enc)
             memo[token] = (len(memo), hc)
         key, hc = memo[token]
-        for child in node.children:
-            child_key, child_hc = state(child, target)
+        for _ in range(kind.arity if isinstance(kind, OpKind) else 0):
+            child_key, child_hc = state(kinds)
             if (key, child_key) not in memo:
                 h = en.take(child_hc, (..., slice(0, w)))
                 memo[(key, child_key)] = (len(memo), lstm_per_op(h, hc, pol.enc))
             key, hc = memo[(key, child_key)]
         return key, hc
 
-    p = PartialArch.empty()
+    p = PartialArch()
     head = en.Tensor(np.zeros((1, 2 * w)))
     logps, entropies = [], []
     for act in actions:
-        enc = en.take(state(p.root, p.target)[1], (..., slice(0, w)))
+        # the filled nodes lead the partial tree's preorder; then the open
+        # slots, the first of them the target
+        kinds = itertools.chain(p.actions, [rlgen.TARGET_TOKEN],
+                                itertools.repeat(rlgen.EMPTY_TOKEN))
+        enc = en.take(state(kinds)[1], (..., slice(0, w)))
         head = lstm_per_op(en.relu(en.linear(enc, pol.lin1_w, pol.lin1_b)), head, pol.head)
         scores = en.linear(en.take(head, (..., slice(0, w))), pol.lin2_w, pol.lin2_b)
         mask = pol.legal_actions(p)

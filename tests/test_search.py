@@ -12,7 +12,7 @@ import rnndsl.search as search
 from rnndsl.dsl import OpKind, builtin, render
 from rnndsl.evaluator import ArchPerfRecord, TaskSpec, TrainConfig, make_task
 from rnndsl.randgen import GenConfig, arch_id
-from rnndsl.ranker import RankerConfig
+from rnndsl.ranker import Ranker, RankerConfig
 from rnndsl.rlgen import Policy, RLConfig
 from rnndsl.search import (
     OPERATOR_COLUMNS,
@@ -372,6 +372,41 @@ class TestRandomSearch:
         # far below ct_enable_after: no candidate may carry a memory tap
         store, _ = self._run(tmp_path, "c.jsonl")
         assert all(r.ct_node is None for r in store.records)
+
+    def test_ct_gate_opens(self, tmp_path, monkeypatch):
+        # the seed baseline and step 1's three evaluations reach
+        # ct_enable_after=3 valid h_t-only records, so c_t opens at step 2
+        draws, bootstraps = [], []
+        draw, bootstrap = search.generate_batch, Ranker.bootstrap_ct_embeddings
+
+        def drawn(gen_cfg, *args, **kwargs):
+            draws.append(gen_cfg.allow_cm1)
+            return draw(gen_cfg, *args, **kwargs)
+
+        def bootstrapped(ranker):
+            bootstraps.append(ranker)
+            return bootstrap(ranker)
+
+        monkeypatch.setattr(search, "generate_batch", drawn)
+        monkeypatch.setattr(Ranker, "bootstrap_ct_embeddings", bootstrapped)
+        cfg = SearchConfig(candidates_per_step=60, k_top=2, k_sampled=1,
+                           max_steps=4, seed=0, ct_enable_after=3)
+
+        def run(name):
+            store = RecordStore(str(tmp_path / name))
+            run_random_search(cfg, tiny_task(), GenConfig(seed=0),
+                              TrainConfig(epochs=2, hidden_size=8,
+                                          failure_check_epoch=1, seed=0),
+                              RankerConfig(hidden=8, epochs=20, seed=0), store)
+            return store
+
+        store = run("a.jsonl")
+        assert draws == [False, True, True, True]
+        assert len(bootstraps) == 1
+        tapped = [r.batch_index for r in store.records if r.ct_node is not None]
+        assert tapped == [4, 4]
+        run("b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 class TestLoadConfig:
