@@ -73,13 +73,11 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _load_sections(args) -> dict:
-    cfg = load_config(getattr(args, "config", None))
-    seed = _resolve_seed(args)
-    for section in cfg.values():
-        if hasattr(section, "seed"):
-            section.seed = seed
-    return cfg
+def _load_sections(args, **owned) -> dict:
+    """The config sections, each seed set by `--seed` and the fields in
+    ``owned`` (name: (argument, value)) by their arguments."""
+    owned["seed"] = ("--seed (or ARCHDSL_SEED)", _resolve_seed(args))
+    return load_config(getattr(args, "config", None), owned)
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +173,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cfg = _load_sections(args)
-    search_cfg = cfg["search"]
+    mode = "random_rank" if args.mode == "random" else "rl"
+    cfg = _load_sections(args, mode=("the random|rl argument of rnndsl search", mode))
     task = make_task(cfg["task"])
     store = RecordStore.load(args.out) if args.out else RecordStore()
-    if args.mode == "random":
-        search_cfg.mode = "random_rank"
+    if mode == "random_rank":
         store, best = run_random_search(
-            search_cfg, task, cfg["gen"], cfg["train"], cfg["ranker"], store
+            cfg["search"], task, cfg["gen"], cfg["train"], cfg["ranker"], store
         )
-        payload = {"records": len(store), "best": best.id if best else None}
+        payload = {}
     else:
-        search_cfg.mode = "rl"
         policy = Policy(cfg["rl"])
         pretrain_priors(policy)
         result = run_rl_search(
-            search_cfg, task, policy, cfg["train"], cfg["reward"], store
+            cfg["search"], task, policy, cfg["train"], cfg["reward"], store
         )
         store, best = result.store, result.best
-        payload = {
-            "records": len(store),
-            "best": best.id if best else None,
-            "batches": result.batches_applied,
-            "relaxed_batches": result.relaxed_batches,
-        }
+        payload = {"batches": result.batches_applied, "relaxed_batches": result.relaxed_batches}
+    payload.update(records=len(store), best=best.id if best else None)
     if best:
         payload["best_metric"] = best.valid_metric
         payload["best_dsl"] = best.dsl

@@ -496,8 +496,10 @@ class OptimizerConfig:
 class Optimizer:
     """SGD / Adam with gradient clipping applied before the update.
 
-    `step` returns False when any parameter went non-finite, signalling
-    divergence to the caller; parameters are left as-is in that case.
+    `step` returns False, signalling divergence to the caller, when a
+    clipped gradient is non-finite, and then leaves the parameters, the
+    moments and the step count as they were; it also returns False when
+    the update itself made a parameter non-finite.
     """
 
     def __init__(self, params: Sequence[Parameter], cfg: OptimizerConfig):
@@ -536,6 +538,9 @@ class Optimizer:
         p -= lr*mhat / (sqrt(vhat) + eps)."""
         cfg = self.cfg
         self._clip()
+        if not all(np.isfinite(p.grad).all() for p in self.params if p.grad is not None):
+            self.zero_grad()
+            return False
         self._t += 1
         ok = True
         m_corr = 1 - cfg.beta1 ** self._t

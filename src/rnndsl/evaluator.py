@@ -8,10 +8,12 @@ exactly one ArchPerfRecord.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
-from typing import Optional
+from dataclasses import asdict, dataclass, field, is_dataclass
+from enum import Enum
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,7 +64,6 @@ class Task:
     train: list[tuple[np.ndarray, np.ndarray]]
     valid: list[tuple[np.ndarray, np.ndarray]]
     test: list[tuple[np.ndarray, np.ndarray]]
-    baseline_loss: float  # entropy of the marginal target distribution
 
     @property
     def name(self) -> str:
@@ -118,15 +119,6 @@ def _lm_batches(
     return batches
 
 
-def _marginal_entropy(batches: list[tuple[np.ndarray, np.ndarray]], vocab: int) -> float:
-    counts = np.zeros(vocab)
-    for _, y in batches:
-        counts += np.bincount(y.reshape(-1), minlength=vocab)
-    p = counts / counts.sum()
-    p = p[p > 0]
-    return float(-(p * np.log(p)).sum())
-
-
 def make_task(spec: TaskSpec) -> Task:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "copy_memory":
@@ -156,14 +148,7 @@ def make_task(spec: TaskSpec) -> Task:
         raise ValueError(f"unknown task kind {spec.kind!r}")
     if not train or not valid:
         raise ValueError("task splits produced no batches")
-    return Task(
-        spec=spec,
-        vocab_size=vocab,
-        train=train,
-        valid=valid,
-        test=test,
-        baseline_loss=_marginal_entropy(train, vocab),
-    )
+    return Task(spec=spec, vocab_size=vocab, train=train, valid=valid, test=test)
 
 
 @dataclass
@@ -209,32 +194,68 @@ class ArchPerfRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ArchPerfRecord":
-        data = json.loads(line)
-        if not isinstance(data, dict):
-            raise TypeError("a record must be a JSON object")
-        for name, value in data.items():
-            allowed = _RECORD_FIELD_TYPES.get(name, object)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise TypeError(f"field {name!r} holds {type(value).__name__} {value!r}")
-        return cls(**data)
+        return from_dict(cls, json.loads(line), "record")
 
 
-# the JSON value types each record field accepts; booleans are never numbers
-_NUMBER = (int, float)
-_RECORD_FIELD_TYPES = {
-    "id": str,
-    "dsl": str,
-    "ct_node": (int, type(None)),
-    "source": str,
-    "task": str,
-    "status": str,
-    "valid_metric": (*_NUMBER, type(None)),
-    "test_metric": (*_NUMBER, type(None)),
-    "epochs_run": int,
-    "wall_seconds": _NUMBER,
-    "batch_index": int,
-    "timestamp": str,
-}
+def from_dict(cls, data, where: str):
+    """The dataclass ``cls`` from a JSON object, each value read by its
+    field's annotation; a wrong one is a ValueError naming ``where.field``."""
+    if not isinstance(data, dict):
+        raise _wrong(where, "an object", data)
+    readers = _readers(cls)
+    unknown = data.keys() - readers.keys()
+    if unknown:
+        raise ValueError(f"{where}: unknown {cls.__name__} fields: {sorted(unknown)}")
+    return cls(**{k: readers[k](v, f"{where}.{k}") for k, v in data.items()})
+
+
+@functools.cache
+def _readers(cls) -> dict[str, Callable[[object, str], object]]:
+    return {name: _reader(tp) for name, tp in get_type_hints(cls).items()}
+
+
+# what a JSON value of each type is checked for; booleans are never
+# numbers, and an int is accepted as a float, unconverted
+_PLAIN = {int: ("an integer", int), float: ("a finite number", (int, float)),
+          bool: ("true or false", bool), str: ("a string", str),
+          tuple: ("a list", list), dict: ("an object", dict)}
+
+
+def _reader(tp) -> Callable[[object, str], object]:
+    """A function (value, where) that checks a JSON value against the
+    annotation ``tp``: Optional, tuple[X, ...] from a list, dict, a nested
+    dataclass from an object, an enum from its value, or a plain type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        inner = _reader(args[0])
+        return lambda v, w: None if v is None else inner(v, w)
+    if is_dataclass(tp):
+        return functools.partial(from_dict, tp)
+    if origin is None and issubclass(tp, Enum):
+        def member(v, w):
+            try:
+                return tp(v)
+            except ValueError:
+                raise _wrong(w, f"one of {[m.value for m in tp]}", v) from None
+        return member
+    expected, accepted = _PLAIN[origin or tp]
+
+    def plain(v, w):
+        if isinstance(v, bool) is not (accepted is bool) or not isinstance(v, accepted) or (
+                isinstance(v, float) and not math.isfinite(v)):
+            raise _wrong(w, expected, v)
+        return v
+    if origin is tuple:
+        item = _reader(args[0])
+        return lambda v, w: tuple(item(x, f"{w}[{i}]") for i, x in enumerate(plain(v, w)))
+    if origin is dict:
+        key, value = _reader(args[0]), _reader(args[1])
+        return lambda v, w: {key(k, w): value(x, f"{w}.{k}") for k, x in plain(v, w).items()}
+    return plain
+
+
+def _wrong(where: str, expected: str, v) -> ValueError:
+    return ValueError(f"{where}: expected {expected}, got {type(v).__name__} {v!r}")
 
 
 class SequenceModel:

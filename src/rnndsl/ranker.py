@@ -90,6 +90,11 @@ class RankerConfig:
     metric_cap: float = math.log(500.0)  # clipped log-perplexity target
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("hidden", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"RankerConfig.{name} must be >= 1, got {getattr(self, name)}")
+
 
 def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
     """Hash-cons the trees' subtrees and group the distinct ones by (height,

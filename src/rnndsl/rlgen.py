@@ -45,6 +45,12 @@ class RLConfig:
     entropy_weight: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.width < 1:
+            raise ValueError(f"RLConfig.width must be >= 1, got {self.width}")
+        if not 0 <= self.epsilon <= 1:
+            raise ValueError(f"RLConfig.epsilon must be in [0, 1], got {self.epsilon}")
+
 
 @dataclass
 class RewardConfig:
@@ -582,7 +588,8 @@ def reinforce_update(
     with the entropy bonus weighted by ``entropy_weight`` (by default the
     config's).
 
-    Returns False (batch skipped) when gradients went non-finite."""
+    Returns the optimizer step's verdict: False when the gradients or the
+    updated parameters went non-finite."""
     assert all(e.reward is not None for e in episodes)
     rewards = np.array([e.reward for e in episodes])
     if policy.cfg.normalize_advantage and len(episodes) > 1:
@@ -594,13 +601,7 @@ def reinforce_update(
         advs = rewards
     beta = policy.cfg.entropy_weight if entropy_weight is None else entropy_weight
     reinforce_loss(policy, episodes, advs, beta).backward()
-    finite = all(
-        p.grad is None or np.all(np.isfinite(p.grad)) for p in policy.params
-    )
-    if finite:
-        opt.step()
-    else:
-        opt.zero_grad()
+    stepped = opt.step()
     # running-mean baseline over recent rewards
     d = policy.cfg.baseline_decay
     for e in episodes:
@@ -609,7 +610,7 @@ def reinforce_update(
         else:
             policy.baseline = e.reward
             policy._baseline_seen = True
-    return finite
+    return stepped
 
 
 @dataclass

@@ -21,7 +21,7 @@ from . import engine as en
 from . import rlgen
 from .compiler import compile, run_sequence
 from .dsl import Architecture, OpKind, builtin, parse
-from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, train_and_score
+from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, from_dict, train_and_score
 from .randgen import (
     RAW_DRAWS_PER_CANDIDATE,
     GenConfig,
@@ -69,6 +69,10 @@ class SearchConfig:
             raise ValueError("k_top + k_sampled must not exceed candidates_per_step")
         if self.min_good + self.max_failing > self.min_batch:
             raise ValueError("min_good + max_failing must not exceed min_batch")
+        for name, least in (("temperature", 0), ("max_steps", 1), ("max_evaluations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +174,6 @@ def _evaluate(
     return rec
 
 
-def _seed_baselines(
-    store: RecordStore, cfg: SearchConfig, task: Task, train_cfg: TrainConfig
-) -> None:
-    for name in cfg.seed_baselines:
-        _evaluate(builtin(name), store, task, train_cfg, "seed", 0)
-
-
 # ---------------------------------------------------------------------------
 # random search directed by the ranking function
 # ---------------------------------------------------------------------------
@@ -192,7 +189,8 @@ def run_random_search(
     if store is None:
         store = RecordStore()
     rng = np.random.default_rng(cfg.seed)
-    _seed_baselines(store, cfg, task, train_cfg)
+    for name in cfg.seed_baselines:
+        _evaluate(builtin(name), store, task, train_cfg, "seed", 0)
     ranker = Ranker(ranker_cfg)
     ct_bootstrapped = False
 
@@ -465,38 +463,30 @@ CONFIG_SECTIONS = {
 }
 
 
-def _build_dataclass(cls, data: dict):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    if cls is TrainConfig and isinstance(kwargs.get("optimizer"), dict):
-        kwargs["optimizer"] = _build_dataclass(en.OptimizerConfig, kwargs["optimizer"])
-    if cls is GenConfig and isinstance(kwargs.get("operator_weights"), dict):
-        kwargs["operator_weights"] = {
-            OpKind(k): float(v) for k, v in kwargs["operator_weights"].items()
-        }
-    if cls is GenConfig and "require_sources" in kwargs:
-        kwargs["require_sources"] = tuple(
-            OpKind(s) for s in kwargs["require_sources"]
-        )
-    if cls is SearchConfig and "seed_baselines" in kwargs:
-        kwargs["seed_baselines"] = tuple(kwargs["seed_baselines"])
-    return cls(**kwargs)
-
-
-def load_config(path: Optional[str] = None) -> dict:
+def load_config(path: Optional[str] = None, owned: Optional[dict] = None) -> dict:
     """One JSON document with optional sections; defaults fill the rest
-    (every section, given no path)."""
+    (every section, given no path). ``owned`` maps a field name to (the
+    command-line argument that sets it, its value): every section with that
+    field takes the value, and a file that sets it is refused."""
     data = {}
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config: expected an object, got {type(data).__name__}")
     unknown = set(data) - set(CONFIG_SECTIONS)
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
     out = {}
     for key, cls in CONFIG_SECTIONS.items():
-        out[key] = _build_dataclass(cls, data.get(key, {}))
+        section = data.get(key, {})
+        for name, (owner, value) in (owned or {}).items():
+            if isinstance(section, dict) and name in {f.name for f in fields(cls)}:
+                if name in section:
+                    raise ValueError(f"{key}.{name} is set by {owner}, not by the config file")
+                section = {**section, name: value}
+        out[key] = from_dict(cls, section, key)
+    if OpKind.CM1 in out["gen"].require_sources and out["search"].ct_enable_after:
+        raise ValueError("gen.require_sources holds c_tm1, which random search draws only after "
+                         "search.ct_enable_after ok records without a c_t tap; set it to 0")
     return out

@@ -1,14 +1,18 @@
 """Command-line behavior: output, exit codes, equivalence with the API."""
 
 import json
+import math
+from dataclasses import fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
+import rnndsl.engine as en
 from rnndsl.cli import main
 from rnndsl.dsl import analyze, builtin, canonicalize, parse, render
 from rnndsl.randgen import arch_id
-from rnndsl.search import RecordStore
+from rnndsl.search import CONFIG_SECTIONS, RecordStore
 
 TANH_RNN = "Tanh(Add(MM(x_t),MM(h_tm1)))"
 
@@ -346,3 +350,100 @@ class TestBadTaskSize:
             f"error[ValueError]: TaskSpec.{field} must be >= {least}, got {value}"
         ]
         assert not out.exists()
+
+
+def wrong_values(tp):
+    """JSON values whose type is wrong for the field annotation ``tp``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]: null is right, the rest of X's wrong values stay
+        return [v for v in wrong_values(args[0]) if v is not None]
+    if origin is tuple:
+        return ["x_t", [7], [True]]
+    if origin is dict:
+        return [["Tanh"], {"Tanh": "2"}, {"Tanh": True}, {"Tan": 1.0}]
+    if is_dataclass(tp):
+        return [3, {"nope": 1}, {"learning_rate": "1"}]
+    return {int: ["3", True, 2.5, None], float: ["1", False, None, [1.0]],
+            bool: [1, "true", None], str: [1, False, None, ["x"]]}[tp]
+
+
+def config_field_cases():
+    classes = [(key, cls) for key, cls in CONFIG_SECTIONS.items()]
+    classes.append(("train.optimizer", en.OptimizerConfig))
+    for where, cls in classes:
+        for name, tp in get_type_hints(cls).items():
+            for value in wrong_values(tp):
+                yield pytest.param(where, name, value, id=f"{where}.{name}={value!r}")
+
+
+def nest(where, name, value):
+    """The config document that sets ``where.name`` to ``value``."""
+    doc = {name: value}
+    for key in reversed(where.split(".")):
+        doc = {key: doc}
+    return doc
+
+
+class TestConfigRefusedAtLoad:
+    """Every config value of the wrong type or range is refused before any
+    work: exit 1, one error line naming the field, no --out file."""
+
+    def refused(self, capsys, tmp_path, doc, mode="random"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "r.jsonl"
+        code, stdout, err = run_cli(
+            capsys, "search", mode, "--config", str(cfg), "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error[")
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    def test_every_section_field_is_covered(self):
+        cases = {(p.values[0], p.values[1]) for p in config_field_cases()}
+        for key, cls in CONFIG_SECTIONS.items():
+            assert {(key, f.name) for f in fields(cls)} <= cases
+        assert {("train.optimizer", f.name) for f in fields(en.OptimizerConfig)} <= cases
+
+    @pytest.mark.parametrize("where,name,value", config_field_cases())
+    def test_wrong_type(self, capsys, tmp_path, where, name, value):
+        err = self.refused(capsys, tmp_path, nest(where, name, value))
+        assert err.startswith(f"error[ValueError]: {where}.{name}")
+
+    @pytest.mark.parametrize("section,name,value,message", [
+        ("ranker", "hidden", 0, "RankerConfig.hidden must be >= 1, got 0"),
+        ("ranker", "epochs", -5, "RankerConfig.epochs must be >= 1, got -5"),
+        ("rl", "width", 0, "RLConfig.width must be >= 1, got 0"),
+        ("rl", "epsilon", 2.0, "RLConfig.epsilon must be in [0, 1], got 2.0"),
+        ("rl", "epsilon", -0.5, "RLConfig.epsilon must be in [0, 1], got -0.5"),
+        ("search", "temperature", -1.0, "SearchConfig.temperature must be >= 0, got -1.0"),
+        ("search", "max_steps", 0, "SearchConfig.max_steps must be >= 1, got 0"),
+        ("search", "max_evaluations", 0, "SearchConfig.max_evaluations must be >= 1, got 0"),
+        ("ranker", "metric_cap", math.nan, "ranker.metric_cap: expected a finite number"),
+        ("train", "lr_decay_factor", math.inf, "train.lr_decay_factor: expected a finite number"),
+    ])
+    def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
+        err = self.refused(capsys, tmp_path, {section: {name: value}})
+        assert err.startswith(f"error[ValueError]: {message}")
+
+    def test_c_tm1_required_while_the_ct_gate_is_shut(self, capsys, tmp_path):
+        doc = {"gen": {"require_sources": ["x_t", "c_tm1"]}}
+        err = self.refused(capsys, tmp_path, doc)
+        assert "gen.require_sources" in err and "search.ct_enable_after" in err
+
+    @pytest.mark.parametrize("section", ["search", "gen", "train", "ranker", "rl", "task"])
+    def test_seed_is_owned_by_the_seed_flag(self, capsys, tmp_path, section):
+        err = self.refused(capsys, tmp_path, {section: {"seed": 5}})
+        assert err.startswith(f"error[ValueError]: {section}.seed is set by --seed")
+
+    @pytest.mark.parametrize("mode", ["random", "rl"])
+    def test_mode_is_owned_by_the_search_argument(self, capsys, tmp_path, mode):
+        err = self.refused(capsys, tmp_path, {"search": {"mode": "rl"}}, mode)
+        assert err.startswith("error[ValueError]: search.mode is set by the random|rl argument")
+
+    def test_reward_has_no_seed(self, capsys, tmp_path):
+        err = self.refused(capsys, tmp_path, {"reward": {"seed": 5}})
+        assert "reward: unknown RewardConfig fields: ['seed']" in err

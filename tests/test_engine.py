@@ -313,6 +313,36 @@ class TestOptimizer:
         opt = en.Optimizer([p], en.OptimizerConfig(kind="sgd", learning_rate=1.0))
         assert not opt.step()
 
+    @pytest.mark.parametrize("cfg", [
+        en.OptimizerConfig(kind="sgd", learning_rate=0.1, clip_value=0.5),
+        en.OptimizerConfig(kind="adam", learning_rate=0.01, clip_norm=1.0),
+    ], ids=["sgd-clip-value", "adam-clip-norm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_refuses_the_step(self, cfg, bad):
+        rng = np.random.default_rng(0)
+        params = [en.Parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate([(3, 2), (4,)])]
+        opt = en.Optimizer(params, cfg)
+        for p in params:
+            p.accumulate(rng.normal(size=p.shape))
+        assert opt.step()
+        before = ([p.data.copy() for p in params], {k: m.copy() for k, m in opt._m.items()},
+                  {k: v.copy() for k, v in opt._v.items()}, opt._t)
+        for p in params:
+            p.accumulate(rng.normal(size=p.shape))
+        params[1].grad[2] = bad
+        # clip_value turns an infinite gradient into a finite one
+        refused = not (bad == np.inf and cfg.clip_value is not None)
+        with np.errstate(invalid="ignore"):  # clip_norm scales an infinite norm by 0
+            assert opt.step() is not refused
+        if refused:
+            assert [p.data.tobytes() for p in params] == [d.tobytes() for d in before[0]]
+            assert {k: m.tobytes() for k, m in opt._m.items()} == \
+                {k: m.tobytes() for k, m in before[1].items()}
+            assert {k: v.tobytes() for k, v in opt._v.items()} == \
+                {k: v.tobytes() for k, v in before[2].items()}
+            assert opt._t == before[3]
+        assert all(p.grad is None for p in params)
+
     def test_grads_zeroed_after_step(self):
         p = en.Parameter(np.array([1.0]), "w")
         p.accumulate(np.array([1.0]))

@@ -383,6 +383,14 @@ class TestFit:
         rho = spearmanr(preds, truth).statistic
         assert rho >= 0.8
 
+    def test_non_finite_gradient_keeps_parameters_finite(self):
+        r = tiny_ranker()
+        before = [p.data.copy() for p in r.params]
+        recs = [record_for(builtin(n), math.nan) for n in ("gru", "lstm")]
+        assert r.fit(recs) == []  # the first step is refused and the fit stops
+        assert all(np.isfinite(p.data).all() for p in r.params)
+        assert [p.data.tobytes() for p in r.params] == [b.tobytes() for b in before]
+
     def test_bootstrap_ct_embeddings(self):
         r = tiny_ranker()
         r.leaf_emb[OpKind.HM1.value].data[...] = 7.0

@@ -1,8 +1,10 @@
 """Search orchestration: record store, loops, reports, config loading."""
 
+import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,35 @@ class TestRecordStore:
         bad[field] = value
         path.write_text(rec.to_json() + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(StoreError, match=f"typed.jsonl:2: .*{field}"):
+            RecordStore.load(str(path))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ArchPerfRecord)])
+    @pytest.mark.parametrize("value", [True, "wrong type", math.nan, math.inf, -math.inf],
+                             ids=["bool", "wrong-type", "nan", "inf", "-inf"])
+    def test_every_field_refuses_bools_wrong_types_and_non_finite(self, tmp_path, field, value):
+        path = tmp_path / "typed.jsonl"
+        good = make_record(builtin("gru"), 0.9)
+        bad = json.loads(make_record(builtin("lstm"), 0.8).to_json())
+        if value == "wrong type":
+            value = 7 if isinstance(bad[field], str) else "7"
+        bad[field] = value
+        path.write_text(good.to_json() + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(StoreError, match=f"typed.jsonl:2: malformed record: record.{field}: "):
+            RecordStore.load(str(path))
+
+    def test_int_metric_kept_as_int(self, tmp_path):
+        path = tmp_path / "int.jsonl"
+        rec = make_record(builtin("gru"), 1)
+        path.write_text(rec.to_json() + "\n")
+        loaded = RecordStore.load(str(path)).records[0]
+        assert loaded == rec and type(loaded.valid_metric) is int
+
+    def test_missing_field_reports_lineno(self, tmp_path):
+        path = tmp_path / "short.jsonl"
+        bad = json.loads(make_record(builtin("gru"), 0.9).to_json())
+        del bad["status"]
+        path.write_text(json.dumps(bad) + "\n")
+        with pytest.raises(StoreError, match="short.jsonl:1: malformed record: .*status"):
             RecordStore.load(str(path))
 
     def test_missing_file_is_empty_store(self, tmp_path):
@@ -431,6 +462,33 @@ class TestLoadConfig:
         path.write_text(json.dumps({"searches": {}}))
         with pytest.raises(ValueError, match="unknown config sections"):
             load_config(str(path))
+
+    def test_boundary_values_accepted(self, tmp_path):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({
+            "search": {"temperature": 0, "k_sampled": 0, "ct_enable_after": 0},
+            "gen": {"require_sources": ["x_t", "c_tm1"]},
+            "rl": {"epsilon": 0},
+            "train": {"epochs": 0, "failure_check_epoch": 0},
+        }))
+        cfg = load_config(str(path))
+        assert cfg["search"].temperature == 0 and cfg["rl"].epsilon == 0
+        assert cfg["train"].epochs == 0
+        assert cfg["gen"].require_sources == (OpKind.X, OpKind.CM1)
+
+    def test_owned_fields_take_the_given_values(self):
+        cfg = load_config(None, {"seed": ("--seed", 7), "mode": ("the mode", "rl")})
+        assert cfg["search"].mode == "rl"
+        assert {key: getattr(c, "seed", 7) for key, c in cfg.items()} == dict.fromkeys(cfg, 7)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("### Configuration", 1)[1].split("```json", 1)[1]
+        path = tmp_path / "readme.json"
+        path.write_text(example.split("```", 1)[0])
+        # as `rnndsl search` loads it: the command line owns the seeds and the mode
+        cfg = load_config(str(path), {"seed": ("--seed", 0), "mode": ("the argument", "rl")})
+        assert cfg["gen"].operator_weights == {OpKind.TANH: 2.0}
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
