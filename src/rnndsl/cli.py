@@ -177,6 +177,7 @@ def cmd_search(args) -> int:
     cfg = _load_sections(args, mode=("the random|rl argument of rnndsl search", mode))
     task = make_task(cfg["task"])
     store = RecordStore.load(args.out) if args.out else RecordStore()
+    loaded = len(store)
     if mode == "random_rank":
         store, best = run_random_search(
             cfg["search"], task, cfg["gen"], cfg["train"], cfg["ranker"], store
@@ -190,14 +191,15 @@ def cmd_search(args) -> int:
         )
         store, best = result.store, result.best
         payload = {"batches": result.batches_applied, "relaxed_batches": result.relaxed_batches}
-    payload.update(records=len(store), best=best.id if best else None)
+    payload.update(records=len(store), trained=len(store) - loaded,
+                   best=best.id if best else None)
     if best:
         payload["best_metric"] = best.valid_metric
         payload["best_dsl"] = best.dsl
     _emit(
         args,
         payload,
-        f"{len(store)} records; best: "
+        f"{len(store)} records, {payload['trained']} trained; best: "
         + (f"{best.dsl} ({best.valid_metric:.4f})" if best else "none"),
     )
     return 0

@@ -160,7 +160,6 @@ class TrainConfig:
         )
     )
     lr_decay_factor: float = 4.0
-    decay_on_no_improve: bool = True
     dropout: float = 0.0
     tie_embeddings: bool = True
     hidden_size: int = 24
@@ -405,7 +404,7 @@ def train_and_score(
                     )
                 if valid < best_valid:
                     best_valid = valid
-                elif cfg.decay_on_no_improve:
+                else:
                     opt.lr /= cfg.lr_decay_factor
         except DivergenceError:
             return record("diverged", epochs_run=epochs_run)

@@ -3,7 +3,8 @@
 Two loops are provided: random generation filtered through the learned
 ranking function, and REINFORCE episodes with batch-composition rules.
 Every evaluation appends exactly one JSONL record to an append-only
-store; with fixed seeds, reruns are byte-identical.
+store; with fixed seeds, reruns are byte-identical, and a search resumed
+from a cut store writes the bytes of the uncut run.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ class SearchConfig:
     starvation_limit: int = 25  # evaluations without a legal batch
     # stop criteria
     max_steps: int = 5
-    max_evaluations: int = 200  # rl mode
+    # rl mode, checked before each episode; an episode trains every c_t
+    # placement of its tree, so the last one can overshoot the bound
+    max_evaluations: int = 200
     # ranking
-    warm_start_ranker: bool = True
     temperature: float = 1.0
     seed_baselines: tuple[str, ...] = ("tanh_rnn",)
     seed: int = 0
@@ -161,17 +163,22 @@ class RecordStore:
 # ---------------------------------------------------------------------------
 
 def _evaluate(
-    arch: Architecture, store: RecordStore, task: Task, train_cfg: TrainConfig,
-    source: str, batch_index: int,
-) -> ArchPerfRecord:
-    """The stored record of `arch`, or else train it and append its record."""
-    rec = store.by_id.get(arch_id(arch))
-    if rec is None:
-        rec = train_and_score(
-            arch, task, train_cfg, source=source, batch_index=batch_index
-        )
-        store.append(rec)
-    return rec
+    archs: list[Architecture], store: RecordStore, run: RecordStore, task: Task,
+    train_cfg: TrainConfig, source: str, batch_index: int,
+) -> list[ArchPerfRecord]:
+    """The records of `archs`, in order. `run` holds the records this run
+    evaluated and is the search state; `store` is the log on file and a
+    cache by id. A record in the run is reused, one only on file is
+    replayed into the run without training, and any other arch is trained,
+    appended to `store` and added to the run."""
+    ids = [arch_id(arch) for arch in archs]
+    for arch, rec_id in zip(archs, ids):
+        if rec_id not in run:
+            if rec_id not in store:
+                store.append(train_and_score(arch, task, train_cfg, source=source,
+                                             batch_index=batch_index))
+            run.append(store.by_id[rec_id])
+    return [run.by_id[rec_id] for rec_id in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -188,30 +195,29 @@ def run_random_search(
 ) -> tuple[RecordStore, Optional[ArchPerfRecord]]:
     if store is None:
         store = RecordStore()
+    run = RecordStore()
     rng = np.random.default_rng(cfg.seed)
-    for name in cfg.seed_baselines:
-        _evaluate(builtin(name), store, task, train_cfg, "seed", 0)
+    _evaluate([builtin(name) for name in cfg.seed_baselines], store, run, task,
+              train_cfg, "seed", 0)
     ranker = Ranker(ranker_cfg)
     ct_bootstrapped = False
 
     for step in range(1, cfg.max_steps + 1):
-        ct_open = gen_cfg.allow_cm1 and store.valid_ht_count() >= cfg.ct_enable_after
+        ct_open = gen_cfg.allow_cm1 and run.valid_ht_count() >= cfg.ct_enable_after
         step_gen = replace(gen_cfg, allow_cm1=ct_open)
         cands = generate_batch(
-            step_gen, cfg.candidates_per_step, seen=set(store.by_id), rng=rng
+            step_gen, cfg.candidates_per_step, seen=set(run.by_id), rng=rng
         )
         if not cands:
             raise ValueError(
                 f"random search step {step} admitted no new candidate in "
                 f"{RAW_DRAWS_PER_CANDIDATE * cfg.candidates_per_step} raw draws"
             )
-        if store.records:
-            if not cfg.warm_start_ranker:
-                ranker = Ranker(ranker_cfg)
+        if run.records:
             if ct_open and not ct_bootstrapped:
                 ranker.bootstrap_ct_embeddings()
                 ct_bootstrapped = True
-            ranker.fit(store.records, rng=rng)
+            ranker.fit(run.records, rng=rng)
             chosen = select(
                 ranker, cands, cfg.k_top, cfg.k_sampled, cfg.temperature, rng
             )
@@ -219,8 +225,7 @@ def run_random_search(
             take = min(len(cands), cfg.k_top + cfg.k_sampled)
             idx = rng.choice(len(cands), size=take, replace=False)
             chosen = [cands[i] for i in idx]
-        for arch in chosen:
-            _evaluate(arch, store, task, train_cfg, "random", step)
+        _evaluate(chosen, store, run, task, train_cfg, "random", step)
     return store, store.best()
 
 
@@ -229,7 +234,7 @@ def run_random_search(
 # ---------------------------------------------------------------------------
 
 # consecutive episodes that dispatch no evaluation before the RL search
-# gives up: each tree it drew was in the store or offered nothing to evaluate
+# gives up: each tree it drew was in the run or offered nothing to evaluate
 IDLE_EPISODES_LIMIT = 100
 
 
@@ -248,20 +253,19 @@ def _episode_result(
     train_cfg: TrainConfig,
     reward_cfg: RewardConfig,
     store: RecordStore,
+    run: RecordStore,
     batch_index: int,
 ) -> tuple[float, bool, int]:
     """Evaluate every c_t placement of the episode's architecture.
 
     Returns (reward, is_good, evaluations_dispatched); results already in
-    the store are reused without dispatching."""
+    the run are reused without dispatching."""
     variants = expand_ct_variants(ep.arch)
     if not variants:
         # uses c_tm1 but offers no valid tap node: nothing to evaluate
         return reward(reward_cfg, None, "invalid"), False, 0
-    before = len(store)
-    results = [
-        _evaluate(v, store, task, train_cfg, "rl", batch_index) for v in variants
-    ]
+    before = len(run)
+    results = _evaluate(variants, store, run, task, train_cfg, "rl", batch_index)
     best_rec = min(
         results,
         key=lambda r: r.valid_metric
@@ -270,7 +274,7 @@ def _episode_result(
     )
     good = best_rec.status == "ok"
     loss = best_rec.valid_metric if good else None
-    return reward(reward_cfg, loss, best_rec.status), good, len(store) - before
+    return reward(reward_cfg, loss, best_rec.status), good, len(run) - before
 
 
 def run_rl_search(
@@ -285,6 +289,10 @@ def run_rl_search(
         store = RecordStore()
     if reward_cfg is None:
         reward_cfg = RewardConfig()
+    run = RecordStore()
+    # outside max_evaluations, which counts the episodes' evaluations
+    _evaluate([builtin(name) for name in cfg.seed_baselines], store, run, task,
+              train_cfg, "seed", 0)
     rng = np.random.default_rng(cfg.seed)
     opt = en.Optimizer(
         policy.params,
@@ -304,7 +312,7 @@ def run_rl_search(
     while evaluations < cfg.max_evaluations:
         ep = generate_episode(policy, rng, memo=memo)
         r, good, dispatched = _episode_result(
-            ep, task, train_cfg, reward_cfg, store, batches
+            ep, task, train_cfg, reward_cfg, store, run, batches
         )
         ep.reward = r
         rewards_seen.append(r)

@@ -13,6 +13,7 @@ from rnndsl.cli import main
 from rnndsl.dsl import analyze, builtin, canonicalize, parse, render
 from rnndsl.randgen import arch_id
 from rnndsl.search import CONFIG_SECTIONS, RecordStore
+from conftest import torn_cut
 
 TANH_RNN = "Tanh(Add(MM(x_t),MM(h_tm1)))"
 
@@ -213,6 +214,25 @@ class TestSearchAndReport:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_resumed_search_reports_what_it_trained(self, capsys, tmp_path):
+        cfg = self._config(tmp_path)
+        whole_path = tmp_path / "whole.jsonl"
+        _, payload, _ = run_json(capsys, "search", "random", "--config", cfg,
+                                 "--out", str(whole_path))
+        whole = whole_path.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        assert payload["trained"] == payload["records"] == len(lines) == 4
+        out = tmp_path / "cut.jsonl"
+        out.write_bytes(torn_cut(lines, 1))
+        _, payload, _ = run_json(capsys, "search", "random", "--config", cfg,
+                                 "--out", str(out))
+        assert (payload["records"], payload["trained"]) == (4, 3)
+        assert out.read_bytes() == whole
+        code, text, _ = run_cli(capsys, "search", "random", "--config", cfg,
+                                "--out", str(out))
+        assert code == 0 and text.startswith("4 records, 0 trained; best: ")
+        assert out.read_bytes() == whole
+
     def test_rank_fit_and_score(self, capsys, tmp_path):
         cfg = self._config(tmp_path)
         out = str(tmp_path / "records.jsonl")
@@ -281,7 +301,9 @@ class TestRemovedOptions:
         [("search", "parallel_workers", "SearchConfig"),
          ("search", "wall_clock_budget", "SearchConfig"),
          ("search", "deterministic", "SearchConfig"),
+         ("search", "warm_start_ranker", "SearchConfig"),
          ("train", "wall_clock_budget", "TrainConfig"),
+         ("train", "decay_on_no_improve", "TrainConfig"),
          ("rl", "min_depth", "RLConfig")],
     )
     def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):

@@ -711,7 +711,7 @@ class TestRLSearchWindows:
         monkeypatch.setattr(en.Optimizer, "step", kept_step)
         pol = tiny_policy(width=6, use_baseline=False)
         cfg = search.SearchConfig(mode="rl", max_evaluations=8, min_good=3,
-                                  max_failing=1, min_batch=4)
+                                  max_failing=1, min_batch=4, seed_baselines=())
         result = search.run_rl_search(cfg, task=None, policy=pol, train_cfg=None)
         assert result.batches_applied == 2
         (_, first), (params, batch) = updates

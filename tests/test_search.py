@@ -30,6 +30,7 @@ from rnndsl.search import (
     search_curve,
     write_csv,
 )
+from conftest import assert_resumes_at_every_cut
 
 
 def make_record(arch, metric, status="ok", batch=0, source="random"):
@@ -212,7 +213,7 @@ class TestRLBatchComposition:
         calls = {"i": 0}
         batches = []
 
-        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, run, batch_index):
             r, good = script[calls["i"]]
             calls["i"] += 1
             return r, good, 1
@@ -224,7 +225,8 @@ class TestRLBatchComposition:
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
         cfg = SearchConfig(
-            mode="rl", max_evaluations=5, min_good=3, max_failing=1, min_batch=4
+            mode="rl", max_evaluations=5, min_good=3, max_failing=1, min_batch=4,
+            seed_baselines=(),
         )
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
@@ -234,7 +236,7 @@ class TestRLBatchComposition:
         assert result.relaxed_batches == 0
 
     def test_starvation_relaxes_composition(self, monkeypatch):
-        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, run, batch_index):
             return 0.0, False, 1  # failures only: rule never satisfiable
 
         batches = []
@@ -245,30 +247,31 @@ class TestRLBatchComposition:
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
-        cfg = SearchConfig(mode="rl", max_evaluations=8, starvation_limit=4)
+        cfg = SearchConfig(mode="rl", max_evaluations=8, starvation_limit=4,
+                           seed_baselines=())
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
         assert result.relaxed_batches == 2
         assert batches == [4, 4]
 
     def test_stops_at_max_evaluations(self, monkeypatch):
-        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, run, batch_index):
             return 0.5, True, 1
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", lambda p, b, o: True)
-        cfg = SearchConfig(mode="rl", max_evaluations=7)
+        cfg = SearchConfig(mode="rl", max_evaluations=7, seed_baselines=())
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
         assert len(result.episode_rewards) == 7
 
     def test_idle_episodes_stop_the_search(self, monkeypatch):
-        def fake_result(ep, task, train_cfg, reward_cfg, store, batch_index):
+        def fake_result(ep, task, train_cfg, reward_cfg, store, run, batch_index):
             return 0.5, True, 0  # every tree already evaluated
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", lambda p, b, o: True)
-        cfg = SearchConfig(mode="rl", max_evaluations=7)
+        cfg = SearchConfig(mode="rl", max_evaluations=7, seed_baselines=())
         policy = Policy(RLConfig(width=8, seed=0))
         with pytest.raises(ValueError, match=(
             f"{search.IDLE_EPISODES_LIMIT} consecutive episodes .* "
@@ -438,6 +441,55 @@ class TestRandomSearch:
         assert tapped == [4, 4]
         run("b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+class TestResume:
+    """A search resumed from its store cut at any line, with half of the
+    next line torn off, writes the uncut run's store byte for byte and
+    trains only the records the cut lost."""
+
+    def _random(self, path):
+        store = RecordStore.load(path)
+        loaded = len(store)
+        cfg = SearchConfig(candidates_per_step=60, k_top=2, k_sampled=1,
+                           max_steps=3, seed=0)
+        run_random_search(cfg, tiny_task(), GenConfig(seed=0),
+                          TrainConfig(epochs=2, hidden_size=8, failure_check_epoch=1),
+                          RankerConfig(hidden=8, epochs=20, seed=0), store)
+        return len(store) - loaded
+
+    def _rl(self, path):
+        store = RecordStore.load(path)
+        loaded = len(store)
+        cfg = SearchConfig(mode="rl", max_evaluations=16, seed=0)
+        run_rl_search(cfg, tiny_task(), Policy(RLConfig(width=4, seed=0)),
+                      TrainConfig(epochs=1, hidden_size=8, failure_check_epoch=1),
+                      store=store)
+        return len(store) - loaded
+
+    def test_random_search(self, tmp_path):
+        lines = assert_resumes_at_every_cut(self._random, tmp_path)
+        assert len(lines) == 10
+
+    def test_rl_search_with_seed_baseline(self, tmp_path):
+        lines = assert_resumes_at_every_cut(self._rl, tmp_path)
+        recs = [ArchPerfRecord.from_json(line.decode()) for line in lines]
+        # the baseline is trained first and is not one of the 16 evaluations
+        assert (recs[0].id, recs[0].source, recs[0].batch_index) == (
+            arch_id(builtin("tanh_rnn")), "seed", 0)
+        assert all(r.source == "rl" for r in recs[1:]) and len(recs) - 1 >= 16
+
+    def test_record_from_another_run_steers_nothing(self, tmp_path):
+        fresh = tmp_path / "fresh.jsonl"
+        self._random(str(fresh))
+        # an ok h_t-only record better than any: the old search state would
+        # have fitted the ranker to it and counted it toward the c_t gate
+        foreign = make_record(builtin("gru"), 0.01, source="human").to_json() + "\n"
+        assert arch_id(builtin("gru")) not in fresh.read_text()
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(foreign)
+        assert self._random(str(path)) == 10
+        assert path.read_bytes() == foreign.encode() + fresh.read_bytes()
 
 
 class TestLoadConfig:
