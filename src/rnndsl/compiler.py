@@ -81,9 +81,6 @@ class CellProgram:
     def parameters(self) -> list[en.Parameter]:
         return list(self.params.values())
 
-    def uses_source(self, kind: OpKind) -> bool:
-        return subtree_uses(self.arch.root, kind)
-
     def params_for_node_index(self, index: int) -> tuple[str, ...]:
         return self.node_param_names.get(index, ())
 
@@ -100,7 +97,7 @@ def initial_state(prog: CellProgram, batch: int) -> CellState:
     h = en.Tensor(np.zeros((batch, prog.hidden_size)))
     c = (
         en.Tensor(np.zeros((batch, prog.hidden_size)))
-        if prog.ct_slot is not None or prog.uses_source(OpKind.CM1)
+        if prog.ct_slot is not None
         else None
     )
     x_prev = en.Tensor(np.zeros((batch, prog.input_size)))

@@ -481,16 +481,26 @@ def init_embedding(rng: np.random.Generator, vocab: int, dim: int) -> np.ndarray
 # optimizers
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and the term that keeps its denominator nonzero
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerConfig:
-    kind: str = "sgd"
+    kind: str = "sgd"  # or "adam"
     learning_rate: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     l2: float = 0.0
     clip_norm: Optional[float] = None
     clip_value: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("sgd", "adam"):
+            raise ValueError(f"OptimizerConfig.kind must be 'sgd' or 'adam', got {self.kind!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(
+                f"OptimizerConfig.learning_rate must be > 0, got {self.learning_rate}")
 
 
 class Optimizer:
@@ -503,10 +513,6 @@ class Optimizer:
     """
 
     def __init__(self, params: Sequence[Parameter], cfg: OptimizerConfig):
-        if cfg.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
-        if cfg.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         self.params = list(params)
         self.cfg = cfg
         self.lr = cfg.learning_rate
@@ -543,8 +549,8 @@ class Optimizer:
             return False
         self._t += 1
         ok = True
-        m_corr = 1 - cfg.beta1 ** self._t
-        v_corr = 1 - cfg.beta2 ** self._t
+        m_corr = 1 - ADAM_BETA1 ** self._t
+        v_corr = 1 - ADAM_BETA2 ** self._t
         for p in self.params:
             # the gradient is dropped after the step, so the step may overwrite it
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -556,17 +562,17 @@ class Optimizer:
             else:
                 m = self._m[p.name]
                 v = self._v[p.name]
-                m *= cfg.beta1
-                m += (1 - cfg.beta1) * g
-                gg = (1 - cfg.beta2) * g
+                m *= ADAM_BETA1
+                m += (1 - ADAM_BETA1) * g
+                gg = (1 - ADAM_BETA2) * g
                 gg *= g
-                v *= cfg.beta2
+                v *= ADAM_BETA2
                 v += gg
                 step = np.divide(m, m_corr, out=g)
                 step *= self.lr
                 denom = np.divide(v, v_corr, out=gg)
                 np.sqrt(denom, out=denom)
-                denom += cfg.eps
+                denom += ADAM_EPS
                 step /= denom
                 p.data -= step
             if not np.all(np.isfinite(p.data)):
@@ -582,12 +588,12 @@ class Optimizer:
 def gradient_check(
     f: Callable[[], Tensor],
     params: Sequence[Parameter],
-    step: float = 1e-5,
 ) -> float:
     """Max relative error between reverse-mode and central differences.
 
     `f` must be a deterministic scalar function of `params` (re-evaluable).
     """
+    step = 1e-5
     for p in params:
         p.zero_grad()
     out = f()

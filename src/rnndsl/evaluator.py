@@ -31,6 +31,15 @@ from .randgen import arch_id
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
+# copy_memory shape: symbols to copy from, sequence length to copy, and
+# blanks between the copied symbols and the marker that asks for them
+COPY_SYMBOLS = 6
+COPY_LEN = 3
+COPY_DELAY = 5
+# the learning rate is divided by this after an epoch that does not
+# improve the best validation loss
+LR_DECAY_FACTOR = 4.0
+
 
 @dataclass
 class TaskSpec:
@@ -43,15 +52,10 @@ class TaskSpec:
     train_size: int = 512
     valid_size: int = 128
     test_size: int = 128
-    # copy_memory shape
-    n_symbols: int = 6
-    copy_len: int = 3
-    delay: int = 5
 
     def __post_init__(self) -> None:
         for name, least in (("batch_size", 1), ("seq_len", 2), ("train_size", 1),
-                            ("valid_size", 1), ("test_size", 0), ("n_symbols", 1),
-                            ("copy_len", 1), ("delay", 0)):
+                            ("valid_size", 1), ("test_size", 0)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"TaskSpec.{name} must be >= {least}, got {getattr(self, name)}")
@@ -73,14 +77,14 @@ class Task:
 def _copy_batches(
     spec: TaskSpec, rng: np.random.Generator, n_seqs: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    blank = spec.n_symbols
-    marker = spec.n_symbols + 1
-    k, d = spec.copy_len, spec.delay
+    blank = COPY_SYMBOLS
+    marker = COPY_SYMBOLS + 1
+    k, d = COPY_LEN, COPY_DELAY
     length = k + d + 1 + k
     batches = []
     for start in range(0, n_seqs, spec.batch_size):
         b = min(spec.batch_size, n_seqs - start)
-        syms = rng.integers(0, spec.n_symbols, size=(b, k))
+        syms = rng.integers(0, COPY_SYMBOLS, size=(b, k))
         x = np.full((b, length), blank, dtype=np.int64)
         y = np.full((b, length), blank, dtype=np.int64)
         x[:, :k] = syms
@@ -122,7 +126,7 @@ def _lm_batches(
 def make_task(spec: TaskSpec) -> Task:
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "copy_memory":
-        vocab = spec.n_symbols + 2
+        vocab = COPY_SYMBOLS + 2
         train = _copy_batches(spec, rng, spec.train_size)
         valid = _copy_batches(spec, rng, spec.valid_size)
         test = _copy_batches(spec, rng, spec.test_size)
@@ -159,8 +163,6 @@ class TrainConfig:
             kind="sgd", learning_rate=1.0, clip_value=0.075
         )
     )
-    lr_decay_factor: float = 4.0
-    dropout: float = 0.0
     tie_embeddings: bool = True
     hidden_size: int = 24
     n_layers: int = 1
@@ -269,7 +271,6 @@ class SequenceModel:
         tie_embeddings: bool,
         rng: np.random.Generator,
     ):
-        self.hidden_size = hidden_size
         self.tie = tie_embeddings
         self.emb = en.Parameter(en.init_embedding(rng, vocab_size, hidden_size), "emb")
         self.layers = [
@@ -289,35 +290,19 @@ class SequenceModel:
             )
             self.params.append(self.out_w)
 
-    def logits(self, x_ids: np.ndarray, dropout: float, rng: np.random.Generator,
-               train: bool) -> en.Tensor:
+    def logits(self, x_ids: np.ndarray) -> en.Tensor:
         """The head's logits at every timestep, rows in time-major order;
         each layer runs over the whole sequence as one tape node."""
-        batch, seq = x_ids.shape
-        keep = None
-        if train and dropout > 0.0:
-            # the masks in the order a timestep-by-timestep run draws them:
-            # at each timestep the input's, then each layer's output's
-            shape = (seq, len(self.layers) + 1, batch, self.hidden_size)
-            keep = (rng.random(shape) >= dropout) / (1.0 - dropout)
-
-        def drop(h: en.Tensor, i: int) -> en.Tensor:
-            if keep is None:
-                return h
-            return en.mul(h, en.Tensor(keep[:, i].reshape(seq * batch, -1)))
-
-        h = drop(en.embedding(self.emb, x_ids.T), 0)
-        for li, layer in enumerate(self.layers):
-            h, _ = run_steps(layer, h, initial_state(layer, batch))
-            h = drop(h, li + 1)
+        h = en.embedding(self.emb, x_ids.T)
+        for layer in self.layers:
+            h, _ = run_steps(layer, h, initial_state(layer, x_ids.shape[0]))
         return en.linear(h, self.emb if self.tie else self.out_w, self.out_b)
 
-    def loss(self, x_ids: np.ndarray, y_ids: np.ndarray, dropout: float,
-             rng: np.random.Generator, train: bool) -> en.Tensor:
-        logits = self.logits(x_ids, dropout, rng, train)
+    def loss(self, x_ids: np.ndarray, y_ids: np.ndarray) -> en.Tensor:
+        logits = self.logits(x_ids)
         return en.cross_entropy(logits, y_ids.T.reshape(-1))
 
-    def mean_loss(self, batches, rng: np.random.Generator) -> float:
+    def mean_loss(self, batches) -> float:
         """The mean of the batches' losses. Batches of one sequence length
         run as one batch; each loss still averages its own batch's rows, in
         time-major order."""
@@ -326,7 +311,7 @@ class SequenceModel:
             for seq in dict.fromkeys(x.shape[1] for x, _ in batches):
                 group = [i for i, (x, _) in enumerate(batches) if x.shape[1] == seq]
                 x_ids = np.concatenate([batches[i][0] for i in group])
-                z = self.logits(x_ids, 0.0, rng, train=False).data.reshape(seq, len(x_ids), -1)
+                z = self.logits(x_ids).data.reshape(seq, len(x_ids), -1)
                 start = 0
                 for i in group:
                     x, y = batches[i]
@@ -363,7 +348,6 @@ def train_and_score(
             timestamp=EPOCH_TIMESTAMP,
         )
 
-    rng = np.random.default_rng(cfg.seed)
     try:
         model = SequenceModel(
             arch,
@@ -371,7 +355,7 @@ def train_and_score(
             cfg.hidden_size,
             cfg.n_layers,
             cfg.tie_embeddings,
-            rng,
+            np.random.default_rng(cfg.seed),
         )
     except (CompileError, ValueError):
         return record("invalid")
@@ -388,14 +372,14 @@ def train_and_score(
         try:
             for epoch in range(1, cfg.epochs + 1):
                 for x, y in task.train:
-                    loss = model.loss(x, y, cfg.dropout, rng, train=True)
+                    loss = model.loss(x, y)
                     if not np.isfinite(loss.data):
                         raise DivergenceError("non-finite training loss")
                     loss.backward()
                     if not opt.step():
                         raise DivergenceError("non-finite parameters after the step")
                 epochs_run = epoch
-                valid = model.mean_loss(task.valid, rng)
+                valid = model.mean_loss(task.valid)
                 if not np.isfinite(valid):
                     raise DivergenceError("non-finite validation loss")
                 if epoch == cfg.failure_check_epoch and valid > loss_cap:
@@ -405,12 +389,12 @@ def train_and_score(
                 if valid < best_valid:
                     best_valid = valid
                 else:
-                    opt.lr /= cfg.lr_decay_factor
+                    opt.lr /= LR_DECAY_FACTOR
         except DivergenceError:
             return record("diverged", epochs_run=epochs_run)
 
         try:
-            test = model.mean_loss(task.test, rng) if task.test else None
+            test = model.mean_loss(task.test) if task.test else None
         except DivergenceError:
             test = None
     return record("ok", valid_metric=best_valid, test_metric=test, epochs_run=epochs_run)

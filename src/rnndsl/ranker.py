@@ -78,6 +78,11 @@ def unroll_once(arch: Architecture) -> EvalNode:
     return _to_eval(arch.root, leaves)
 
 
+# the cap on the regression target, a log-perplexity: an ok record's
+# validation loss is clipped to it, and any other record gets it
+METRIC_CAP = math.log(500.0)
+
+
 @dataclass
 class RankerConfig:
     hidden: int = 128
@@ -87,13 +92,14 @@ class RankerConfig:
     head_dropout: float = 0.2
     unroll: bool = True
     epochs: int = 200
-    metric_cap: float = math.log(500.0)  # clipped log-perplexity target
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("hidden", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"RankerConfig.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"RankerConfig.learning_rate must be > 0, got {self.learning_rate}")
 
 
 def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
@@ -292,15 +298,13 @@ class Ranker:
     # -- training ----------------------------------------------------------
 
     def target_for(self, rec: ArchPerfRecord) -> float:
-        cap = self.cfg.metric_cap
         if rec.status == "ok" and rec.valid_metric is not None:
-            return min(rec.valid_metric, cap)
-        return cap
+            return min(rec.valid_metric, METRIC_CAP)
+        return METRIC_CAP
 
     def fit(
         self,
         records: Sequence[ArchPerfRecord],
-        epochs: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> list[float]:
         """Weighted MSE regression on architecture-performance pairs."""
@@ -327,11 +331,10 @@ class Ranker:
                 kind="adam", learning_rate=self.cfg.learning_rate, l2=self.cfg.l2
             ),
         )
-        n_epochs = self.cfg.epochs if epochs is None else epochs
         curve: list[float] = []
         n = len(records)
         bs = min(self.cfg.batch_size, n)
-        for _ in range(n_epochs):
+        for _ in range(self.cfg.epochs):
             idx = rng.choice(n, size=bs, replace=True, p=weights)
             pred = self._predict(*(trees[i] for i in idx), train=True)
             diff = en.sub(pred, en.Tensor(targets[idx, None]))

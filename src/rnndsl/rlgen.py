@@ -39,7 +39,6 @@ class RLConfig:
     extended_dsl: bool = False
     allow_cm1: bool = True
     learning_rate: float = 0.01
-    baseline_decay: float = 0.9
     use_baseline: bool = True
     normalize_advantage: bool = False
     entropy_weight: float = 0.0
@@ -50,39 +49,39 @@ class RLConfig:
             raise ValueError(f"RLConfig.width must be >= 1, got {self.width}")
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"RLConfig.epsilon must be in [0, 1], got {self.epsilon}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"RLConfig.learning_rate must be > 0, got {self.learning_rate}")
+
+
+# decay of the running-mean reward baseline, per episode of an update
+BASELINE_DECAY = 0.9
 
 
 @dataclass
 class RewardConfig:
-    a: float = 0.2
-    base_offset: float = 140.0
-    exp_base: float = 4.0
-    exp_scale: float = 0.3815
-    exp_shift: float = 50.0
     # affine map from task loss into the formula's input range
     rescale_gain: float = 111.0
     rescale_bias: float = -2.2
-    failure_reward: float = 0.0
 
 
 def reward(cfg: RewardConfig, loss: Optional[float], status: str = "ok") -> float:
-    """Soft-exponential reward; failures get the flat failure reward."""
+    """Soft-exponential reward of the rescaled loss; a failure gets 0."""
     if status != "ok" or loss is None or not math.isfinite(loss):
-        return cfg.failure_reward
+        return 0.0
     rescaled = cfg.rescale_gain * loss + cfg.rescale_bias
-    x = cfg.base_offset - rescaled
-    return cfg.a * x + cfg.exp_base ** (cfg.exp_scale * x - cfg.exp_shift)
+    x = 140.0 - rescaled
+    return 0.2 * x + 4.0 ** (0.3815 * x - 50.0)
 
 
 # ---------------------------------------------------------------------------
 # priors
 # ---------------------------------------------------------------------------
 
-def prior_depth(arch: Architecture, lo: int = 3, hi: int = 11) -> bool:
+def prior_depth(arch: Architecture) -> bool:
     """Whether the operator nodes on the longest root-to-leaf path number
-    between ``lo`` and ``hi``."""
+    between 3 and 11."""
     root = arch.root
-    return lo <= (0 if root.op.is_source else tree_height(root) + 1) <= hi
+    return 3 <= (0 if root.op.is_source else tree_height(root) + 1) <= 11
 
 
 def prior_satisfaction(arch: Architecture) -> list[bool]:
@@ -603,7 +602,7 @@ def reinforce_update(
     reinforce_loss(policy, episodes, advs, beta).backward()
     stepped = opt.step()
     # running-mean baseline over recent rewards
-    d = policy.cfg.baseline_decay
+    d = BASELINE_DECAY
     for e in episodes:
         if policy._baseline_seen:
             policy.baseline = d * policy.baseline + (1 - d) * e.reward

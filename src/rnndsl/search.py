@@ -21,7 +21,7 @@ import numpy as np
 from . import engine as en
 from . import rlgen
 from .compiler import compile, run_sequence
-from .dsl import Architecture, OpKind, builtin, parse
+from .dsl import Architecture, OpKind, builtin, builtin_names, parse
 from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, from_dict, train_and_score
 from .randgen import (
     RAW_DRAWS_PER_CANDIDATE,
@@ -75,6 +75,10 @@ class SearchConfig:
             if getattr(self, name) < least:
                 raise ValueError(
                     f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")
+        unknown = [n for n in self.seed_baselines if n not in builtin_names()]
+        if unknown:
+            raise ValueError(
+                f"SearchConfig.seed_baselines must be among {builtin_names()}, got {unknown}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,7 @@ def run_random_search(
             idx = rng.choice(len(cands), size=take, replace=False)
             chosen = [cands[i] for i in idx]
         _evaluate(chosen, store, run, task, train_cfg, "random", step)
-    return store, store.best()
+    return store, run.best()
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +356,7 @@ def run_rl_search(
                     policy, rng, forced_actions=old.actions, memo=memo
                 )
                 fail_pending[i].reward = old.reward
-    return RLSearchResult(store, store.best(), rewards_seen, batches, relaxed)
+    return RLSearchResult(store, run.best(), rewards_seen, batches, relaxed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +419,12 @@ def hidden_dump(
     dsl: str,
     seq_len: int = 16,
     hidden_size: int = 8,
-    input_size: int = 8,
     seed: int = 0,
 ) -> list[dict]:
-    """Per-timestep hidden vector of one rollout on random inputs."""
+    """Per-timestep hidden vector of one rollout on random inputs of width 8."""
     rng = np.random.default_rng(seed)
-    prog = compile(parse(dsl), input_size, hidden_size, rng=rng)
-    xs = [en.Tensor(rng.standard_normal((1, input_size))) for _ in range(seq_len)]
+    prog = compile(parse(dsl), 8, hidden_size, rng=rng)
+    xs = [en.Tensor(rng.standard_normal((1, 8))) for _ in range(seq_len)]
     with en.no_grad():
         _, _, trace = run_sequence(prog, xs, collect_trace=True)
     return [

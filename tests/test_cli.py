@@ -304,11 +304,27 @@ class TestRemovedOptions:
          ("search", "warm_start_ranker", "SearchConfig"),
          ("train", "wall_clock_budget", "TrainConfig"),
          ("train", "decay_on_no_improve", "TrainConfig"),
-         ("rl", "min_depth", "RLConfig")],
+         ("rl", "min_depth", "RLConfig"),
+         ("train", "lr_decay_factor", "TrainConfig"),
+         ("train", "dropout", "TrainConfig"),
+         ("ranker", "metric_cap", "RankerConfig"),
+         ("reward", "a", "RewardConfig"),
+         ("reward", "base_offset", "RewardConfig"),
+         ("reward", "exp_base", "RewardConfig"),
+         ("reward", "exp_scale", "RewardConfig"),
+         ("reward", "exp_shift", "RewardConfig"),
+         ("reward", "failure_reward", "RewardConfig"),
+         ("rl", "baseline_decay", "RLConfig"),
+         ("task", "n_symbols", "TaskSpec"),
+         ("task", "copy_len", "TaskSpec"),
+         ("task", "delay", "TaskSpec"),
+         ("train.optimizer", "beta1", "OptimizerConfig"),
+         ("train.optimizer", "beta2", "OptimizerConfig"),
+         ("train.optimizer", "eps", "OptimizerConfig")],
     )
     def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({section: {name: 2}}))
+        cfg.write_text(json.dumps(nest(section, name, 2)))
         code, _, err = run_cli(
             capsys, "search", "random", "--config", str(cfg),
             "--out", str(tmp_path / "r.jsonl"),
@@ -356,8 +372,7 @@ class TestHopelessGenerator:
 class TestBadTaskSize:
     @pytest.mark.parametrize("field,value,least", [
         ("batch_size", 0, 1), ("train_size", 0, 1), ("valid_size", 0, 1),
-        ("n_symbols", 0, 1), ("copy_len", 0, 1), ("test_size", -1, 0),
-        ("delay", -1, 0), ("seq_len", 1, 2),
+        ("test_size", -1, 0), ("seq_len", 1, 2),
     ])
     def test_refused_before_any_work(self, capsys, tmp_path, field, value, least):
         cfg = tmp_path / "cfg.json"
@@ -444,11 +459,20 @@ class TestConfigRefusedAtLoad:
         ("search", "temperature", -1.0, "SearchConfig.temperature must be >= 0, got -1.0"),
         ("search", "max_steps", 0, "SearchConfig.max_steps must be >= 1, got 0"),
         ("search", "max_evaluations", 0, "SearchConfig.max_evaluations must be >= 1, got 0"),
-        ("ranker", "metric_cap", math.nan, "ranker.metric_cap: expected a finite number"),
-        ("train", "lr_decay_factor", math.inf, "train.lr_decay_factor: expected a finite number"),
+        ("ranker", "head_dropout", math.nan, "ranker.head_dropout: expected a finite number"),
+        ("train", "failure_ppl_threshold", math.inf,
+         "train.failure_ppl_threshold: expected a finite number"),
+        ("train.optimizer", "kind", "rmsprop",
+         "OptimizerConfig.kind must be 'sgd' or 'adam', got 'rmsprop'"),
+        ("train.optimizer", "learning_rate", 0, "OptimizerConfig.learning_rate must be > 0, got 0"),
+        ("ranker", "learning_rate", 0, "RankerConfig.learning_rate must be > 0, got 0"),
+        ("rl", "learning_rate", -0.01, "RLConfig.learning_rate must be > 0, got -0.01"),
+        ("search", "seed_baselines", ["gru", "elman"],
+         "SearchConfig.seed_baselines must be among ['bc3', 'gru', 'lstm', 'mgu', 'tanh_rnn'], "
+         "got ['elman']"),
     ])
     def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
-        err = self.refused(capsys, tmp_path, {section: {name: value}})
+        err = self.refused(capsys, tmp_path, nest(section, name, value))
         assert err.startswith(f"error[ValueError]: {message}")
 
     def test_c_tm1_required_while_the_ct_gate_is_shut(self, capsys, tmp_path):

@@ -304,7 +304,7 @@ class TestOptimizer:
         opt = en.Optimizer([p], cfg)
         opt.step()
         # bias-corrected m̂ = v̂ = 1 on the first step
-        expected = -cfg.learning_rate * 1.0 / (1.0 + cfg.eps)
+        expected = -cfg.learning_rate * 1.0 / (1.0 + en.ADAM_EPS)
         np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
     def test_divergence_signalled(self):
@@ -386,11 +386,11 @@ class TestOptimizer:
                 if cfg.kind == "sgd":
                     w -= cfg.learning_rate * g
                     continue
-                m[i][...] = cfg.beta1 * m[i] + (1 - cfg.beta1) * g
-                v[i][...] = cfg.beta2 * v[i] + (1 - cfg.beta2) * g * g
-                mhat = m[i] / (1 - cfg.beta1 ** t)
-                vhat = v[i] / (1 - cfg.beta2 ** t)
-                w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+                m[i][...] = en.ADAM_BETA1 * m[i] + (1 - en.ADAM_BETA1) * g
+                v[i][...] = en.ADAM_BETA2 * v[i] + (1 - en.ADAM_BETA2) * g * g
+                mhat = m[i] / (1 - en.ADAM_BETA1 ** t)
+                vhat = v[i] / (1 - en.ADAM_BETA2 ** t)
+                w -= cfg.learning_rate * mhat / (np.sqrt(vhat) + en.ADAM_EPS)
             for p, w in zip(params, want):
                 assert p.grad is None
                 assert p.data.tobytes() == w.tobytes()

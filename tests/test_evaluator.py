@@ -10,6 +10,9 @@ import rnndsl.engine as en
 from rnndsl.compiler import initial_state, step
 from rnndsl.dsl import builtin, parse
 from rnndsl.evaluator import (
+    COPY_DELAY,
+    COPY_LEN,
+    COPY_SYMBOLS,
     ArchPerfRecord,
     SequenceModel,
     TaskSpec,
@@ -48,11 +51,10 @@ class TestMakeTask:
 
     def test_copy_memory_shapes(self):
         task = small_copy_task()
-        spec = task.spec
-        length = spec.copy_len + spec.delay + 1 + spec.copy_len
+        length = COPY_LEN + COPY_DELAY + 1 + COPY_LEN
         for x, y in task.train:
             assert x.shape[1] == length
-            assert task.vocab_size == spec.n_symbols + 2
+            assert task.vocab_size == COPY_SYMBOLS + 2
 
     def test_char_lm_vocab_covers_corpus(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -174,36 +176,31 @@ class TestSequenceModelLoss:
     def test_gradient_check(self, tie):
         model, x, y = self._model(tie)
         x, y = x[:2, :6], y[:2, :6]
-        rng = np.random.default_rng(0)
 
         def loss():
-            return model.loss(x, y, 0.0, rng, train=True)
+            return model.loss(x, y)
 
         assert en.gradient_check(loss, model.params) < 1e-4
 
     @pytest.mark.parametrize("tie", [True, False])
     def test_value_is_mean_of_per_timestep_cross_entropies(self, tie):
         model, x, y = self._model(tie, hidden=5)
-        p = 0.25
-        loss = model.loss(x, y, p, np.random.default_rng(1), train=True)
+        loss = model.loss(x, y)
         loss.backward()
         got = {q.name: q.grad for q in model.params}
         for q in model.params:
             q.zero_grad()
 
         # oracle: per timestep an embedding lookup, a step of each layer, a
-        # head and a cross-entropy, the masks drawn in the same order (the
-        # input, then each layer's output); the loss is their mean
-        rng = np.random.default_rng(1)
+        # head and a cross-entropy; the loss is their mean
         batch, seq = x.shape
         w = model.emb if tie else model.out_w
         states = [initial_state(layer, batch) for layer in model.layers]
         total = None
         for t in range(seq):
-            h = en.dropout(en.embedding(model.emb, x[:, t]), p, rng, True)
+            h = en.embedding(model.emb, x[:, t])
             for li, layer in enumerate(model.layers):
                 h, states[li] = step(layer, h, states[li])
-                h = en.dropout(h, p, rng, True)
             ce = en.cross_entropy(en.linear(h, w, model.out_b), y[:, t])
             total = ce if total is None else en.add(total, ce)
         oracle = en.mul(total, en.Tensor(1.0 / seq))
@@ -294,7 +291,7 @@ class TestPinnedTrainingBits:
         model = SequenceModel(arch, task.vocab_size, 16, n_layers, True,
                               np.random.default_rng(0))
         x, y = task.train[0]
-        model.loss(x, y, 0.0, np.random.default_rng(0), train=True).backward()
+        model.loss(x, y).backward()
         digest = hashlib.sha256()
         for p in model.params:
             digest.update(p.name.encode())
@@ -323,10 +320,9 @@ class TestStackedUntiedModel:
         model, task = self._model()
         x, y = task.train[0]
         x, y = x[:2, :6], y[:2, :6]
-        rng = np.random.default_rng(0)
 
         def loss():
-            return model.loss(x, y, 0.0, rng, train=True)
+            return model.loss(x, y)
 
         assert en.gradient_check(loss, model.params) < 1e-4
 

@@ -448,24 +448,33 @@ class TestResume:
     next line torn off, writes the uncut run's store byte for byte and
     trains only the records the cut lost."""
 
-    def _random(self, path):
-        store = RecordStore.load(path)
-        loaded = len(store)
+    @staticmethod
+    def _random_best(store):
         cfg = SearchConfig(candidates_per_step=60, k_top=2, k_sampled=1,
                            max_steps=3, seed=0)
-        run_random_search(cfg, tiny_task(), GenConfig(seed=0),
-                          TrainConfig(epochs=2, hidden_size=8, failure_check_epoch=1),
-                          RankerConfig(hidden=8, epochs=20, seed=0), store)
-        return len(store) - loaded
+        return run_random_search(cfg, tiny_task(), GenConfig(seed=0),
+                                 TrainConfig(epochs=2, hidden_size=8, failure_check_epoch=1),
+                                 RankerConfig(hidden=8, epochs=20, seed=0), store)[1]
 
-    def _rl(self, path):
+    @staticmethod
+    def _rl_best(store):
+        cfg = SearchConfig(mode="rl", max_evaluations=16, seed=0)
+        return run_rl_search(cfg, tiny_task(), Policy(RLConfig(width=4, seed=0)),
+                             TrainConfig(epochs=1, hidden_size=8, failure_check_epoch=1),
+                             store=store).best
+
+    @staticmethod
+    def _trained(search, path):
         store = RecordStore.load(path)
         loaded = len(store)
-        cfg = SearchConfig(mode="rl", max_evaluations=16, seed=0)
-        run_rl_search(cfg, tiny_task(), Policy(RLConfig(width=4, seed=0)),
-                      TrainConfig(epochs=1, hidden_size=8, failure_check_epoch=1),
-                      store=store)
+        search(store)
         return len(store) - loaded
+
+    def _random(self, path):
+        return self._trained(self._random_best, path)
+
+    def _rl(self, path):
+        return self._trained(self._rl_best, path)
 
     def test_random_search(self, tmp_path):
         lines = assert_resumes_at_every_cut(self._random, tmp_path)
@@ -490,6 +499,16 @@ class TestResume:
         path.write_text(foreign)
         assert self._random(str(path)) == 10
         assert path.read_bytes() == foreign.encode() + fresh.read_bytes()
+
+    @pytest.mark.parametrize("search", ["_random_best", "_rl_best"])
+    def test_best_is_the_runs_own(self, tmp_path, search):
+        fresh = getattr(self, search)(RecordStore())
+        # an ok record of another run on file, better than any the run trains
+        foreign = make_record(builtin("gru"), 0.01, source="human")
+        store = RecordStore()
+        store.append(foreign)
+        best = getattr(self, search)(store)
+        assert best.id != foreign.id and best.to_json() == fresh.to_json()
 
 
 class TestLoadConfig:
