@@ -4,18 +4,27 @@ A CellProgram is a parameter table plus a topologically ordered list of
 instructions over value slots. Matrix multiplications applied directly to
 the same source leaf can be fused into one wide multiplication whose
 output is sliced back apart.
+
+A program runs as generated Python, one line per instruction: a forward and
+a backward timestep function that call the engine's operator kernels (see
+`_timestep_source`); tracebacks show its lines under `<cell:ARCH_ID>`.
 """
 
 from __future__ import annotations
 
+import builtins
 import functools
+import linecache
+import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import CodeType
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import engine as en
 from .dsl import Architecture, ArchNode, OpKind, node_at_index, numbered_operator_nodes, subtree_uses
+from .randgen import arch_id
 
 
 class CompileError(ValueError):
@@ -77,6 +86,13 @@ class CellProgram:
     n_slots: int
     posenc_table: Optional[np.ndarray]  # None when the cell never reads posenc
     node_param_names: dict[int, tuple[str, ...]]  # node number -> param names
+    source: str = ""  # the generated timestep code, once `bind` is built
+
+    @functools.cached_property
+    def bind(self) -> Callable:
+        """The generated `bind(params)` of this program, built on first use."""
+        self.source = _timestep_source(self)
+        return _timestep_bind(self.arch, self.source)
 
     def parameters(self) -> list[en.Parameter]:
         return list(self.params.values())
@@ -237,27 +253,150 @@ def compile(
     )
 
 
-# op -> (forward, backward) array kernels, as in engine: forward(*inputs,
-# *params) returns the value and what backward(g, inputs, saved) needs to
-# give one gradient per input and parameter
-_KERNELS = {
-    OpKind.SIGMOID: (en.sigmoid_fwd, en.sigmoid_bwd),
-    OpKind.TANH: (en.tanh_fwd, en.tanh_bwd),
-    OpKind.RELU: (en.relu_fwd, en.relu_bwd),
-    OpKind.SIN: (en.sin_fwd, en.sin_bwd),
-    OpKind.COS: (en.cos_fwd, en.cos_bwd),
-    OpKind.SELU: (en.selu_fwd, en.selu_bwd),
-    OpKind.DIV: (en.safe_div_fwd, en.safe_div_bwd),
-    OpKind.GATE3: (en.gate3_fwd, en.gate3_bwd),
-    OpKind.LAYERNORM: (en.layer_norm_fwd, en.layer_norm_bwd),
-    OpKind.ADD: (lambda a, b: (a + b, None), lambda g, ab, _: (g, g)),
-    OpKind.SUB: (lambda a, b: (a - b, None), lambda g, ab, _: (g, -g)),
-    OpKind.MULT: (lambda a, b: (a * b, None), lambda g, ab, _: (g * ab[1], g * ab[0])),
-    OpKind.MM: (
-        lambda x, w, b: (x @ w.T + b, None),
-        lambda g, xwb, _: (g @ xwb[1], g.T @ xwb[0], g.sum(axis=0)),
-    ),
+# the forward kernel of each operator not written inline; its backward kernel
+# is the engine's `<name>_bwd`
+_FWD_KERNELS = {
+    OpKind.SIGMOID: en.sigmoid_fwd, OpKind.TANH: en.tanh_fwd, OpKind.RELU: en.relu_fwd,
+    OpKind.SIN: en.sin_fwd, OpKind.COS: en.cos_fwd, OpKind.SELU: en.selu_fwd,
+    OpKind.DIV: en.safe_div_fwd, OpKind.GATE3: en.gate3_fwd, OpKind.LAYERNORM: en.layer_norm_fwd,
 }
+# the operators written inline: the value, and each input's gradient from g
+_INLINE = {
+    OpKind.ADD: ("{0} + {1}", ("{g}", "{g}")),
+    OpKind.SUB: ("{0} - {1}", ("{g}", "-{g}")),
+    OpKind.MULT: ("{0} * {1}", ("{g} * {1}", "{g} * {0}")),
+}
+_SOURCE_NAMES = tuple(kind.value for kind in _SOURCE_SLOTS)  # x_t, x_tm1, ... by slot
+
+
+def _timestep_source(prog: CellProgram) -> str:
+    """The source of `bind(P)`. It binds the arrays of the parameter table `P`
+    (a fused group's concatenated into one wide MM whose outputs are column
+    blocks) and returns `forward(t, x_t, x_tm1, h_tm1, c_tm1, posenc)`
+    -> (h_t, c_t, saved); `backward(first, g_root, g_c, saved, sum_x_t,
+    sum_x_tm1)` -> the h_tm1 and c_tm1 gradients, adding the x gradients into
+    the given rows and each parameter-gradient term into its sum over time
+    (assigned when `first`); and `param_grads()` -> one sum per parameter."""
+    hid, instrs = prog.hidden_size, prog.instructions
+
+    def v(s: int) -> str:
+        return _SOURCE_NAMES[s] if s < len(_SOURCE_NAMES) else f"v{s}"
+
+    head = [f"OPS = {tuple(ins.op.value for ins in instrs)!r}"]
+    fwd, results, saved = [], [], []
+    for i, ins in enumerate(instrs):
+        args, ps = [v(s) for s in ins.inputs], [f"P[{p!r}].data" for p in ins.params]
+        out = f"r{i}" if ins.fused else v(ins.outputs[0])
+        if ins.op is OpKind.MM:
+            head.append(f"W{i}, b{i} = " + (
+                f"np.concatenate([{', '.join(ps[0::2])}]), np.concatenate([{', '.join(ps[1::2])}])"
+                if ins.fused else f"{ps[0]}, {ps[1]}"))
+            fwd.append(f"{out} = {args[0]} @ W{i}.T + b{i}")
+            if ins.fused:
+                fwd.append(", ".join(map(v, ins.outputs)) + " = " + ", ".join(
+                    f"{out}[:, {j * hid}:{(j + 1) * hid}]" for j in range(len(ins.outputs))))
+            saved.append(args[0])
+        elif ins.op in _INLINE:
+            fwd.append(f"{out} = " + _INLINE[ins.op][0].format(*args))
+            saved += args if ins.op is OpKind.MULT else []
+        else:
+            if ins.op is OpKind.DIV:  # an exact singularity; the clamp guards near-zero values
+                fwd += [f"if ({args[1]} == 0.0).any():",
+                        f"    diverged(t, [{', '.join(results)}], OPS, div={i})"]
+            if ins.op is OpKind.LAYERNORM:
+                head.append(f"G{i}, B{i} = {ps[0]}, {ps[1]}")
+            ln = [f"G{i}", f"B{i}"] * (ins.op is OpKind.LAYERNORM)
+            fwd.append(f"{out}, a{i} = en.{_FWD_KERNELS[ins.op].__name__}({', '.join(args + ln)})")
+            saved += args + [f"a{i}"]
+        results.append(out)
+    saved = ", ".join(dict.fromkeys(saved))
+    fwd += [f"out = [{', '.join(results)}]",
+            "if not np.isfinite(np.concatenate(out, axis=1)).all():",
+            "    diverged(t, out, OPS)",
+            f"return {v(prog.root_slot)}, {prog.ct_slot and v(prog.ct_slot)}, [{saved}]"]
+
+    grad = {prog.root_slot: "g_root"}  # slot -> its gradient, once it has one
+    bwd, terms, acc = [f"[{saved}] = saved"], [], {}  # acc: parameter -> its summed term
+
+    def add(s: int, e: str) -> None:
+        if s == SLOT_POSENC:  # a constant
+            return
+        name = f"g_{v(s)}"
+        if s in grad:
+            e = f"{name} + {e}"
+        elif s == prog.ct_slot:  # after the c_t tap's own gradient
+            e = f"{e} if g_c is None else g_c + {e}"
+        grad[s] = name
+        bwd.append(f"{name} = {e}")
+
+    for i, ins in reversed(list(enumerate(instrs))):
+        args, g = [v(s) for s in ins.inputs], grad[ins.outputs[0]]
+        if ins.fused:
+            g = f"g{i}"
+            bwd.append(f"{g} = np.concatenate([{', '.join(grad[s] for s in ins.outputs)}], axis=1)")
+        new = []
+        if ins.op is OpKind.MM:
+            add(ins.inputs[0], f"{g} @ W{i}")
+            new = [f"{g}.T @ {args[0]}", f"{g}.sum(axis=0)"]
+        elif ins.op in _INLINE:
+            for s, e in zip(ins.inputs, _INLINE[ins.op][1]):
+                add(s, e.format(*args, g=g))
+        else:
+            ln = [f"G{i}", f"B{i}"] * (ins.op is OpKind.LAYERNORM)
+            d = [f"d{i}_{j}" for j in range(len(args + ln))]
+            bwd.append(f"{', '.join(d)}, = en.{_FWD_KERNELS[ins.op].__name__[:-3]}bwd("
+                       f"{g}, ({', '.join(args + ln)},), a{i})")
+            for s, e in zip(ins.inputs, d):
+                add(s, e)
+            new = [f"{e}.sum(axis=0)" for e in d[len(args):]]  # per-row gain and bias
+        for j, name in enumerate(ins.params):  # row block k of a fused term is node k's
+            acc[name] = f"A{len(terms) + j % 2}" + (
+                f"[{j // 2 * hid}:{(j // 2 + 1) * hid}]" if ins.fused else "")
+        terms += new
+    if terms:  # the last timestep's terms are fresh arrays: assigned, then added to in place
+        a = [f"A{j}" for j in range(len(terms))]
+        head.append(" = ".join(a) + " = None")
+        bwd = [f"nonlocal {', '.join(a)}", *bwd,
+               "if first:", *(f"    {x} = {e}" for x, e in zip(a, terms)),
+               "else:", *(f"    {x} += {e}" for x, e in zip(a, terms))]
+    bwd += [f"sum_{v(s)} += {grad[s]}" for s in (SLOT_X, SLOT_XM1) if s in grad]
+    bwd.append(f"return {grad.get(SLOT_HM1)}, {grad.get(SLOT_CM1)}")
+    return "\n".join(
+        ["def bind(P):"] + [f"    {line}" for line in head]
+        + ["    def forward(t, x_t, x_tm1, h_tm1, c_tm1, posenc):"]
+        + [f"        {line}" for line in fwd]
+        + ["    def backward(first, g_root, g_c, saved, sum_x_t, sum_x_tm1):"]
+        + [f"        {line}" for line in bwd]
+        + ["    def param_grads():", f"        return [{', '.join(acc[p] for p in prog.params)}]",
+           "    return forward, backward, param_grads", ""])
+
+
+def _diverged(t: int, results: list, ops: tuple, div: Optional[int] = None) -> None:
+    """Raise for the first non-finite result; else for the Div at `div`, if given."""
+    for i, res in enumerate(results):
+        if not np.isfinite(res).all():
+            raise DivergenceError(f"non-finite value at instruction {i} ({ops[i]})", timestep=t)
+    if div is not None:
+        raise DivergenceError(f"zero denominator in Div at instruction {div}", timestep=t)
+
+
+# each generated source's code while a program holds it, its lines in linecache
+_CODE: "weakref.WeakValueDictionary[str, CodeType]" = weakref.WeakValueDictionary()
+
+
+def _timestep_bind(arch: Architecture, source: str) -> Callable:
+    code = _CODE.get(source)
+    if code is None:
+        name, n = f"<cell:{arch_id(arch)}>", 1
+        while name in linecache.cache:  # live code of another program of this id
+            n += 1
+            name = f"<cell:{arch_id(arch)}#{n}>"
+        code = _CODE[source] = builtins.compile(source, name, "exec")
+        linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+        weakref.finalize(code, linecache.cache.pop, name, None)
+    namespace = {"np": np, "en": en, "diverged": _diverged, "CODE": code}  # keeps it in _CODE
+    exec(code, namespace)
+    return namespace.pop("bind")  # no cycle through its globals: freed with the program
 
 
 def run_steps(
@@ -267,138 +406,59 @@ def run_steps(
 
     `x` holds the inputs time-major, [T*B, input_size] for the batch B of
     `state`. Returns every h_t, [T*B, hidden_size] in the same order, and
-    the final state. The instructions run on plain arrays, under
+    the final state. Each timestep is one call of the program's generated
+    forward function (`CellProgram.bind`, source in `prog.source`, file name
+    `<cell:ARCH_ID>` in tracebacks), on plain arrays under
     `np.errstate(all="ignore")`: finiteness is checked once per timestep,
     over all the instructions' outputs together, and a failure names the
     first instruction whose output is not finite (a Div with an exactly
     zero denominator names an earlier such instruction first). The
-    backward pass walks timesteps and instructions in reverse, carries the
-    h, c and x_tm1 gradients between timesteps, sums each instruction's
-    parameter gradients over time in place and returns one term per
-    parameter, after the inputs' gradients. With a c_t tap the node packs
-    the h rows and then the final c rows.
+    backward pass calls the generated backward function for the timesteps
+    in reverse, carries the h, c and x_tm1 gradients between them, sums
+    each instruction's parameter gradients over time in place and returns
+    one term per parameter, after the inputs' gradients. With a c_t tap the
+    node packs the h rows and then the final c rows.
     """
-    hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
+    hid, ct_slot = prog.hidden_size, prog.ct_slot
     if state.c is None and ct_slot is not None:
-        for i, ins in enumerate(instrs):
+        for i, ins in enumerate(prog.instructions):
             if SLOT_CM1 in ins.inputs:
                 raise DivergenceError(f"instruction {i} reads an unwritten slot")
     batch = state.h.data.shape[0]
     steps = x.data.shape[0] // batch
     if steps < 1 or steps * batch != x.data.shape[0]:
         raise ValueError(f"{x.data.shape[0]} input rows are not T >= 1 batches of {batch}")
-    # per instruction: its forward kernel, input slots, parameter arrays (a
-    # fused group's concatenated into one wide MM whose outputs are column
-    # blocks), output slots, whether it is fused and whether it is a Div
-    plan = []
-    for ins in instrs:
-        arrays = [prog.params[p].data for p in ins.params]
-        if ins.fused:
-            arrays = [np.concatenate(arrays[0::2], axis=0), np.concatenate(arrays[1::2], axis=0)]
-        plan.append((_KERNELS[ins.op][0], ins.inputs, arrays, ins.outputs, ins.fused,
-                     ins.op is OpKind.DIV))
-
-    def raise_first_nonfinite(results: list[np.ndarray], k: int) -> None:
-        """Raise for the first non-finite output among `results`, if any."""
-        for i, res in enumerate(results):
-            if not np.isfinite(res).all():
-                raise DivergenceError(
-                    f"non-finite value at instruction {i} ({instrs[i].op.value})",
-                    timestep=state.t + k,
-                )
-
-    # x_tm1 of the first timestep, then each timestep's x_t
+    # bound per call: an optimizer step may have replaced the arrays
+    forward, backward_step, param_grads = prog.bind(prog.params)
+    # x_tm1 of the first timestep, then each timestep's x_t, one block each
     xx = np.concatenate([state.x_prev.data, x.data], axis=0)
-    saving = en.grad_enabled()
-    tape = []  # per timestep and instruction, in run order: its arguments, what its backward needs
+    xs = xx.reshape(steps + 1, batch, -1)
+    saving, t0 = en.grad_enabled(), state.t
+    tape = []  # per timestep, what its backward needs
     out = np.empty(((steps + (ct_slot is not None)) * batch, hid))
-    h, c = state.h.data, None if state.c is None else state.c.data
+    outs = out.reshape(-1, batch, hid)
+    h, c, pe = state.h.data, None if state.c is None else state.c.data, None
     with np.errstate(all="ignore"):
         for k in range(steps):
-            vals: list[Optional[np.ndarray]] = [None] * prog.n_slots
-            vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
             if prog.posenc_table is not None:
-                row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
-                vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
-            results = []
-            for fwd, inputs, arrays, outputs, fused, is_div in plan:
-                args = [vals[s] for s in inputs] + arrays
-                if is_div and (args[1] == 0.0).any():
-                    # exact singularity; the clamp only guards near-zero values
-                    raise_first_nonfinite(results, k)
-                    raise DivergenceError(
-                        f"zero denominator in Div at instruction {len(results)}",
-                        timestep=state.t + k,
-                    )
-                res, aux = fwd(*args)
-                if fused:
-                    for j, s in enumerate(outputs):
-                        vals[s] = res[:, j * hid:(j + 1) * hid]
-                else:
-                    vals[outputs[0]] = res
-                results.append(res)
-                if saving:
-                    tape.append((args, aux))
-            if not np.isfinite(np.concatenate(results, axis=1)).all():
-                raise_first_nonfinite(results, k)
-            h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
-            if ct_slot is not None:
-                c = vals[ct_slot]
+                row = prog.posenc_table[min(t0 + k, POSENC_ROWS - 1)]
+                pe = np.broadcast_to(row, (batch, hid)).copy()
+            h, c, saved = forward(t0 + k, xs[k + 1], xs[k], h, c, pe)
+            outs[k] = h
+            if saving:
+                tape.append(saved)
     if ct_slot is not None:
-        out[steps * batch:] = c
+        outs[steps] = c
 
     def backward(g: np.ndarray) -> list[Optional[np.ndarray]]:
         """Returns the gradients of x, the initial state and the parameters."""
-        # per instruction, last first: its index, backward kernel, input and
-        # output slots, whether it is fused and whether it is a LayerNorm
-        rplan = [(i, _KERNELS[ins.op][1], ins.inputs, ins.outputs, ins.fused,
-                  ins.op is OpKind.LAYERNORM) for i, ins in enumerate(instrs)][::-1]
         g_xx = np.zeros_like(xx)
-        g_h, g_c = None, None if ct_slot is None else g[steps * batch:]
-        # per instruction, its parameter gradients summed over time
-        acc: list[Optional[list[np.ndarray]]] = [None] * len(instrs)
-        saved = iter(reversed(tape))
+        gs, g_xs = g.reshape(-1, batch, hid), g_xx.reshape(xs.shape)
+        g_h, g_c = None, None if ct_slot is None else gs[steps]
         for k in range(steps - 1, -1, -1):
-            grads: list[Optional[np.ndarray]] = [None] * prog.n_slots
-            rows = g[k * batch:(k + 1) * batch]
-            grads[prog.root_slot] = rows if g_h is None else rows + g_h
-            if ct_slot is not None:
-                grads[ct_slot] = g_c
-            for i, bwd, inputs, outputs, fused, is_ln in rplan:
-                # every instruction feeds the root, so each output has a gradient
-                go = (np.concatenate([grads[s] for s in outputs], axis=1) if fused
-                      else grads[outputs[0]])
-                grads_in = bwd(go, *next(saved))
-                for s, gs in zip(inputs, grads_in):
-                    prev = grads[s]
-                    grads[s] = gs if prev is None else prev + gs
-                gps = grads_in[len(inputs):]
-                if not gps:
-                    continue
-                if is_ln:  # per-row gain and bias gradients
-                    gps = [gp.sum(axis=0) for gp in gps]
-                if acc[i] is None:
-                    # the last timestep's terms (an MM's products and bias sum,
-                    # a LayerNorm's sums) are fresh arrays, so the loop owns
-                    # them and adds each earlier timestep's terms in place
-                    acc[i] = list(gps)
-                else:
-                    for a, b in zip(acc[i], gps):
-                        a += b
-            for slot, block in ((SLOT_X, k + 1), (SLOT_XM1, k)):
-                if grads[slot] is not None:
-                    g_xx[block * batch:(block + 1) * batch] += grads[slot]
-            g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
-        param_grads = {}
-        for ins, gps in zip(instrs, acc):
-            if gps is None:
-                continue
-            if ins.fused:  # row block j is the group's j-th node's
-                gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
-            param_grads.update(zip(ins.params, gps))
-        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)] + [
-            param_grads.get(name) for name in prog.params
-        ]
+            g_h, g_c = backward_step(k == steps - 1, gs[k] if g_h is None else gs[k] + g_h, g_c,
+                                     tape[k], g_xs[k + 1], g_xs[k])
+        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)] + param_grads()
 
     parents = tuple(t for t in (x, state.x_prev, state.h, state.c) if t is not None)
     node = en.Tensor(out, parents + tuple(prog.params.values()), backward)

@@ -9,12 +9,12 @@ switched off with `no_grad()` for cheap inference.
 
 Each cell operator's math lives in one array kernel here (`sigmoid_fwd`,
 `safe_div_bwd`, ...). The Tensor primitives are thin wrappers over them,
-and a compiled cell (`compiler.run_steps`) calls the same kernels: one
-layer over a whole sequence is one tape node whose backward pass walks the
-timesteps and the cell's instructions in reverse (`compiler.step` is the
-one-timestep case). The fused LSTM step has a kernel pair too
-(`lstm_fwd`, `lstm_bwd`): the policy rolls out on arrays with it and
-records its steps, and one tape node per update window
+and a compiled cell's generated timestep functions call them by name: one
+layer over a whole sequence (`compiler.run_steps`) is one tape node whose
+backward pass calls the generated backward function for the timesteps in
+reverse (`compiler.step` is the one-timestep case). The fused LSTM step
+has a kernel pair too (`lstm_fwd`, `lstm_bwd`): the policy rolls out on
+arrays with it and records its steps, and one tape node per update window
 (`rlgen.Policy.window`) runs the backward pass over the stacked steps; an
 episode's log-probability sum is one node over its rows of that node.
 A fused node (a cell layer, the ranker's tree encoder, a policy window)

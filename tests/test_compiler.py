@@ -1,20 +1,25 @@
 """Graph compiler: fusion, oracle equivalence, stepping, divergence."""
 
 import contextlib
+import gc
+import linecache
+import traceback
 import warnings
 
 import numpy as np
 import pytest
 
+import rnndsl.compiler as compiler
 import rnndsl.engine as en
 import rnndsl.evaluator as ev
 from rnndsl.compiler import (
-    _KERNELS,
     POSENC_ROWS,
+    SLOT_CM1,
     SLOT_HM1,
     SLOT_POSENC,
     SLOT_X,
     SLOT_XM1,
+    CellState,
     CompileError,
     DivergenceError,
     compile,
@@ -35,6 +40,7 @@ from rnndsl.dsl import (
     parse,
     render,
 )
+from rnndsl.randgen import arch_id
 from conftest import random_architectures
 
 H, D = 6, 4
@@ -354,6 +360,151 @@ class TestDivergence:
         assert str(err.value) == f"non-finite value at instruction {mult} (Mult)"
 
 
+# op -> (forward, backward) array kernels, as in engine: forward(*inputs,
+# *params) returns the value and what backward(g, inputs, saved) needs to
+# give one gradient per input and parameter
+_KERNELS = {
+    OpKind.SIGMOID: (en.sigmoid_fwd, en.sigmoid_bwd),
+    OpKind.TANH: (en.tanh_fwd, en.tanh_bwd),
+    OpKind.RELU: (en.relu_fwd, en.relu_bwd),
+    OpKind.SIN: (en.sin_fwd, en.sin_bwd),
+    OpKind.COS: (en.cos_fwd, en.cos_bwd),
+    OpKind.SELU: (en.selu_fwd, en.selu_bwd),
+    OpKind.DIV: (en.safe_div_fwd, en.safe_div_bwd),
+    OpKind.GATE3: (en.gate3_fwd, en.gate3_bwd),
+    OpKind.LAYERNORM: (en.layer_norm_fwd, en.layer_norm_bwd),
+    OpKind.ADD: (lambda a, b: (a + b, None), lambda g, ab, _: (g, g)),
+    OpKind.SUB: (lambda a, b: (a - b, None), lambda g, ab, _: (g, -g)),
+    OpKind.MULT: (lambda a, b: (a * b, None), lambda g, ab, _: (g * ab[1], g * ab[0])),
+    OpKind.MM: (
+        lambda x, w, b: (x @ w.T + b, None),
+        lambda g, xwb, _: (g @ xwb[1], g.T @ xwb[0], g.sum(axis=0)),
+    ),
+}
+
+
+def run_steps_interpreted(prog, x, state):
+    """`run_steps` as an interpreter of the instruction list: a per-call plan
+    of kernels and arrays run at every timestep, and a BPTT backward pass
+    over the plan in reverse. The generated code must match it bit for bit."""
+    hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
+    if state.c is None and ct_slot is not None:
+        for i, ins in enumerate(instrs):
+            if SLOT_CM1 in ins.inputs:
+                raise DivergenceError(f"instruction {i} reads an unwritten slot")
+    batch = state.h.data.shape[0]
+    steps = x.data.shape[0] // batch
+    plan = []
+    for ins in instrs:
+        arrays = [prog.params[p].data for p in ins.params]
+        if ins.fused:
+            arrays = [np.concatenate(arrays[0::2], axis=0), np.concatenate(arrays[1::2], axis=0)]
+        plan.append((_KERNELS[ins.op][0], ins.inputs, arrays, ins.outputs, ins.fused,
+                     ins.op is OpKind.DIV))
+
+    def raise_first_nonfinite(results, k):
+        for i, res in enumerate(results):
+            if not np.isfinite(res).all():
+                raise DivergenceError(
+                    f"non-finite value at instruction {i} ({instrs[i].op.value})",
+                    timestep=state.t + k,
+                )
+
+    xx = np.concatenate([state.x_prev.data, x.data], axis=0)
+    saving = en.grad_enabled()
+    tape = []
+    out = np.empty(((steps + (ct_slot is not None)) * batch, hid))
+    h, c = state.h.data, None if state.c is None else state.c.data
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            vals = [None] * prog.n_slots
+            vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
+            if prog.posenc_table is not None:
+                row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
+                vals[SLOT_POSENC] = np.broadcast_to(row, (batch, hid)).copy()
+            results = []
+            for fwd, inputs, arrays, outputs, fused, is_div in plan:
+                args = [vals[s] for s in inputs] + arrays
+                if is_div and (args[1] == 0.0).any():
+                    raise_first_nonfinite(results, k)
+                    raise DivergenceError(
+                        f"zero denominator in Div at instruction {len(results)}",
+                        timestep=state.t + k,
+                    )
+                res, aux = fwd(*args)
+                if fused:
+                    for j, s in enumerate(outputs):
+                        vals[s] = res[:, j * hid:(j + 1) * hid]
+                else:
+                    vals[outputs[0]] = res
+                results.append(res)
+                if saving:
+                    tape.append((args, aux))
+            if not np.isfinite(np.concatenate(results, axis=1)).all():
+                raise_first_nonfinite(results, k)
+            h = out[k * batch:(k + 1) * batch] = vals[prog.root_slot]
+            if ct_slot is not None:
+                c = vals[ct_slot]
+    if ct_slot is not None:
+        out[steps * batch:] = c
+
+    def backward(g):
+        rplan = [(i, _KERNELS[ins.op][1], ins.inputs, ins.outputs, ins.fused,
+                  ins.op is OpKind.LAYERNORM) for i, ins in enumerate(instrs)][::-1]
+        g_xx = np.zeros_like(xx)
+        g_h, g_c = None, None if ct_slot is None else g[steps * batch:]
+        acc = [None] * len(instrs)
+        saved = iter(reversed(tape))
+        for k in range(steps - 1, -1, -1):
+            grads = [None] * prog.n_slots
+            rows = g[k * batch:(k + 1) * batch]
+            grads[prog.root_slot] = rows if g_h is None else rows + g_h
+            if ct_slot is not None:
+                grads[ct_slot] = g_c
+            for i, bwd, inputs, outputs, fused, is_ln in rplan:
+                go = (np.concatenate([grads[s] for s in outputs], axis=1) if fused
+                      else grads[outputs[0]])
+                grads_in = bwd(go, *next(saved))
+                for s, gs in zip(inputs, grads_in):
+                    prev = grads[s]
+                    grads[s] = gs if prev is None else prev + gs
+                gps = grads_in[len(inputs):]
+                if not gps:
+                    continue
+                if is_ln:
+                    gps = [gp.sum(axis=0) for gp in gps]
+                if acc[i] is None:
+                    acc[i] = list(gps)
+                else:
+                    for a, b in zip(acc[i], gps):
+                        a += b
+            for slot, block in ((SLOT_X, k + 1), (SLOT_XM1, k)):
+                if grads[slot] is not None:
+                    g_xx[block * batch:(block + 1) * batch] += grads[slot]
+            g_h, g_c = grads[SLOT_HM1], grads[SLOT_CM1]
+        param_grads = {}
+        for ins, gps in zip(instrs, acc):
+            if gps is None:
+                continue
+            if ins.fused:
+                gps = [gp[j * hid:(j + 1) * hid] for j in range(len(ins.outputs)) for gp in gps]
+            param_grads.update(zip(ins.params, gps))
+        return [g_xx[batch:], g_xx[:batch], g_h, g_c][:len(parents)] + [
+            param_grads.get(name) for name in prog.params
+        ]
+
+    parents = tuple(t for t in (x, state.x_prev, state.h, state.c) if t is not None)
+    node = en.Tensor(out, parents + tuple(prog.params.values()), backward)
+    hs = node if ct_slot is None else en.take(node, slice(0, steps * batch))
+    last = slice((steps - 1) * batch, steps * batch)
+    return hs, CellState(
+        h=hs if steps == 1 else en.take(hs, last),
+        c=state.c if ct_slot is None else en.take(node, slice(steps * batch, None)),
+        x_prev=x if steps == 1 else en.take(x, last),
+        t=state.t + steps,
+    )
+
+
 def run_checked_per_instruction(prog, x, state):
     """The forward of `run_steps` with the finiteness of every instruction's
     output checked as soon as it is made, and a Div's zero denominator
@@ -491,6 +642,147 @@ class TestRunSteps:
                     assert g_b[name] is None, name
                 else:
                     np.testing.assert_array_equal(ga, g_b[name], err_msg=name)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+# fused groups over posenc and c_tm1, and a c_t tap that is a fused output
+FUSED = ("Tanh(Add(Mult(MM(posenc),MM(x_t)),Mult(MM(posenc),MM(h_tm1))))",
+         "Tanh(Add(@ct(MM(c_tm1)),Mult(MM(c_tm1),Add(MM(x_t),Mult(MM(x_t),MM(h_tm1))))))")
+
+
+class TestGeneratedMatchesInterpreter:
+    """The generated timestep code against the instruction interpreter it
+    replaced: outputs, final state and every gradient, bit for bit."""
+
+    @staticmethod
+    def run(runner, prog, seed, T=3, B=2, t0=0):
+        rng = np.random.default_rng(seed)
+        x = en.Parameter(rng.standard_normal((T * B, prog.input_size)) * 0.5, "x")
+        h0 = en.Parameter(rng.standard_normal((B, prog.hidden_size)) * 0.5, "h0")
+        c0 = en.Parameter(rng.standard_normal((B, prog.hidden_size)) * 0.5, "c0")
+        xp0 = en.Parameter(rng.standard_normal((B, prog.input_size)) * 0.5, "xp0")
+        w_h = en.Tensor(rng.standard_normal((T * B, prog.hidden_size)))
+        w_c = en.Tensor(rng.standard_normal((B, prog.hidden_size)))
+        leaves = prog.parameters() + [x, h0, c0, xp0]
+        for p in leaves:
+            p.zero_grad()
+        state = CellState(h=h0, c=c0 if prog.ct_slot is not None else None, x_prev=xp0, t=t0)
+        try:
+            hs, state = runner(prog, x, state)
+        except DivergenceError as e:
+            return (str(e), e.timestep)
+        got = [hs.data, state.h.data, state.x_prev.data, state.t]
+        if state.c is not None:
+            got.append(state.c.data)
+        if en.grad_enabled():
+            loss = en.tsum(en.mul(hs, w_h))
+            if state.c is not None:
+                loss = en.add(loss, en.tsum(en.mul(state.c, w_c)))
+            loss.backward()
+            got += [p.grad for p in leaves]
+        return got
+
+    def check(self, prog, seed, **kw):
+        for mode in (contextlib.nullcontext, en.no_grad):
+            with mode():
+                want = self.run(run_steps_interpreted, prog, seed, **kw)
+                got = self.run(run_steps, prog, seed, **kw)
+            if isinstance(want, tuple):  # a divergence: the same message and timestep
+                assert got == want
+                continue
+            assert len(got) == len(want)
+            for a, b in zip(got, want):  # arrays, the final t, and None for an unread c0
+                assert same_bits(a, b) if isinstance(b, np.ndarray) else a == b
+
+    def test_random_cells_fused_and_not(self):
+        cells = (random_architectures(100, seed=71, allow_cm1=True)
+                 + random_architectures(100, seed=72, extended_dsl=True)
+                 + [builtin(n) for n in ("gru", "lstm", "bc3", "mgu", "tanh_rnn")]
+                 + [parse(a) for a in (EVERY_OP, *FUSED)])
+        ops, posenc, ct, fused, seen = set(), 0, 0, 0, 0
+        for n, arch in enumerate(cells):
+            for fuse in (True, False):
+                prog = compile(arch, H, H, fuse=fuse, rng=np.random.default_rng(n))
+                ops |= {ins.op for ins in prog.instructions}
+                posenc += prog.posenc_table is not None
+                ct += prog.ct_slot is not None
+                fused += any(ins.fused for ins in prog.instructions)
+                self.check(prog, seed=1000 + n, T=3 + n % 3, t0=n % 2 * (POSENC_ROWS - 2))
+                seen += 1
+        assert seen >= 400 and ops == {k for k in OpKind if not k.is_source}
+        assert posenc >= 20 and ct >= 40 and fused >= 7
+
+    def test_two_layer_model_and_replaced_arrays(self, monkeypatch):
+        """Two layers of one architecture share one generated code object;
+        each call binds its own layer's arrays, also after they are replaced."""
+        model = ev.SequenceModel(builtin("lstm"), 7, H, 2, True, np.random.default_rng(3))
+        assert model.layers[0].bind.__code__ is model.layers[1].bind.__code__
+        rng = np.random.default_rng(4)
+        x, y = rng.integers(7, size=(3, 5)), rng.integers(7, size=(3, 5))
+
+        def loss_and_grads(runner):
+            monkeypatch.setattr(ev, "run_steps", runner)
+            for p in model.params:
+                p.zero_grad()
+            loss = model.loss(x, y)
+            loss.backward()
+            return [loss.data] + [p.grad for p in model.params]
+
+        for _ in range(2):
+            got, want = loss_and_grads(run_steps), loss_and_grads(run_steps_interpreted)
+            assert all(same_bits(a, b) for a, b in zip(got, want))
+            for p in model.params:
+                p.data = p.data * 1.5
+
+
+class TestGeneratedSource:
+    @pytest.mark.parametrize("kernel", ["tanh_fwd", "tanh_bwd"])
+    def test_traceback_shows_the_generated_line(self, kernel, monkeypatch):
+        arch = builtin("tanh_rnn")
+        prog = compile(arch, D, H)
+
+        def boom(*args):
+            raise ZeroDivisionError("planted")
+
+        monkeypatch.setattr(en, kernel, boom)
+        x = en.Parameter(np.ones((4, D)), "x")
+        with pytest.raises(ZeroDivisionError) as err:
+            en.tsum(run_steps(prog, x, initial_state(prog, 2))[0]).backward()
+        frame = next(f for f in traceback.extract_tb(err.tb)
+                     if f.filename == f"<cell:{arch_id(arch)}>")
+        assert frame.name == ("forward" if kernel.endswith("fwd") else "backward")
+        assert f"en.{kernel}(" in frame.line
+        assert frame.line == prog.source.splitlines()[frame.lineno - 1].strip()
+        assert frame.line in "".join(traceback.format_exception(err.value))
+
+    def test_lines_leave_linecache_with_the_program(self):
+        gc.collect()  # programs of this id that earlier tests left in cycles
+        arch = parse(FUSED[0])
+        prog = compile(arch, H, H)
+        name = f"<cell:{arch_id(arch)}>"
+        prog.bind
+        assert linecache.getline(name, 1) == "def bind(P):\n"
+        del prog
+        assert name not in linecache.cache
+
+    def test_sixteen_batches_generate_the_source_once(self, monkeypatch):
+        made = []
+        source = compiler._timestep_source
+
+        def counting(prog):
+            made.append(prog)
+            return source(prog)
+
+        monkeypatch.setattr(compiler, "_timestep_source", counting)
+        task = ev.make_task(ev.TaskSpec(kind="copy_memory", batch_size=4, train_size=64,
+                                        valid_size=4, test_size=4))
+        assert len(task.train) == 16
+        rec = ev.train_and_score(builtin("gru"), task, ev.TrainConfig(epochs=1, hidden_size=D,
+                                                                         failure_check_epoch=1))
+        assert rec.status == "ok" and len(made) == 1
 
 
 class TestGradientsEndToEnd:
