@@ -128,6 +128,9 @@ def compile(
     rng: Optional[np.random.Generator] = None,
 ) -> CellProgram:
     """Allocate parameters and build the per-timestep instruction list."""
+    for name, size in (("input_size", input_size), ("hidden_size", hidden_size)):
+        if size < 1:
+            raise CompileError(f"{name} must be >= 1, got {size}")
     root = arch.root
     if root.op.is_source:
         raise CompileError("root is a bare source leaf: no recurrence to compile")
@@ -180,8 +183,6 @@ def compile(
             if n.op is OpKind.MM and n.children[0].op.is_source:
                 fusable.setdefault(n.children[0].op, []).append(n)
 
-    fused_emitted: set[int] = set()
-
     def emit(n: ArchNode) -> int:
         nonlocal next_slot
         if n.op.is_source:
@@ -194,22 +195,21 @@ def compile(
         if fuse and n.op is OpKind.MM and n.children[0].op.is_source:
             src_kind = n.children[0].op
             group = fusable[src_kind]
-            if id(group[0]) not in fused_emitted:
-                # one wide MM for the whole group, outputs sliced per node
-                names: list[str] = []
-                outs: list[int] = []
-                in_dim = input_size if src_kind in (OpKind.X, OpKind.XM1) else hidden_size
-                for m in group:
-                    midx = index_of[id(m)]
-                    w, b = alloc_mm(midx, in_dim)
-                    names += [w, b]
-                    slot_of[id(m)] = next_slot
-                    outs.append(next_slot)
-                    next_slot += 1
-                    fused_emitted.add(id(m))
-                instrs.append(
-                    Instr(OpKind.MM, (_SOURCE_SLOTS[src_kind],), tuple(names), tuple(outs))
-                )
+            # one wide MM for the whole group, outputs sliced per node; it
+            # gives every member a slot, so no member gets here again
+            names: list[str] = []
+            outs: list[int] = []
+            in_dim = input_size if src_kind in (OpKind.X, OpKind.XM1) else hidden_size
+            for m in group:
+                midx = index_of[id(m)]
+                w, b = alloc_mm(midx, in_dim)
+                names += [w, b]
+                slot_of[id(m)] = next_slot
+                outs.append(next_slot)
+                next_slot += 1
+            instrs.append(
+                Instr(OpKind.MM, (_SOURCE_SLOTS[src_kind],), tuple(names), tuple(outs))
+            )
             return slot_of[key]
 
         child_slots = tuple(emit(c) for c in n.children)

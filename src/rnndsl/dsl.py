@@ -170,17 +170,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def node(op: OpKind, *children: ArchNode) -> ArchNode:
-    return ArchNode(op, tuple(children))
-
-
-X = ArchNode(OpKind.X)
-XM1 = ArchNode(OpKind.XM1)
-HM1 = ArchNode(OpKind.HM1)
-CM1 = ArchNode(OpKind.CM1)
-POSENC = ArchNode(OpKind.POSENC)
-
-
 # ---------------------------------------------------------------------------
 # Node numbering
 #
@@ -276,10 +265,11 @@ class _Tokenizer:
     def peek(self) -> Optional[tuple[str, str, int]]:
         m = _TOKEN_RE.match(self.text, self.pos)
         if m is None:
-            rest = self.text[self.pos:].strip()
+            rest = self.text[self.pos:].lstrip()
             if not rest:
                 return None
-            raise ParseError(f"unexpected character {rest[0]!r}", self.pos)
+            raise ParseError(
+                f"unexpected character {rest[0]!r}", len(self.text) - len(rest))
         kind = m.lastgroup
         assert kind is not None
         return kind, m.group(kind), m.start(kind)
@@ -316,7 +306,7 @@ def parse(text: str) -> Architecture:
     selects the c_t node.
     """
     tz = _Tokenizer(text)
-    ct_marked: list[ArchNode] = []
+    ct_marked: list[tuple[ArchNode, int]] = []  # each marked node, its '@' position
     root = _parse_node(tz, ct_marked)
     ct_index: Optional[int] = None
     tok = tz.peek()
@@ -324,55 +314,51 @@ def parse(text: str) -> Architecture:
         tz.next()
         num = tz.next()
         if num is None or num[0] != "int":
-            raise ParseError("expected node number after '|'", tz.pos)
+            raise ParseError(
+                "expected node number after '|'", num[2] if num else len(text))
         ct_index = int(num[1])
+        ct_pos = num[2]
     trailing = tz.peek()
     if trailing is not None:
         raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2])
 
     if len(ct_marked) > 1:
-        raise ParseError("multiple @ct markers", 0)
+        raise ParseError("multiple @ct markers", sorted(p for _, p in ct_marked)[1])
     if ct_marked:
         if ct_index is not None:
-            raise ParseError("both @ct marker and |n suffix given", 0)
-        ct_index = index_of_node(root, ct_marked[0])
+            raise ParseError("both @ct marker and |n suffix given", tok[2])
+        tap, ct_pos = ct_marked[0]
+        ct_index = index_of_node(root, tap)
 
-    arch = Architecture(root, ct_index)
-    _validate_ct(arch, pos=len(text))
-    return arch
-
-
-def _validate_ct(arch: Architecture, pos: int) -> None:
-    if arch.ct_node is None:
-        return
-    nodes = numbered_operator_nodes(arch.root)
-    if not 1 <= arch.ct_node <= len(nodes):
-        raise ParseError(
-            f"ct node index {arch.ct_node} out of range 1..{len(nodes)}", pos
-        )
-    tap = nodes[arch.ct_node - 1]
-    if not subtree_uses(tap, OpKind.CM1):
-        raise ParseError(
-            f"ct subtree at node {arch.ct_node} does not use c_tm1", pos
-        )
+    if ct_index is not None:
+        nodes = numbered_operator_nodes(root)
+        if not 1 <= ct_index <= len(nodes):
+            raise ParseError(
+                f"ct node index {ct_index} out of range 1..{len(nodes)}", ct_pos
+            )
+        if not subtree_uses(nodes[ct_index - 1], OpKind.CM1):
+            raise ParseError(
+                f"ct subtree at node {ct_index} does not use c_tm1", ct_pos
+            )
+    return Architecture(root, ct_index)
 
 
-def _parse_node(tz: _Tokenizer, ct_marked: list[ArchNode]) -> ArchNode:
+def _parse_node(tz: _Tokenizer, ct_marked: list[tuple[ArchNode, int]]) -> ArchNode:
     tok = tz.next()
     if tok is None:
-        raise ParseError("unexpected end of input", tz.pos)
+        raise ParseError("unexpected end of input", len(tz.text))
     kind, value, pos = tok
 
     if kind == "punct" and value == "@":
         name = tz.next()
         if name is None or name[1] != "ct":
-            raise ParseError("expected 'ct' after '@'", tz.pos)
+            raise ParseError("expected 'ct' after '@'", name[2] if name else len(tz.text))
         tz.expect_punct("(")
         inner = _parse_node(tz, ct_marked)
         tz.expect_punct(")")
         if inner.op.is_source:
             raise ParseError("@ct must wrap an operator node", pos)
-        ct_marked.append(inner)
+        ct_marked.append((inner, pos))
         return inner
 
     if kind == "dollar":
@@ -386,10 +372,12 @@ def _parse_node(tz: _Tokenizer, ct_marked: list[ArchNode]) -> ArchNode:
         tz.expect_punct("'")
         inner_name = tz.next()
         if inner_name is None or inner_name[0] != "name":
-            raise ParseError("expected source name inside Var('...')", tz.pos)
+            raise ParseError(
+                "expected source name inside Var('...')",
+                inner_name[2] if inner_name else len(tz.text))
         tz.expect_punct("'")
         tz.expect_punct(")")
-        return ArchNode(_source_from_alias(inner_name[1], pos))
+        return ArchNode(_source_from_alias(inner_name[1], inner_name[2]))
 
     if value in _SOURCE_ALIASES:
         return ArchNode(_SOURCE_ALIASES[value])
@@ -599,103 +587,41 @@ def enumerate_ct_taps(arch: Architecture) -> list[Architecture]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in cells
+# Built-in cells, as DSL text; `@ct(...)` marks the node tapped as c_t
 # ---------------------------------------------------------------------------
 
-def _tanh_rnn() -> Architecture:
-    return Architecture(
-        node(OpKind.TANH, node(OpKind.ADD, node(OpKind.MM, X), node(OpKind.MM, HM1)))
-    )
-
-
-def _gru() -> Architecture:
-    def gate() -> ArchNode:
-        return node(
-            OpKind.SIGMOID,
-            node(OpKind.ADD, node(OpKind.MM, HM1), node(OpKind.MM, X)),
-        )
-
-    candidate = node(
-        OpKind.TANH,
-        node(
-            OpKind.ADD,
-            node(OpKind.MM, X),
-            node(OpKind.MULT, node(OpKind.MM, HM1), gate()),
-        ),
-    )
-    return Architecture(node(OpKind.GATE3, candidate, HM1, gate()))
-
-
-def _bc3() -> Architecture:
-    def out_gate() -> ArchNode:
-        return node(
-            OpKind.SIGMOID,
-            node(OpKind.ADD, node(OpKind.MM, X), node(OpKind.MM, HM1)),
-        )
-
-    z = node(
-        OpKind.MULT,
-        node(OpKind.MM, node(OpKind.MULT, node(OpKind.MM, CM1), node(OpKind.MM, X))),
-        node(OpKind.MM, X),
-    )
-    inner = node(OpKind.GATE3, node(OpKind.MM, X), z, out_gate())
-    ct = node(OpKind.TANH, inner)
-    root = node(OpKind.GATE3, ct, HM1, out_gate())
-    return Architecture(root, index_of_node(root, ct))
-
-
-def _lstm() -> Architecture:
-    def gate(act: OpKind) -> ArchNode:
-        return node(
-            act,
-            node(OpKind.ADD, node(OpKind.MM, X), node(OpKind.MM, HM1)),
-        )
-
-    cell = node(
-        OpKind.ADD,
-        node(OpKind.MULT, gate(OpKind.SIGMOID), CM1),
-        node(OpKind.MULT, gate(OpKind.SIGMOID), gate(OpKind.TANH)),
-    )
-    root = node(OpKind.MULT, gate(OpKind.SIGMOID), node(OpKind.TANH, cell))
-    return Architecture(root, index_of_node(root, cell))
-
-
-def _mgu() -> Architecture:
-    def forget() -> ArchNode:
-        return node(
-            OpKind.SIGMOID,
-            node(OpKind.ADD, node(OpKind.MM, HM1), node(OpKind.MM, X)),
-        )
-
-    candidate = node(
-        OpKind.TANH,
-        node(
-            OpKind.ADD,
-            node(OpKind.MM, X),
-            node(OpKind.MM, node(OpKind.MULT, forget(), HM1)),
-        ),
-    )
-    return Architecture(node(OpKind.GATE3, candidate, HM1, forget()))
-
-
 _BUILTINS = {
-    "tanh_rnn": _tanh_rnn,
-    "gru": _gru,
-    "lstm": _lstm,
-    "mgu": _mgu,
-    "bc3": _bc3,
+    "tanh_rnn": "Tanh(Add(MM(x_t),MM(h_tm1)))",
+    "gru": """
+        Gate3(Tanh(Add(MM(x_t),Mult(MM(h_tm1),Sigmoid(Add(MM(h_tm1),MM(x_t)))))),
+              h_tm1,
+              Sigmoid(Add(MM(h_tm1),MM(x_t))))""",
+    "lstm": """
+        Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),
+             Tanh(@ct(Add(Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),c_tm1),
+                          Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),Tanh(Add(MM(x_t),MM(h_tm1))))))))""",
+    "mgu": """
+        Gate3(Tanh(Add(MM(x_t),MM(Mult(Sigmoid(Add(MM(h_tm1),MM(x_t))),h_tm1)))),
+              h_tm1,
+              Sigmoid(Add(MM(h_tm1),MM(x_t))))""",
+    "bc3": """
+        Gate3(@ct(Tanh(Gate3(MM(x_t),
+                             Mult(MM(Mult(MM(c_tm1),MM(x_t))),MM(x_t)),
+                             Sigmoid(Add(MM(x_t),MM(h_tm1)))))),
+              h_tm1,
+              Sigmoid(Add(MM(x_t),MM(h_tm1))))""",
 }
 
 
 def builtin(name: str) -> Architecture:
     """Named standard cell (tanh_rnn, gru, lstm, mgu, bc3) as a DSL tree."""
     try:
-        factory = _BUILTINS[name]
+        text = _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown cell {name!r}; choose from {sorted(_BUILTINS)}"
         ) from None
-    return factory()
+    return parse(text)
 
 
 def builtin_names() -> list[str]:

@@ -173,6 +173,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs and not (self.epochs >= self.failure_check_epoch >= 1):
             raise ValueError("need epochs >= failure_check_epoch >= 1")
+        for name in ("hidden_size", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"TrainConfig.{name} must be >= 1, got {getattr(self, name)}")
+        # a perplexity is never below 1
+        if not self.failure_ppl_threshold > 1:
+            raise ValueError(
+                f"TrainConfig.failure_ppl_threshold must be > 1, got {self.failure_ppl_threshold}")
 
 
 @dataclass

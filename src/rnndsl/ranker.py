@@ -29,6 +29,7 @@ from .dsl import (
     OpKind,
     canonicalize,
     node_at_index,
+    parse,
     subtree_uses,
 )
 from .evaluator import ArchPerfRecord
@@ -95,11 +96,13 @@ class RankerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hidden", "epochs"):
+        for name in ("hidden", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"RankerConfig.{name} must be >= 1, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ValueError(f"RankerConfig.learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.head_dropout < 1:
+            raise ValueError(f"RankerConfig.head_dropout must be in [0, 1), got {self.head_dropout}")
 
 
 def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
@@ -312,8 +315,6 @@ class Ranker:
             raise ValueError("need at least one record")
         if rng is None:
             rng = np.random.default_rng(self.cfg.seed + 1)
-        from .dsl import parse
-
         trees = []
         targets = []
         for rec in records:

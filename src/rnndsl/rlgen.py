@@ -45,8 +45,9 @@ class RLConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"RLConfig.width must be >= 1, got {self.width}")
+        for name in ("width", "max_depth", "max_nodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"RLConfig.{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"RLConfig.epsilon must be in [0, 1], got {self.epsilon}")
         if not self.learning_rate > 0:

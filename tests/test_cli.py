@@ -109,6 +109,20 @@ class TestCompile:
         assert code == 1
         assert "error[CompileError]" in err
 
+    @pytest.mark.parametrize("hidden,input_,message", [
+        ("0", "3", "hidden_size must be >= 1, got 0"),
+        ("-2", "3", "hidden_size must be >= 1, got -2"),
+        ("3", "0", "input_size must be >= 1, got 0"),
+        ("3", "-1", "input_size must be >= 1, got -1"),
+    ])
+    def test_size_below_one_refused(self, capsys, hidden, input_, message):
+        code, out, err = run_cli(
+            capsys, "compile", TANH_RNN, "--hidden", hidden, "--input", input_
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error[CompileError]: {message}\n"
+
 
 class TestEval:
     def _config(self, tmp_path):
@@ -470,6 +484,19 @@ class TestConfigRefusedAtLoad:
         ("search", "seed_baselines", ["gru", "elman"],
          "SearchConfig.seed_baselines must be among ['bc3', 'gru', 'lstm', 'mgu', 'tanh_rnn'], "
          "got ['elman']"),
+        ("train", "hidden_size", 0, "TrainConfig.hidden_size must be >= 1, got 0"),
+        ("train", "hidden_size", -3, "TrainConfig.hidden_size must be >= 1, got -3"),
+        ("train", "n_layers", 0, "TrainConfig.n_layers must be >= 1, got 0"),
+        ("train", "failure_ppl_threshold", 0.0,
+         "TrainConfig.failure_ppl_threshold must be > 1, got 0.0"),
+        ("train", "failure_ppl_threshold", 1.0,
+         "TrainConfig.failure_ppl_threshold must be > 1, got 1.0"),
+        ("ranker", "batch_size", 0, "RankerConfig.batch_size must be >= 1, got 0"),
+        ("ranker", "head_dropout", 1.0, "RankerConfig.head_dropout must be in [0, 1), got 1.0"),
+        ("ranker", "head_dropout", -0.1,
+         "RankerConfig.head_dropout must be in [0, 1), got -0.1"),
+        ("rl", "max_depth", 0, "RLConfig.max_depth must be >= 1, got 0"),
+        ("rl", "max_nodes", 0, "RLConfig.max_nodes must be >= 1, got 0"),
     ])
     def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
         err = self.refused(capsys, tmp_path, nest(section, name, value))

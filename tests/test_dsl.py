@@ -29,7 +29,7 @@ from rnndsl.dsl import (
     subtree_uses,
     tree_height,
 )
-from rnndsl.randgen import GenConfig, _draw_plan, _draw_raw
+from rnndsl.randgen import GenConfig, _draw_plan, _draw_raw, arch_id
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
@@ -115,13 +115,44 @@ class TestParse:
     def test_typeset_aliases(self):
         assert parse("Tanh(MM($h_{t-1}$))") == parse("Tanh(MM(h_tm1))")
 
-    def test_errors_carry_position(self):
-        with pytest.raises(ParseError):
-            parse("Tanh(")
-        with pytest.raises(ParseError):
-            parse("Bogus(x_t)")
-        with pytest.raises(ParseError):
-            parse("Add(x_t)")  # arity mismatch
+    @pytest.mark.parametrize("text,message,pos", [
+        pytest.param("Tanh( #)", "unexpected character '#'", 6, id="character"),
+        pytest.param("Tanh x_t", "expected '(', got 'x_t'", 5, id="punct"),
+        pytest.param("Tanh(x_t", "expected ')', got 'end of input'", 8, id="punct_at_end"),
+        pytest.param("Add(x_t,h_tm1)|x", "expected node number after '|'", 15, id="suffix"),
+        pytest.param("Add(x_t,h_tm1)|", "expected node number after '|'", 15,
+                     id="suffix_at_end"),
+        pytest.param("x_t h_tm1", "unexpected trailing input 'h_tm1'", 4, id="trailing"),
+        pytest.param("Tanh(Add(@ct(Add(x_t,c_tm1)),@ct(Mult(c_tm1,x_t))))",
+                     "multiple @ct markers", 29, id="two_markers"),
+        pytest.param("Tanh(@ct(Add(@ct(Add(x_t,c_tm1)),c_tm1)))",
+                     "multiple @ct markers", 13, id="nested_markers"),
+        pytest.param("Tanh(@ct(Add(x_t,c_tm1)))|1",
+                     "both @ct marker and |n suffix given", 25, id="marker_and_suffix"),
+        pytest.param("Tanh(MM(c_tm1))|9", "ct node index 9 out of range 1..2", 16,
+                     id="ct_out_of_range"),
+        pytest.param("Add(Tanh(MM(x_t)),MM(c_tm1))|2",
+                     "ct subtree at node 2 does not use c_tm1", 29, id="suffix_without_cm1"),
+        pytest.param("Add(@ct(Tanh(MM(x_t))),MM(c_tm1))",
+                     "ct subtree at node 2 does not use c_tm1", 4, id="marker_without_cm1"),
+        pytest.param("Tanh(", "unexpected end of input", 5, id="end_of_input"),
+        pytest.param("Tanh(@foo(Add(x_t,h_tm1)))", "expected 'ct' after '@'", 6,
+                     id="marker_name"),
+        pytest.param("Tanh(@", "expected 'ct' after '@'", 6, id="marker_at_end"),
+        pytest.param("Tanh(@ct(x_t))", "@ct must wrap an operator node", 5,
+                     id="marker_on_source"),
+        pytest.param("Tanh(,)", "unexpected token ','", 5, id="token"),
+        pytest.param("Var('3')", "expected source name inside Var('...')", 5, id="var_name"),
+        pytest.param("Tanh(Var('foo'))", "unknown source 'foo'", 10, id="var_source"),
+        pytest.param("Tanh($q$)", "unknown source 'q'", 5, id="typeset_source"),
+        pytest.param("Bogus(x_t)", "unknown token 'Bogus'", 0, id="operator"),
+        pytest.param("Add(x_t)", "Add takes 2 arguments, got 1", 0, id="arity"),
+    ])
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
 
     def test_ct_out_of_range(self):
         with pytest.raises(ParseError):
@@ -288,6 +319,25 @@ class TestBuiltins:
         for name in builtin_names():
             arch = builtin(name)
             assert parse(render(arch)) == arch
+
+    @pytest.mark.parametrize("name,text,ident,ct_node", [
+        ("tanh_rnn", "Tanh(Add(MM(x_t),MM(h_tm1)))", "0fdb79d40c79", None),
+        ("gru", "Gate3(Tanh(Add(MM(x_t),Mult(MM(h_tm1),Sigmoid(Add(MM(h_tm1),MM(x_t)))))),"
+                "h_tm1,Sigmoid(Add(MM(h_tm1),MM(x_t))))", "678b2edf89fc", None),
+        ("lstm", "Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),Tanh(Add(Mult(Sigmoid(Add(MM(x_t),"
+                 "MM(h_tm1))),c_tm1),Mult(Sigmoid(Add(MM(x_t),MM(h_tm1))),Tanh(Add(MM(x_t),"
+                 "MM(h_tm1)))))))|18", "b8f6f333050e", 18),
+        ("mgu", "Gate3(Tanh(Add(MM(x_t),MM(Mult(Sigmoid(Add(MM(h_tm1),MM(x_t))),h_tm1)))),"
+                "h_tm1,Sigmoid(Add(MM(h_tm1),MM(x_t))))", "37a5ffbec647", None),
+        ("bc3", "Gate3(Tanh(Gate3(MM(x_t),Mult(MM(Mult(MM(c_tm1),MM(x_t))),MM(x_t)),"
+                "Sigmoid(Add(MM(x_t),MM(h_tm1))))),h_tm1,Sigmoid(Add(MM(x_t),MM(h_tm1))))|16",
+         "fb2969648a4c", 16),
+    ])
+    def test_builtins_pinned(self, name, text, ident, ct_node):
+        arch = builtin(name)
+        assert render(arch) == text
+        assert arch_id(arch) == ident
+        assert arch.ct_node == ct_node
 
 
 class TestStructuralViolations:
