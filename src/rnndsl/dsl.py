@@ -261,25 +261,29 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        # the token at pos and the position after it, once scanned
+        self._ahead: Optional[tuple[Optional[tuple[str, str, int]], int]] = None
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
+    def _scan(self) -> tuple[Optional[tuple[str, str, int]], int]:
         m = _TOKEN_RE.match(self.text, self.pos)
         if m is None:
             rest = self.text[self.pos:].lstrip()
             if not rest:
-                return None
+                return None, self.pos
             raise ParseError(
                 f"unexpected character {rest[0]!r}", len(self.text) - len(rest))
         kind = m.lastgroup
         assert kind is not None
-        return kind, m.group(kind), m.start(kind)
+        return (kind, m.group(kind), m.start(kind)), m.end()
+
+    def peek(self) -> Optional[tuple[str, str, int]]:
+        if self._ahead is None:
+            self._ahead = self._scan()
+        return self._ahead[0]
 
     def next(self) -> Optional[tuple[str, str, int]]:
-        tok = self.peek()
-        if tok is not None:
-            m = _TOKEN_RE.match(self.text, self.pos)
-            assert m is not None
-            self.pos = m.end()
+        tok, self.pos = self._ahead or self._scan()
+        self._ahead = None
         return tok
 
     def expect_punct(self, ch: str) -> None:

@@ -498,9 +498,12 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"OptimizerConfig.kind must be 'sgd' or 'adam', got {self.kind!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(
-                f"OptimizerConfig.learning_rate must be > 0, got {self.learning_rate}")
+        # a clip of 0 zeroes every gradient and a negative norm bound
+        # reverses it, and training would still end with an ok record
+        for name in ("learning_rate", "clip_norm", "clip_value"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"OptimizerConfig.{name} must be > 0, got {value}")
 
 
 class Optimizer:

@@ -2,10 +2,10 @@
 
 Trees grow from the output h_t downward, filling child slots left to
 right; a source leaf is forced whenever the height bound would otherwise
-be exceeded. The restriction rules are checked while a tree is drawn, and
-only a tree that passes them is built. Emitted candidates are canonical,
-admissible, deduplicated, and expanded into one candidate per valid c_t
-tap.
+be exceeded. The restriction rules are checked while a tree is drawn, a
+tree is abandoned at its first violation, and only a tree that passes
+them is built. Emitted candidates are canonical, admissible,
+deduplicated, and expanded into one candidate per valid c_t tap.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -118,18 +119,17 @@ def _draw_plan(cfg: GenConfig) -> _DrawPlan:
     return levels, cfg.max_nodes, required
 
 
-def _draw_raw(plan: _DrawPlan, rng: np.random.Generator) -> tuple[list[OpKind], bool]:
-    """Draw one raw tree: its kinds in preorder, and whether it passes the
-    restriction rules.
+def _draw_raw(plan: _DrawPlan, uniform: Callable[[], float]) -> tuple[list[OpKind], bool]:
+    """Draw one raw trial: the kinds it drew in preorder, and whether they
+    make a tree that passes the restriction rules.
 
     Inverse-CDF sampling over precomputed cumulative weights, one
-    rng.random() per node in preorder, children left to right. The rules
-    are checked as each node is drawn: its slot's banned kinds, the
-    operator count and, at the end, the required sources. A tree that fails
-    is still drawn to its end, unchecked, so the stream does not depend on
-    the rules."""
+    ``uniform()`` per node in preorder, children left to right. The rules
+    are checked as each node is drawn: its slot's banned kinds and the
+    operator count. The trial stops at its first violation, so a failing
+    trial's kinds are a prefix of its tree; a whole tree is then checked
+    for the required sources."""
     levels, max_nodes, required = plan
-    random = rng.random
     bisect_left = bisect.bisect_left
     drawn: list[OpKind] = []
     append = drawn.append
@@ -140,29 +140,22 @@ def _draw_raw(plan: _DrawPlan, rng: np.random.Generator) -> tuple[list[OpKind], 
     while stack:
         depth, banned = pop()
         cum, last, kinds, bits, slots = levels[depth]
-        i = bisect_left(cum, random())
+        i = bisect_left(cum, uniform())
         if i > last:
             i = last
         append(kinds[i])
         bit = bits[i]
+        if bit & banned:
+            return drawn, False
         kids = slots[i]
-        stack += kids
         if kids:
             ops += 1
+            if ops > max_nodes:
+                return drawn, False
+            stack += kids
         else:
             leaves |= bit
-        if bit & banned or ops > max_nodes:
-            break
-    else:
-        return drawn, (leaves & required) == required
-    while stack:
-        cum, last, kinds, _, slots = levels[pop()[0]]
-        i = bisect_left(cum, random())
-        if i > last:
-            i = last
-        append(kinds[i])
-        stack += slots[i]
-    return drawn, False
+    return drawn, (leaves & required) == required
 
 
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
@@ -183,6 +176,7 @@ def expand_ct_variants(arch: Architecture) -> list[Architecture]:
 
 
 RAW_DRAWS_PER_CANDIDATE = 100
+UNIFORMS_PER_BLOCK = 1024
 
 
 def generate_batch(
@@ -192,7 +186,13 @@ def generate_batch(
     rng: Optional[np.random.Generator] = None,
 ) -> list[Architecture]:
     """Collect up to n admissible, c_t-expanded, deduplicated candidates
-    from at most RAW_DRAWS_PER_CANDIDATE * n raw trees."""
+    from at most RAW_DRAWS_PER_CANDIDATE * n raw trials.
+
+    The trials are i.i.d. and each stops at its first violation
+    (`_draw_raw`). Their uniforms are taken from blocks of
+    ``rng.random(UNIFORMS_PER_BLOCK)``; on return the generator is put
+    back and advanced by the uniforms used, so it ends where one
+    ``rng.random()`` per drawn node would leave it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if rng is None:
@@ -201,13 +201,18 @@ def generate_batch(
     out: list[Architecture] = []
     budget = RAW_DRAWS_PER_CANDIDATE * n
     plan = _draw_plan(cfg)
+    start = rng.bit_generator.state
+    uniform = chain.from_iterable(
+        iter(lambda: rng.random(UNIFORMS_PER_BLOCK).tolist(), None)).__next__
+    used = 0
     while len(out) < n and budget > 0:
         budget -= 1
         # restriction flags are invariant under canonicalization, so the
         # raw tree is checked before the canonical pass: the draw's rules
-        # reject most trees unbuilt, and dsl.structural_violations decides
+        # reject most trials unbuilt, and dsl.structural_violations decides
         # on the rest
-        drawn, passed = _draw_raw(plan, rng)
+        drawn, passed = _draw_raw(plan, uniform)
+        used += len(drawn)
         if not passed:
             continue
         raw = Architecture(from_preorder(drawn))
@@ -223,4 +228,12 @@ def generate_batch(
             out.append(variant)
             if len(out) >= n:
                 break
+    # the blocks drew past the last uniform used; rng.random(k) advances
+    # any bit generator as k calls of rng.random() do, so redrawing `used`
+    # doubles from the start state lands exactly there
+    rng.bit_generator.state = start
+    while used:
+        k = min(used, UNIFORMS_PER_BLOCK)
+        rng.random(k)
+        used -= k
     return out

@@ -67,14 +67,19 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("random_rank", "rl"):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        # k_top 0 picks only by sampling; ct_enable_after 0 allows c_tm1 from
+        # the first step
+        for name, least in (("k_top", 0), ("k_sampled", 0), ("ct_enable_after", 0),
+                            ("min_good", 0), ("max_failing", 0), ("min_batch", 1),
+                            ("starvation_limit", 1), ("temperature", 0), ("max_steps", 1),
+                            ("max_evaluations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")
         if self.k_top + self.k_sampled > self.candidates_per_step:
             raise ValueError("k_top + k_sampled must not exceed candidates_per_step")
         if self.min_good + self.max_failing > self.min_batch:
             raise ValueError("min_good + max_failing must not exceed min_batch")
-        for name, least in (("temperature", 0), ("max_steps", 1), ("max_evaluations", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(
-                    f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")
         unknown = [n for n in self.seed_baselines if n not in builtin_names()]
         if unknown:
             raise ValueError(

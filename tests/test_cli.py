@@ -497,6 +497,15 @@ class TestConfigRefusedAtLoad:
          "RankerConfig.head_dropout must be in [0, 1), got -0.1"),
         ("rl", "max_depth", 0, "RLConfig.max_depth must be >= 1, got 0"),
         ("rl", "max_nodes", 0, "RLConfig.max_nodes must be >= 1, got 0"),
+        ("train.optimizer", "clip_value", 0.0, "OptimizerConfig.clip_value must be > 0, got 0.0"),
+        ("train.optimizer", "clip_norm", -1.0, "OptimizerConfig.clip_norm must be > 0, got -1.0"),
+        ("search", "k_top", -3, "SearchConfig.k_top must be >= 0, got -3"),
+        ("search", "k_sampled", -1, "SearchConfig.k_sampled must be >= 0, got -1"),
+        ("search", "ct_enable_after", -5, "SearchConfig.ct_enable_after must be >= 0, got -5"),
+        ("search", "min_good", -1, "SearchConfig.min_good must be >= 0, got -1"),
+        ("search", "max_failing", -2, "SearchConfig.max_failing must be >= 0, got -2"),
+        ("search", "min_batch", 0, "SearchConfig.min_batch must be >= 1, got 0"),
+        ("search", "starvation_limit", 0, "SearchConfig.starvation_limit must be >= 1, got 0"),
     ])
     def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
         err = self.refused(capsys, tmp_path, nest(section, name, value))

@@ -42,6 +42,7 @@ from rnndsl.dsl import (
 )
 from rnndsl.randgen import arch_id
 from conftest import random_architectures
+from sampling import reference_architectures
 
 H, D = 6, 4
 
@@ -553,8 +554,8 @@ class TestFirstDivergence:
 
     def test_same_error_as_per_instruction_check(self):
         T, B = 4, 2
-        cells = (random_architectures(100, seed=61, allow_cm1=True)
-                 + random_architectures(100, seed=62, extended_dsl=True))
+        cells = (reference_architectures(100, seed=61, allow_cm1=True)
+                 + reference_architectures(100, seed=62, extended_dsl=True))
         rng = np.random.default_rng(63)
         seen = {"none": 0, "non-finite": 0, "zero": 0}
         ops, posenc = set(), 0

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rnndsl import dsl
 from rnndsl.dsl import (
     Architecture,
     ArchNode,
@@ -29,7 +30,8 @@ from rnndsl.dsl import (
     subtree_uses,
     tree_height,
 )
-from rnndsl.randgen import GenConfig, _draw_plan, _draw_raw, arch_id
+from rnndsl.randgen import GenConfig, _draw_plan, arch_id
+from sampling import reference_draw
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
 
@@ -153,6 +155,21 @@ class TestParse:
             parse(text)
         assert str(info.value) == f"{message} (at position {pos})"
         assert info.value.pos == pos
+
+    @pytest.mark.parametrize("text", [EXAMPLE_21 + "|6", "Tanh(@ct(Add(x_t,c_tm1)))",
+                                      "Tanh(MM(Var('hm1')))"])
+    def test_each_position_scanned_once(self, monkeypatch, text):
+        scanned = []
+        token_re = dsl._TOKEN_RE
+
+        class Counted:
+            def match(self, s, pos):
+                scanned.append(pos)
+                return token_re.match(s, pos)
+
+        monkeypatch.setattr(dsl, "_TOKEN_RE", Counted())
+        parse(text)
+        assert sorted(scanned) == sorted(set(scanned))
 
     def test_ct_out_of_range(self):
         with pytest.raises(ParseError):
@@ -413,7 +430,7 @@ class TestOnePassMatchesMultiWalk:
         seen_flags = set()
         n_taps = 0
         for _ in range(2500):
-            arch = Architecture(from_preorder(_draw_raw(plan, rng)[0]))
+            arch = Architecture(from_preorder(reference_draw(plan, rng)[0]))
             variants = [arch]
             if subtree_uses(arch.root, OpKind.CM1):
                 variants += enumerate_ct_taps(arch)

@@ -297,6 +297,14 @@ class TestOptimizer:
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 - 0.075])
 
+    @pytest.mark.parametrize("field", ["clip_value", "clip_norm"])
+    @pytest.mark.parametrize("bound", [0.0, -1.0])
+    def test_clip_bound_not_above_zero_refused(self, field, bound):
+        # a clip value of 0 zeroes every gradient; a negative norm bound
+        # scales the gradient by a negative factor and reverses it
+        with pytest.raises(ValueError, match=f"OptimizerConfig.{field} must be > 0, got {bound}"):
+            en.OptimizerConfig(**{field: bound})
+
     def test_adam_first_step_closed_form(self):
         p = en.Parameter(np.array([0.0]), "w")
         p.accumulate(np.array([1.0]))

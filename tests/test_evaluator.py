@@ -265,13 +265,14 @@ class TestPinnedTrainingBits:
 
     def test_desk_records_pinned(self):
         from rnndsl.dsl import builtin_names
-        from rnndsl.randgen import GenConfig, generate_batch
+        from rnndsl.randgen import GenConfig
+        from sampling import reference_batch
 
         task, cfg = desk_task_and_cfg()
         archs = [builtin(name) for name in builtin_names()]
-        archs += generate_batch(GenConfig(seed=0), 10, rng=np.random.default_rng((0, 3)))
-        archs += generate_batch(GenConfig(seed=0, extended_dsl=True), 10,
-                                rng=np.random.default_rng((0, 4)))
+        archs += reference_batch(GenConfig(seed=0), 10, rng=np.random.default_rng((0, 3)))
+        archs += reference_batch(GenConfig(seed=0, extended_dsl=True), 10,
+                                 rng=np.random.default_rng((0, 4)))
         recs = [train_and_score(a, task, cfg) for a in archs]
         assert {r.status for r in recs} == {"ok", "diverged"}
         digest = hashlib.sha256("\n".join(r.to_json() for r in recs).encode())

@@ -1,9 +1,12 @@
 """No helper that only a unit test calls: every module-level function and
 class of the package is named somewhere in the package or the benchmark
-outside its own definition, or is held by the acceptance gate. No config
-field that the package never reads."""
+outside its own definition, and every module-level name bound to a callable
+by assignment is used, bare in its own module or qualified by its module
+elsewhere; the rest are held by the acceptance gate. No config field that
+the package never reads."""
 
 import ast
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -19,26 +22,71 @@ ACCEPTANCE_ONLY = {
     "engine.safe_div": "TestAcceptance04Gradients",
     "engine.gate3": "TestAcceptance04Gradients",
     "engine.layer_norm": "TestAcceptance04Gradients",
+    "engine.sigmoid": "TestAcceptance04Gradients",
+    "engine.tanh": "TestAcceptance04Gradients",
+    "engine.relu": "TestAcceptance04Gradients",
+    "engine.sin": "TestAcceptance04Gradients",
+    "engine.cos": "TestAcceptance04Gradients",
+    "engine.exp": "TestAcceptance04Gradients",
+    "engine.selu": "TestAcceptance04Gradients",
     "rlgen.sample_architecture": "TestAcceptance08Pretraining",
 }
 
 
+def assigned_callable(node: ast.stmt, module) -> str | None:
+    """The name a top-level `name = ...` binds, if it is bound to a callable."""
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        if callable(getattr(module, targets[0].id, None)):
+            return targets[0].id
+    return None
+
+
+def imported_from(text: str, stem: str) -> set[str]:
+    """The names a file imports from the package module ``stem``."""
+    return {a.name for n in ast.walk(ast.parse(text)) if isinstance(n, ast.ImportFrom)
+            and (n.module or "").rsplit(".", 1)[-1] == stem for a in n.names}
+
+
+def read_names(tree: ast.Module, skip: ast.stmt) -> set[str]:
+    """The bare names a module reads outside the top-level statement ``skip``."""
+    return {n.id for stmt in tree.body if stmt is not skip for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unreferenced_definitions() -> set[str]:
     """module.name of each top-level def or class whose name appears, as a
-    word, nowhere in src/rnndsl/ or perfbench/ outside its definition."""
+    word, nowhere in src/rnndsl/ or perfbench/ outside its definition; and
+    of each top-level name bound to a callable by assignment that its own
+    module's code does not read outside the binding (`np.tanh` is not a
+    read of `tanh`, nor is a comment), and that no other file imports or
+    reads as `<module or its alias>.name`."""
     texts = {p: p.read_text() for p in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]}
+    everything = "\n".join(texts.values())
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"rnndsl.{path.stem}")
         lines = texts[path].splitlines(keepends=True)
-        for node in ast.parse(texts[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        rest = [t for p, t in texts.items() if p != path]
+        tree = ast.parse(texts[path])
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = "".join(lines[:start - 1] + lines[node.end_lineno:])
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                used = any(word.search(t) for t in [*rest, own])
+            elif (name := assigned_callable(node, module)) is not None:
+                aliases = {path.stem, *re.findall(rf"\b{path.stem}\s+as\s+(\w+)", everything)}
+                qualified = re.compile(rf"\b(?:{'|'.join(aliases)})\.{re.escape(name)}\b")
+                used = (name in read_names(tree, node)
+                        or any(qualified.search(t) or name in imported_from(t, path.stem)
+                               for t in rest))
+            else:
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            rest = [t for p, t in texts.items() if p != path]
-            rest.append("".join(lines[:start - 1] + lines[node.end_lineno:]))
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(t) for t in rest):
-                found.add(f"{path.stem}.{node.name}")
+            if not used:
+                found.add(f"{path.stem}.{name}")
     return found
 
 

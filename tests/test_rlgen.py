@@ -37,6 +37,7 @@ from rnndsl.rlgen import (
     reward,
     sample_architecture,
 )
+from sampling import reference_draw
 
 
 def tiny_policy(**overrides):
@@ -324,7 +325,7 @@ class TestPriors:
                              ({"extended_dsl": True, **tight}, 24)]:
             plan = randgen._draw_plan(GenConfig(**fields))
             rng = np.random.default_rng(seed)
-            trees += [Architecture(from_preorder(randgen._draw_raw(plan, rng)[0]))
+            trees += [Architecture(from_preorder(reference_draw(plan, rng)[0]))
                       for _ in range(4750)]
         pol, rng = tiny_policy(), np.random.default_rng(25)
         trees += [sample_architecture(pol, rng, epsilon=0.5) for _ in range(1000)]

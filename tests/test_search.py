@@ -80,6 +80,21 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(min_good=4, max_failing=2, min_batch=4)
 
+    @pytest.mark.parametrize("field,value,least", [
+        ("k_top", -3, 0), ("k_sampled", -1, 0), ("ct_enable_after", -5, 0),
+        ("min_good", -1, 0), ("max_failing", -1, 0), ("min_batch", 0, 1),
+        ("starvation_limit", 0, 1),
+    ])
+    def test_counts_below_least_refused(self, field, value, least):
+        with pytest.raises(ValueError, match=f"SearchConfig.{field} must be >= {least}, got {value}"):
+            SearchConfig(**{field: value})
+
+    def test_zero_top_picks_and_open_ct_gate_allowed(self):
+        # a uniform arm picks by sampling alone; a config that requires
+        # c_tm1 must open the c_t gate from the start
+        cfg = SearchConfig(k_top=0, k_sampled=10, ct_enable_after=0)
+        assert (cfg.k_top, cfg.ct_enable_after) == (0, 0)
+
 
 class TestRecordStore:
     def test_round_trip(self, tmp_path):
@@ -438,7 +453,7 @@ class TestRandomSearch:
         assert draws == [False, True, True, True]
         assert len(bootstraps) == 1
         tapped = [r.batch_index for r in store.records if r.ct_node is not None]
-        assert tapped == [4, 4]
+        assert tapped == [2, 3, 3, 3, 4]
         run("b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
