@@ -4,7 +4,8 @@ ranking, and reporting.
 Exit codes: 0 on success, 1 on a domain error (bad expression, failed
 check, broken store), 2 on a usage error. `--json` switches standard
 output to machine-readable JSON; `--seed` (or the ARCHDSL_SEED
-environment variable) controls all randomness.
+environment variable), when given, controls all randomness; without it
+the config file's seeds (default 0) are used.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ DOMAIN_ERRORS = (
 )
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default: Optional[int] = 0) -> Optional[int]:
+    """`--seed`, else ARCHDSL_SEED, else ``default``."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("ARCHDSL_SEED")
-    return int(env) if env else 0
+    return int(env) if env else default
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -74,9 +76,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _load_sections(args, **owned) -> dict:
-    """The config sections, each seed set by `--seed` and the fields in
-    ``owned`` (name: (argument, value)) by their arguments."""
-    owned["seed"] = ("--seed (or ARCHDSL_SEED)", _resolve_seed(args))
+    """The config sections, the fields in ``owned`` (name: (argument,
+    value)) set by their arguments. A given `--seed` (or ARCHDSL_SEED) sets
+    every section's seed; otherwise each section keeps the file's."""
+    seed = _resolve_seed(args, default=None)
+    if seed is not None:
+        owned["seed"] = ("--seed (or ARCHDSL_SEED)", seed)
     return load_config(getattr(args, "config", None), owned)
 
 

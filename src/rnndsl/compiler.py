@@ -83,9 +83,7 @@ class CellProgram:
     ct_slot: Optional[int]
     hidden_size: int
     input_size: int
-    n_slots: int
     posenc_table: Optional[np.ndarray]  # None when the cell never reads posenc
-    node_param_names: dict[int, tuple[str, ...]]  # node number -> param names
     source: str = ""  # the generated timestep code, once `bind` is built
 
     @functools.cached_property
@@ -98,7 +96,9 @@ class CellProgram:
         return list(self.params.values())
 
     def params_for_node_index(self, index: int) -> tuple[str, ...]:
-        return self.node_param_names.get(index, ())
+        """The names of node ``index``'s parameters, `n{index}_*`, in the
+        order they were allocated; () for a node without any."""
+        return tuple(name for name in self.params if name.startswith(f"n{index}_"))
 
 
 @dataclass
@@ -161,7 +161,6 @@ def compile(
     width(root)  # raises on inconsistency
 
     params: dict[str, en.Parameter] = {}
-    node_param_names: dict[int, tuple[str, ...]] = {}
 
     def alloc_mm(idx: int, in_dim: int) -> tuple[str, str]:
         wname, bname = f"n{idx}_W", f"n{idx}_b"
@@ -169,7 +168,6 @@ def compile(
             en.init_mm_weight(rng, hidden_size, in_dim), wname
         )
         params[bname] = en.Parameter(np.zeros(hidden_size), bname)
-        node_param_names[idx] = (wname, bname)
         return wname, bname
 
     slot_of: dict[int, int] = {}
@@ -225,7 +223,6 @@ def compile(
             dim = width(n)
             params[names[0]] = en.Parameter(np.ones(dim), names[0])
             params[names[1]] = en.Parameter(np.zeros(dim), names[1])
-            node_param_names[idx] = names
         instrs.append(Instr(n.op, child_slots, names, (out,)))
         return out
 
@@ -245,11 +242,9 @@ def compile(
         ct_slot=ct_slot,
         hidden_size=hidden_size,
         input_size=input_size,
-        n_slots=next_slot,
         posenc_table=(
             _posenc_table(hidden_size) if subtree_uses(root, OpKind.POSENC) else None
         ),
-        node_param_names=node_param_names,
     )
 
 

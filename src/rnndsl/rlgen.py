@@ -39,7 +39,6 @@ class RLConfig:
     extended_dsl: bool = False
     allow_cm1: bool = True
     learning_rate: float = 0.01
-    use_baseline: bool = True
     normalize_advantage: bool = False
     entropy_weight: float = 0.0
     seed: int = 0
@@ -168,7 +167,7 @@ class Memo:
     on, each encoder step that ``keys`` missed is recorded in ``enc`` and
     each head step in ``head``, with the chosen log-probability and the
     entropy; an episode is a range of head steps (`Episode.rows`), and
-    `Policy.window` turns the records into one tape node. A memo serves one
+    `Policy.window` turns the records into a tape node. A memo serves one
     parameter version in one grad mode: it must not outlive a parameter
     change or a change of grad mode.
     """
@@ -186,7 +185,6 @@ class Memo:
         # state, what `lstm_fwd` saved, next state, log-probabilities, entropy
         self.head: list[tuple] = []
         self.policy: Optional[Policy] = None  # the policy that recorded the steps
-        self.node: Optional[en.Tensor] = None  # `Policy.window`'s last node
 
 
 class Policy:
@@ -214,12 +212,13 @@ class Policy:
 
         self.tokens = [k.value for k in OpKind] + [EMPTY_TOKEN, TARGET_TOKEN]
         # the encoder input of a node's first step, by its operator or slot
-        # token: -1 - the token's index (`_memo_step`), and its child count
+        # token: -1 - the token's row (`_memo_step`), and its child count
         self._token_input = {
             t: (-1 - j, t.arity if isinstance(t, OpKind) else 0)
             for j, t in enumerate([*OpKind, EMPTY_TOKEN, TARGET_TOKEN])
         }
-        self.tok_emb = {t: par(f"tok_{t}", (1, w)) for t in self.tokens}
+        # one row per token, in ``tokens`` order
+        self.tok_emb = par("tok_emb", (len(self.tokens), w))
         # fused i|f|o|u gate blocks: one [4w x w] matrix per input
         self.enc = {
             "W": par("enc_W", (4 * w, w)),
@@ -248,11 +247,11 @@ class Policy:
     def _memo_step(self, memo: Memo, key, src: int, prev: int) -> int:
         """One encoder step that ``memo`` does not hold yet; returns the
         step. ``src`` is a step whose hidden state is the input, or -1 -
-        the index of a token; ``prev`` -1 is the zero state of a node's
+        the row of a token; ``prev`` -1 is the zero state of a node's
         first step."""
         w = self.cfg.width
         hc = memo.hc
-        x = hc[src][:, :w] if src >= 0 else self.tok_emb[self.tokens[-1 - src]].data
+        x = hc[src][:, :w] if src >= 0 else self.tok_emb.data[[-1 - src]]
         out, saved = en.lstm_fwd(
             x, np.zeros((1, 2 * w)) if prev < 0 else hc[prev],
             self.enc["W"].data, self.enc["U"].data, self.enc["b"].data,
@@ -334,13 +333,13 @@ class Policy:
         epsilon: float,
         rng: np.random.Generator,
         forced: Optional[OpKind] = None,
-        entropy_weight: Optional[float] = None,
     ) -> tuple[OpKind, tuple[np.ndarray, int]]:
         """Draw (or force) one action. ``head`` is the head's packed state
         and its step in ``memo`` (`head_start`); returns the action and the
         next head. With gradients on, the head step is recorded in ``memo``
-        with the chosen log-probability and the entropy of the distribution
-        (0 when ``entropy_weight``, by default the config's, is 0)."""
+        with the chosen log-probability and the entropy of the distribution;
+        the loss's entropy weight decides whether the entropy gets a
+        gradient (`_window_backward`)."""
         head_state, prev = head
         logp, mask, (enc_step, a1, x, saved, head_state) = self.action_logprobs(
             p, head_state, memo
@@ -358,28 +357,24 @@ class Policy:
             idx = int(rng.choice(len(probs), p=probs))
         if not en.grad_enabled():
             return self.actions[idx], (head_state, -1)
-        beta = self.cfg.entropy_weight if entropy_weight is None else entropy_weight
         # entropy of the masked distribution; exp(-1e9) underflows to
         # exactly zero, so illegal entries contribute nothing
-        entropy = -float((np.exp(logp) * logp).sum()) if beta > 0 else 0.0
+        entropy = -float((np.exp(logp) * logp).sum())
         memo.policy = self
         memo.head.append((enc_step, prev, 0 if prev < 0 else memo.head[prev][2] + 1, idx,
                           a1, x, head[0], *saved, head_state, logp, entropy))
         return self.actions[idx], (head_state, len(memo.head) - 1)
 
     def window(self, memo: Memo) -> en.Tensor:
-        """The tape node of ``memo``'s head steps: its value [head steps, 2]
+        """A tape node of ``memo``'s head steps: its value [head steps, 2]
         holds each step's chosen log-probability and entropy, and its
-        backward pass is `_window_backward`. It is rebuilt once the memo has
-        grown; backward is linear, so two nodes over one memo sum correctly."""
-        if memo.node is None or len(memo.node.data) != len(memo.head):
-            # copies of the records, not the memo: a memo that held its own
-            # node through the closure would be a reference cycle
-            steps = list(memo.hc), list(memo.enc), list(memo.levels), list(memo.head)
-            values = np.array([(s[-2][0, s[3]], s[-1]) for s in memo.head])
-            memo.node = en.Tensor(values, tuple(self.params),
-                                  lambda g: self._window_backward(*steps, g))
-        return memo.node
+        backward pass is `_window_backward`. Each call builds a new node
+        over the steps recorded so far; backward is linear, so two nodes
+        over one memo sum correctly."""
+        steps = list(memo.hc), list(memo.enc), list(memo.levels), list(memo.head)
+        values = np.array([(s[-2][0, s[3]], s[-1]) for s in memo.head])
+        return en.Tensor(values, tuple(self.params),
+                         lambda g: self._window_backward(*steps, g))
 
     # -- reverse pass ------------------------------------------------------
 
@@ -415,8 +410,8 @@ class Policy:
 
         n_steps = len(hc)
         n_tok = len(self.tokens)
-        # rows: each encoder step's h gradient, each token's, then a dump row
-        # for the -1 (zero state) index
+        # rows: each encoder step's h gradient, each token row's, then a dump
+        # row for the -1 (zero state) index
         g_h = np.zeros((n_steps + n_tok + 1, w))
         g_c = np.zeros((n_steps + 1, w))
         HC = np.concatenate(hc)
@@ -463,7 +458,7 @@ class Policy:
         src, prev = np.array(src), np.array(prev)
         # a token input -1 - j reads row n_steps + j
         src = np.where(src >= 0, src, n_steps - 1 - src)
-        inputs = np.concatenate([HC[:, :w]] + [self.tok_emb[t].data for t in self.tokens])
+        inputs = np.concatenate([HC[:, :w], self.tok_emb.data])
         states = np.concatenate([HC, np.zeros((1, 2 * w))])
         saved = [np.concatenate(v) for v in (ifo, u, th)]
         enc_params = tuple(self.enc[k].data for k in "WUb")
@@ -478,10 +473,8 @@ class Policy:
             np.add.at(g_h, src[rows], gx)
             np.add.at(g_h, prev[rows], ghc[:, :w])
             np.add.at(g_c, prev[rows], ghc[:, w:])
-        read = set(src[src >= n_steps])
-        for j, t in enumerate(self.tokens):
-            if n_steps + j in read:
-                grads[self.tok_emb[t].name] = g_h[n_steps + j][None, :]
+        # a token no step read keeps a zero row
+        grads[self.tok_emb.name] = g_h[n_steps:n_steps + n_tok]
         return [grads.get(p.name) for p in self.params]
 
 
@@ -494,18 +487,9 @@ class Episode:
     reward: Optional[float] = None
 
     def logp_sum(self) -> en.Tensor:
-        """The chosen actions' log-probabilities summed, [1, 1]: one node
-        over the window's."""
-        if not self.rows:
-            raise ValueError("episode was rolled out without gradients")
-        window, rows = self.memo.policy.window(self.memo), self.rows
-
-        def backward(g):
-            full = np.zeros_like(window.data)
-            full[rows, 0:1] = g
-            return (full,)
-
-        return en.Tensor(window.data[rows, 0].sum().reshape(1, 1), (window,), backward)
+        """The chosen actions' log-probabilities summed, [1, 1]: the
+        REINFORCE loss of this episode alone at advantage -1."""
+        return reinforce_loss(self.memo.policy, [self], [-1.0], 0.0)
 
 
 def generate_episode(
@@ -514,7 +498,6 @@ def generate_episode(
     epsilon: Optional[float] = None,
     forced_actions: Optional[Sequence[OpKind]] = None,
     memo: Optional[Memo] = None,
-    entropy_weight: Optional[float] = None,
 ) -> Episode:
     """Roll out one architecture; with forced_actions, re-score a tree.
 
@@ -524,8 +507,7 @@ def generate_episode(
     costs steps. It is also the update window: with gradients on, the
     episode's head steps are appended to it as the episode's rows (`Memo`),
     and the rollout itself builds no tape node. ``None`` means a fresh memo
-    for this episode. ``entropy_weight`` (by default the config's) switches
-    the entropy terms on when positive.
+    for this episode.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch()
@@ -534,7 +516,7 @@ def generate_episode(
     first = len(memo.head)
     while not p.complete:
         forced = forced_actions[len(p.actions)] if forced_actions is not None else None
-        act, head = policy.next_action(p, head, memo, eps, rng, forced, entropy_weight)
+        act, head = policy.next_action(p, head, memo, eps, rng, forced)
         p.fill(act)
     return Episode(p.to_architecture(), p.actions, memo, range(first, len(memo.head)))
 
@@ -554,28 +536,25 @@ def reinforce_loss(
     """The REINFORCE loss, [1, 1]: the mean over episodes of -adv times the
     summed log-probabilities, minus ``beta`` times the summed entropies.
 
-    It is one node per update window, over the window node, that weights
-    each row by its gradient: (1/N) * -adv for the log-probability and
-    -(1/N) * beta for the entropy, the products a chain of scalar nodes per
-    episode would form, so the bits are the same."""
+    The episodes must share one update window (one memo). The loss is one
+    node over the window node that weights each row by its gradient:
+    (1/N) * -adv for the log-probability and -(1/N) * beta for the
+    entropy, the products a chain of scalar nodes per episode would form,
+    so the bits are the same."""
+    memo = episodes[0].memo
+    if any(e.memo is not memo for e in episodes):
+        raise ValueError("episodes of one update must share one update window (memo)")
+    if not all(e.rows for e in episodes):
+        raise ValueError("episode was rolled out without gradients")
+    window = policy.window(memo)
+    weights = np.zeros_like(window.data)
     scale = 1.0 / len(episodes)
-    weighted: dict[int, tuple[en.Tensor, np.ndarray]] = {}
     for e, adv in zip(episodes, advs):
-        if not e.rows:
-            raise ValueError("episode was rolled out without gradients")
-        if id(e.memo) not in weighted:
-            window = policy.window(e.memo)
-            weighted[id(e.memo)] = window, np.zeros_like(window.data)
-        weights = weighted[id(e.memo)][1]
         weights[e.rows, 0] += scale * -float(adv)
         if beta > 0:
             weights[e.rows, 1] += -scale * beta
-    loss = None
-    for window, weights in weighted.values():
-        term = en.Tensor((window.data * weights).sum().reshape(1, 1), (window,),
-                         lambda g, weights=weights: (g * weights,))
-        loss = term if loss is None else en.add(loss, term)
-    return loss
+    return en.Tensor((window.data * weights).sum().reshape(1, 1), (window,),
+                     lambda g: (g * weights,))
 
 
 def reinforce_update(
@@ -594,11 +573,9 @@ def reinforce_update(
     rewards = np.array([e.reward for e in episodes])
     if policy.cfg.normalize_advantage and len(episodes) > 1:
         advs = (rewards - rewards.mean()) / (rewards.std() + 1e-8)
-    elif policy.cfg.use_baseline:
+    else:
         base = policy.baseline if policy._baseline_seen else float(rewards.mean())
         advs = rewards - base
-    else:
-        advs = rewards
     beta = policy.cfg.entropy_weight if entropy_weight is None else entropy_weight
     reinforce_loss(policy, episodes, advs, beta).backward()
     stepped = opt.step()
@@ -675,10 +652,11 @@ def pretrain_priors(
     run = 0
     memo = Memo()  # one per update window: its episodes, replays and update
     while run < budget:
+        # the annealed entropy weight; an update takes its batch's last episode's
         beta = policy.cfg.entropy_weight * max(
             0.0, 1.0 - run / (PRETRAIN_ANNEAL_FRACTION * budget)
         )
-        ep = generate_episode(policy, rng, epsilon=0.0, memo=memo, entropy_weight=beta)
+        ep = generate_episode(policy, rng, epsilon=0.0, memo=memo)
         sat = prior_satisfaction(ep.arch)
         ep.reward = sum(sat) / len(sat)
         batch.append(ep)
@@ -694,7 +672,7 @@ def pretrain_priors(
             for _ in range(min(PRETRAIN_REPLAYS, len(buffer))):
                 acts = buffer[int(rng.integers(len(buffer)))]
                 rep = generate_episode(policy, rng, epsilon=0.0, forced_actions=acts,
-                                       memo=memo, entropy_weight=beta)
+                                       memo=memo)
                 rep.reward = 1.0
                 batch.append(rep)
             reinforce_update(policy, batch, opt, entropy_weight=beta)

@@ -11,8 +11,10 @@ import pytest
 import rnndsl.engine as en
 from rnndsl.cli import main
 from rnndsl.dsl import analyze, builtin, canonicalize, parse, render
-from rnndsl.randgen import arch_id
-from rnndsl.search import CONFIG_SECTIONS, RecordStore
+from rnndsl.evaluator import TaskSpec, TrainConfig, make_task
+from rnndsl.randgen import GenConfig, arch_id
+from rnndsl.ranker import RankerConfig
+from rnndsl.search import CONFIG_SECTIONS, RecordStore, SearchConfig, run_random_search
 from conftest import torn_cut
 
 TANH_RNN = "Tanh(Add(MM(x_t),MM(h_tm1)))"
@@ -228,6 +230,34 @@ class TestSearchAndReport:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
+    def test_file_seeds_run_the_desk_search(self, capsys, tmp_path):
+        """With neither --seed nor ARCHDSL_SEED the file's seeds hold: the
+        acceptance-09 random search (task seed 3, the other seeds 0) run
+        from a file writes the bytes of the library call on those configs."""
+        doc = {
+            "search": {"candidates_per_step": 500, "k_top": 8, "k_sampled": 2,
+                       "max_steps": 5},
+            "task": {"kind": "copy_memory", "seed": 3, "batch_size": 16,
+                     "train_size": 128, "valid_size": 64, "test_size": 64},
+            "train": {"epochs": 2, "hidden_size": 16, "failure_check_epoch": 1},
+            "ranker": {"hidden": 16, "epochs": 30},
+        }
+        cfg = tmp_path / "desk.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "cli.jsonl"
+        code, _, err = run_cli(capsys, "search", "random", "--config", str(cfg),
+                               "--out", str(out))
+        assert code == 0, err
+        direct = tmp_path / "direct.jsonl"
+        run_random_search(
+            SearchConfig(candidates_per_step=500, k_top=8, k_sampled=2, max_steps=5, seed=0),
+            make_task(TaskSpec(kind="copy_memory", seed=3, batch_size=16, train_size=128,
+                               valid_size=64, test_size=64)),
+            GenConfig(seed=0), TrainConfig(epochs=2, hidden_size=16, failure_check_epoch=1),
+            RankerConfig(hidden=16, epochs=30, seed=0), RecordStore(str(direct)),
+        )
+        assert out.read_bytes() == direct.read_bytes()
+
     def test_resumed_search_reports_what_it_trained(self, capsys, tmp_path):
         cfg = self._config(tmp_path)
         whole_path = tmp_path / "whole.jsonl"
@@ -329,6 +359,7 @@ class TestRemovedOptions:
          ("reward", "exp_shift", "RewardConfig"),
          ("reward", "failure_reward", "RewardConfig"),
          ("rl", "baseline_decay", "RLConfig"),
+         ("rl", "use_baseline", "RLConfig"),
          ("task", "n_symbols", "TaskSpec"),
          ("task", "copy_len", "TaskSpec"),
          ("task", "delay", "TaskSpec"),
@@ -439,12 +470,12 @@ class TestConfigRefusedAtLoad:
     """Every config value of the wrong type or range is refused before any
     work: exit 1, one error line naming the field, no --out file."""
 
-    def refused(self, capsys, tmp_path, doc, mode="random"):
+    def refused(self, capsys, tmp_path, doc, mode="random", *flags):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "r.jsonl"
         code, stdout, err = run_cli(
-            capsys, "search", mode, "--config", str(cfg), "--out", str(out),
+            capsys, "search", mode, "--config", str(cfg), "--out", str(out), *flags,
         )
         assert code == 1
         assert stdout == ""
@@ -518,8 +549,13 @@ class TestConfigRefusedAtLoad:
 
     @pytest.mark.parametrize("section", ["search", "gen", "train", "ranker", "rl", "task"])
     def test_seed_is_owned_by_the_seed_flag(self, capsys, tmp_path, section):
-        err = self.refused(capsys, tmp_path, {section: {"seed": 5}})
+        err = self.refused(capsys, tmp_path, {section: {"seed": 5}}, "random", "--seed", "2")
         assert err.startswith(f"error[ValueError]: {section}.seed is set by --seed")
+
+    def test_seed_is_owned_by_the_seed_variable(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("ARCHDSL_SEED", "2")
+        err = self.refused(capsys, tmp_path, {"task": {"seed": 5}})
+        assert err.startswith("error[ValueError]: task.seed is set by --seed (or ARCHDSL_SEED)")
 
     @pytest.mark.parametrize("mode", ["random", "rl"])
     def test_mode_is_owned_by_the_search_argument(self, capsys, tmp_path, mode):

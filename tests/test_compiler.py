@@ -384,11 +384,18 @@ _KERNELS = {
 }
 
 
+def n_slots(prog):
+    """The program's value slots: the sources' and one per instruction
+    output, numbered from 0."""
+    return 1 + max(o for ins in prog.instructions for o in ins.outputs)
+
+
 def run_steps_interpreted(prog, x, state):
     """`run_steps` as an interpreter of the instruction list: a per-call plan
     of kernels and arrays run at every timestep, and a BPTT backward pass
     over the plan in reverse. The generated code must match it bit for bit."""
     hid, instrs, ct_slot = prog.hidden_size, prog.instructions, prog.ct_slot
+    slots = n_slots(prog)
     if state.c is None and ct_slot is not None:
         for i, ins in enumerate(instrs):
             if SLOT_CM1 in ins.inputs:
@@ -418,7 +425,7 @@ def run_steps_interpreted(prog, x, state):
     h, c = state.h.data, None if state.c is None else state.c.data
     with np.errstate(all="ignore"):
         for k in range(steps):
-            vals = [None] * prog.n_slots
+            vals = [None] * slots
             vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
             if prog.posenc_table is not None:
                 row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]
@@ -457,7 +464,7 @@ def run_steps_interpreted(prog, x, state):
         acc = [None] * len(instrs)
         saved = iter(reversed(tape))
         for k in range(steps - 1, -1, -1):
-            grads = [None] * prog.n_slots
+            grads = [None] * slots
             rows = g[k * batch:(k + 1) * batch]
             grads[prog.root_slot] = rows if g_h is None else rows + g_h
             if ct_slot is not None:
@@ -515,7 +522,7 @@ def run_checked_per_instruction(prog, x, state):
     h, c = state.h.data, None if state.c is None else state.c.data
     hs = []
     for k in range(x.shape[0] // batch):
-        vals = [None] * prog.n_slots
+        vals = [None] * n_slots(prog)
         vals[:4] = xx[(k + 1) * batch:(k + 2) * batch], xx[k * batch:(k + 1) * batch], h, c
         if prog.posenc_table is not None:
             row = prog.posenc_table[min(state.t + k, POSENC_ROWS - 1)]

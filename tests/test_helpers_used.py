@@ -8,11 +8,11 @@ the package never reads."""
 import ast
 import importlib
 import re
-from dataclasses import fields
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 from rnndsl.engine import OptimizerConfig
-from rnndsl.search import CONFIG_SECTIONS
+from rnndsl.search import CONFIG_SECTIONS, SearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rnndsl"
@@ -102,12 +102,21 @@ def test_acceptance_holds_each_allowed_name():
         assert re.search(rf"\b{name}\b", classes[holder]), qualified
 
 
-def unread_config_fields() -> set[str]:
+# Class.field -> why a field that the package never reads stays a field
+UNREAD_BUT_CONSTRUCTED = {
+    "SearchConfig.mode": "acceptance 09 and perfbench construct SearchConfig(mode=...); "
+                         "the search loops do not read it",
+}
+
+
+def unread_config_fields(texts=None, classes=None) -> set[str]:
     """Class.field of each field of a config section or of OptimizerConfig
-    that src/rnndsl/ reads as `.field` nowhere outside its class body."""
-    texts = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    (or of ``classes``) that src/rnndsl/ (or ``texts``, path -> source)
+    reads as `.field` nowhere outside its class body. `args.field` is an
+    argparse attribute, not a read of the field."""
+    texts = texts or {p: p.read_text() for p in PACKAGE.glob("*.py")}
     found = set()
-    for cls in [*CONFIG_SECTIONS.values(), OptimizerConfig]:
+    for cls in classes or [*CONFIG_SECTIONS.values(), OptimizerConfig]:
         path = PACKAGE / f"{cls.__module__.rsplit('.', 1)[1]}.py"
         lines = texts[path].splitlines(keepends=True)
         node = next(n for n in ast.parse(texts[path]).body
@@ -116,11 +125,23 @@ def unread_config_fields() -> set[str]:
         rest = [t for p, t in texts.items() if p != path]
         rest.append("".join(lines[:start - 1] + lines[node.end_lineno:]))
         for f in fields(cls):
-            read = re.compile(rf"\.{f.name}\b")
+            read = re.compile(rf"(?<!\bargs)\.{f.name}\b")
             if not any(read.search(t) for t in rest):
                 found.add(f"{cls.__name__}.{f.name}")
     return found
 
 
 def test_every_config_field_is_read():
-    assert unread_config_fields() == set()
+    assert unread_config_fields() == set(UNREAD_BUT_CONSTRUCTED)
+
+
+def test_an_argparse_attribute_is_not_a_read():
+    """A field that cli.py reads only as `args.<name>` fails the guard, and
+    passes once something reads it as `<config>.<name>`."""
+    planted = make_dataclass("SearchConfig", [("planted_knob", int, 0)], bases=(SearchConfig,),
+                             namespace={"__module__": SearchConfig.__module__})
+    texts = {p: p.read_text() for p in PACKAGE.glob("*.py")}
+    texts[PACKAGE / "cli.py"] += "\nknob = args.planted_knob\n"
+    assert "SearchConfig.planted_knob" in unread_config_fields(texts, [planted])
+    texts[PACKAGE / "cli.py"] += "knob = cfg.planted_knob\n"
+    assert "SearchConfig.planted_knob" not in unread_config_fields(texts, [planted])

@@ -136,6 +136,24 @@ class TestMasking:
         assert np.all(probs[~mask] == 0.0)  # exp(-1e9) underflows exactly
 
 
+class TestInit:
+    @pytest.mark.parametrize("cfg,digest", [
+        (RLConfig(width=8, seed=0),
+         "48d169b2b4552e92c502ca442eeb7a42739981f0bd672448b79e47b85e6c6e2e"),
+        (RLConfig(width=6, seed=3, extended_dsl=True, allow_cm1=False),
+         "11d85ecff5be5281ef9766dd7114f5bc9c34d7785e219817d1a1033c2a460dc4"),
+    ], ids=["width8", "width6-extended"])
+    def test_fresh_parameters_pinned(self, cfg, digest):
+        """A fresh policy's parameters, in ``params`` order, are pinned:
+        the token table's rows, in token order, come first and draw the
+        stream the 20 one-row embeddings it replaced drew."""
+        pol = Policy(cfg)
+        assert len(pol.params) == 11 and pol.params[0] is pol.tok_emb
+        assert pol.tok_emb.data.shape == (len(pol.tokens), cfg.width) == (20, cfg.width)
+        assert hashlib.sha256(b"".join(p.data.tobytes() for p in pol.params)).hexdigest() \
+            == digest
+
+
 class TestEncoding:
     def test_target_position_changes_encoding(self):
         pol = tiny_policy()
@@ -377,7 +395,7 @@ class TestEpisodes:
         assert en.grad_enabled() and made == []
         assert [len(e.rows) for e in eps] == [len(e.actions) for e in eps]
         eps[0].logp_sum()
-        assert len(made) == 2  # the window node and the episode's sum
+        assert len(made) == 2  # the window node and the episode's weighted sum
 
     def test_forced_replay_rescores_identically(self):
         pol = tiny_policy()
@@ -481,9 +499,8 @@ class TestReinforce:
         assert en.gradient_check(loss, pol.params) < 1e-4
 
     def test_positive_advantage_raises_logp(self):
-        pol = tiny_policy(
-            use_baseline=False, normalize_advantage=False, epsilon=0.0
-        )
+        pol = tiny_policy(normalize_advantage=False, epsilon=0.0)
+        pol.baseline, pol._baseline_seen = 0.0, True  # advantage = reward
         ep = generate_episode(pol, np.random.default_rng(7))
         before = ep.logp_sum().data.item()
         ep.reward = 1.0
@@ -497,9 +514,8 @@ class TestReinforce:
         assert after > before
 
     def test_negative_advantage_lowers_logp(self):
-        pol = tiny_policy(
-            use_baseline=False, normalize_advantage=False, epsilon=0.0
-        )
+        pol = tiny_policy(normalize_advantage=False, epsilon=0.0)
+        pol.baseline, pol._baseline_seen = 0.0, True  # advantage = reward
         ep = generate_episode(pol, np.random.default_rng(8))
         before = ep.logp_sum().data.item()
         ep.reward = -1.0
@@ -514,8 +530,8 @@ class TestReinforce:
 
     def test_normalized_advantages_zero_mean(self):
         pol = tiny_policy(normalize_advantage=True, epsilon=0.0)
-        rng = np.random.default_rng(9)
-        eps = [generate_episode(pol, rng) for _ in range(6)]
+        rng, memo = np.random.default_rng(9), Memo()
+        eps = [generate_episode(pol, rng, memo=memo) for _ in range(6)]
         for i, e in enumerate(eps):
             e.reward = float(i)
         opt = en.Optimizer(
@@ -524,9 +540,7 @@ class TestReinforce:
         assert reinforce_update(pol, eps, opt)  # runs without numeric issues
 
     def test_entropy_bonus_flattens_distribution(self):
-        pol = tiny_policy(
-            width=4, entropy_weight=5.0, use_baseline=False, epsilon=0.0
-        )
+        pol = tiny_policy(width=4, entropy_weight=5.0, epsilon=0.0)
         rng = np.random.default_rng(10)
         opt = en.Optimizer(
             pol.params, en.OptimizerConfig(kind="sgd", learning_rate=0.05)
@@ -540,11 +554,25 @@ class TestReinforce:
 
         before = root_entropy()
         for _ in range(20):
-            eps = [generate_episode(pol, rng) for _ in range(4)]
+            memo = Memo()
+            eps = [generate_episode(pol, rng, memo=memo) for _ in range(4)]
             for e in eps:
                 e.reward = 0.0  # pure entropy ascent
             reinforce_update(pol, eps, opt)
         assert root_entropy() > before - 1e-6
+
+    def test_refuses_an_episode_without_gradients(self):
+        pol = tiny_policy()
+        with en.no_grad():
+            bare = generate_episode(pol, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="without gradients"):
+            rlgen.reinforce_loss(pol, [bare], [1.0], 0.0)
+
+    def test_refuses_episodes_of_two_windows(self):
+        pol = tiny_policy()
+        eps = [generate_episode(pol, np.random.default_rng(s)) for s in range(2)]
+        with pytest.raises(ValueError, match="share one update window"):
+            rlgen.reinforce_loss(pol, eps, [1.0, -1.0], 0.0)
 
 
 def lstm_per_op(x, hc, gates):
@@ -568,7 +596,7 @@ def log_softmax_per_op(x):
     return en.Tensor(out, (x,), lambda g: (g - s * g.sum(axis=-1, keepdims=True),))
 
 
-def episode_per_op(pol, actions, memo, beta):
+def episode_per_op(pol, actions, memo):
     """Log-probability and entropy Tensors of a forced episode on the
     policy's per-op graph, with the encoder memoized by value in the dict
     ``memo``: the oracle of the window's level-batched reverse pass."""
@@ -579,7 +607,9 @@ def episode_per_op(pol, actions, memo, beta):
         kind = next(kinds)
         token = kind.value if isinstance(kind, OpKind) else kind
         if token not in memo:
-            hc = lstm_per_op(pol.tok_emb[token], en.Tensor(np.zeros((1, 2 * w))), pol.enc)
+            j = pol.tokens.index(token)
+            emb = en.take(pol.tok_emb, (slice(j, j + 1),))
+            hc = lstm_per_op(emb, en.Tensor(np.zeros((1, 2 * w))), pol.enc)
             memo[token] = (len(memo), hc)
         key, hc = memo[token]
         for _ in range(kind.arity if isinstance(kind, OpKind) else 0):
@@ -605,10 +635,7 @@ def episode_per_op(pol, actions, memo, beta):
         logp = log_softmax_per_op(en.add(scores, en.Tensor(np.where(mask, 0.0, -1e9)[None, :])))
         idx = pol.actions.index(act)
         logps.append(en.take(logp, (..., slice(idx, idx + 1))))
-        entropies.append(
-            en.mul(en.tsum(en.mul(en.exp(logp), logp)), en.Tensor(-1.0)) if beta > 0
-            else en.Tensor(0.0)
-        )
+        entropies.append(en.mul(en.tsum(en.mul(en.exp(logp), logp)), en.Tensor(-1.0)))
         p.fill(act)
     return logps, entropies
 
@@ -646,29 +673,29 @@ def param_grads(pol, loss):
 class TestWindowBackward:
     """The window node's reverse pass gives the per-op graph's gradients."""
 
-    def check(self, pol, windows, beta):
-        """``windows`` lists, per memo, the episodes' (rng seed or forced
-        actions); rollouts and the oracle share the windows' memos alike."""
+    def roll(self, pol, window):
+        """The episodes of one window, given by (rng seed or forced
+        actions), and their (log-probability sum, entropy sum) on the per-op
+        graph; rollouts and the oracle share a memo alike."""
+        memo, oracle_memo = Memo(), {}
         rolled, oracle = [], []
-        for window in windows:
-            memo, oracle_memo = Memo(), {}
-            for spec in window:
-                forced = spec if isinstance(spec, list) else None
-                rng = np.random.default_rng(0 if forced else spec)
-                ep = generate_episode(pol, rng, epsilon=0.1, forced_actions=forced,
-                                      memo=memo, entropy_weight=beta)
-                logps, entropies = episode_per_op(pol, ep.actions, oracle_memo, beta)
-                assert rows(ep).tolist() == [
-                    [l.data.item(), e.data.item()] for l, e in zip(logps, entropies)
-                ]
-                rolled.append(ep)
-                oracle.append((chain_sum(logps), chain_sum(entropies)))
-        advs = np.linspace(-1.0, 1.5, len(rolled))
-        got = param_grads(pol, rlgen.reinforce_loss(pol, rolled, advs, beta))
-        want = param_grads(pol, chain_loss(oracle, advs, beta))
-        # every weight matrix and bias, and some token embeddings, are reached
+        for spec in window:
+            forced = spec if isinstance(spec, list) else None
+            rng = np.random.default_rng(0 if forced else spec)
+            ep = generate_episode(pol, rng, epsilon=0.1, forced_actions=forced, memo=memo)
+            logps, entropies = episode_per_op(pol, ep.actions, oracle_memo)
+            assert rows(ep).tolist() == [
+                [l.data.item(), e.data.item()] for l, e in zip(logps, entropies)
+            ]
+            rolled.append(ep)
+            oracle.append((chain_sum(logps), chain_sum(entropies)))
+        return rolled, oracle
+
+    def check(self, pol, got, want):
+        got, want = param_grads(pol, got), param_grads(pol, want)
+        # every parameter, the token table too, is reached
         reached = {p.name for p, w in zip(pol.params, want) if np.abs(w).max() > 1e-6}
-        assert {p.name for p in pol.params if not p.name.startswith("tok_")} < reached
+        assert reached == {p.name for p in pol.params}
         for p, g, w in zip(pol.params, got, want):
             assert np.abs(g - w).max() <= 1e-12, p.name
 
@@ -676,11 +703,26 @@ class TestWindowBackward:
     def test_shared_memo_window_with_replays(self, beta):
         pol = tiny_policy(width=6)
         replays = [generate_episode(pol, np.random.default_rng(s)).actions for s in (40, 41)]
-        self.check(pol, [[30, 31, 32, 33, 34, 35, 36, 37, 38, 39] + replays], beta)
+        rolled, oracle = self.roll(pol, [30, 31, 32, 33, 34, 35, 36, 37, 38, 39] + replays)
+        advs = np.linspace(-1.0, 1.5, len(rolled))
+        self.check(pol, rlgen.reinforce_loss(pol, rolled, advs, beta),
+                   chain_loss(oracle, advs, beta))
 
     def test_separate_memos(self):
+        """Window nodes of several memos in one backward pass sum: the
+        per-window losses, each weighted by its share of the episodes."""
         pol = tiny_policy(width=6)
-        self.check(pol, [[50], [51], [52, 53], [54]], 0.0)
+        windows = [self.roll(pol, w) for w in ([50], [51], [52, 53], [54])]
+        advs = np.linspace(-1.0, 1.5, 5)
+        total, first = None, 0
+        for rolled, _ in windows:
+            share = en.Tensor(len(rolled) / len(advs))
+            term = en.mul(rlgen.reinforce_loss(pol, rolled, advs[first:first + len(rolled)],
+                                               0.0), share)
+            total = term if total is None else en.add(total, term)
+            first += len(rolled)
+        oracle = [sums for _, o in windows for sums in o]
+        self.check(pol, total, chain_loss(oracle, advs, 0.0))
 
 
 class TestRLSearchWindows:
@@ -699,7 +741,7 @@ class TestRLSearchWindows:
         updates, grads = [], []
 
         def spy(policy, batch, opt):
-            updates.append(([p.data.copy() for p in policy.params],
+            updates.append(([p.data.copy() for p in policy.params], policy.baseline,
                             [(list(e.actions), e.reward) for e in batch]))
             return update(policy, batch, opt)
 
@@ -710,20 +752,21 @@ class TestRLSearchWindows:
 
         monkeypatch.setattr(rlgen, "reinforce_update", spy)
         monkeypatch.setattr(en.Optimizer, "step", kept_step)
-        pol = tiny_policy(width=6, use_baseline=False)
+        pol = tiny_policy(width=6)
         cfg = search.SearchConfig(mode="rl", max_evaluations=8, min_good=3,
                                   max_failing=1, min_batch=4, seed_baselines=())
         result = search.run_rl_search(cfg, task=None, policy=pol, train_cfg=None)
         assert result.batches_applied == 2
-        (_, first), (params, batch) = updates
+        (_, _, first), (params, baseline, batch) = updates
         assert batch[-1][1] == -0.5 and batch[-1] not in first  # the carried failure
         for p, data in zip(pol.params, params):
             p.data[...] = data
         sums = []
         for actions, _ in batch:
-            logps, entropies = episode_per_op(pol, actions, {}, 0.0)
+            logps, entropies = episode_per_op(pol, actions, {})
             sums.append((chain_sum(logps), chain_sum(entropies)))
-        want = param_grads(pol, chain_loss(sums, [r for _, r in batch], 0.0))
+        # the second update's advantage: reward minus the running baseline
+        want = param_grads(pol, chain_loss(sums, [r - baseline for _, r in batch], 0.0))
         for p, g, w in zip(pol.params, grads[1], want):
             assert np.abs(g - w).max() <= 1e-12, p.name
 
@@ -749,8 +792,18 @@ class TestPretrain:
         assert len(res.rate_history) == 40 // rlgen.PRETRAIN_BATCH
 
     def test_shared_memo_matches_per_episode_memo(self, monkeypatch):
+        """Pre-training on one memo per update window takes the actions,
+        rates and parameters of the oracle: rollouts on a memo per episode
+        and each update's loss on the per-op graph."""
         rollout = rlgen.generate_episode
         cell = en.lstm_fwd
+
+        def per_op_loss(policy, episodes, advs, beta):
+            sums = []
+            for e in episodes:
+                logps, entropies = episode_per_op(policy, e.actions, {})
+                sums.append((chain_sum(logps), chain_sum(entropies)))
+            return chain_loss(sums, advs, beta)
 
         def run(per_episode):
             actions, calls = [], [0]
@@ -768,6 +821,8 @@ class TestPretrain:
 
             monkeypatch.setattr(rlgen, "generate_episode", episode)
             monkeypatch.setattr(en, "lstm_fwd", counted)
+            if per_episode:
+                monkeypatch.setattr(rlgen, "reinforce_loss", per_op_loss)
             pol = tiny_policy(learning_rate=0.01, entropy_weight=0.03,
                               normalize_advantage=True, epsilon=0.0)
             res = pretrain_priors(pol, budget=40, rng=np.random.default_rng(16))
