@@ -42,10 +42,12 @@ from .rlgen import Policy, pretrain_priors
 from .search import (
     RecordStore,
     StoreError,
+    hidden_dump,
     load_config,
-    report,
+    ops_over_time,
     run_random_search,
     run_rl_search,
+    search_curve,
     write_csv,
 )
 
@@ -237,8 +239,15 @@ def cmd_rank(args) -> int:
 def cmd_report(args) -> int:
     kind = args.kind.replace("-", "_")
     store = RecordStore.load(args.records)
-    rows = report(store, kind, seed=_resolve_seed(args)) if kind == "hidden_dump" \
-        else report(store, kind)
+    if kind == "ops_over_time":
+        rows = ops_over_time(store)
+    elif kind == "search_curve":
+        rows = search_curve(store)
+    else:  # hidden_dump of the best record's cell
+        best = store.best()
+        if best is None:
+            raise ValueError("store has no successful record to dump")
+        rows = hidden_dump(best.dsl, seed=_resolve_seed(args))
     write_csv(rows, args.out)
     _emit(
         args,

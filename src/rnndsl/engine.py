@@ -447,10 +447,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out_data = table.data[ids.reshape(-1)]
 
     def bw(g):
-        for t in range(len(ids) - 1, -1, -1):
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids[t], g[t * ids.shape[1]:(t + 1) * ids.shape[1]])
-            yield full
+        full = np.zeros((len(ids),) + table.data.shape, table.data.dtype)
+        np.add.at(full, (np.arange(len(ids)).repeat(ids.shape[1]), ids.reshape(-1)), g)
+        return full[::-1]
 
     return Tensor(out_data, (table,) * len(ids), bw)
 

@@ -2,9 +2,9 @@
 
 Source leaves map to learned embeddings; commutative and unary operators
 use Child-Sum tree cells while ordered operators (Gate3, Sub, Div) use
-N-ary cells with per-position weights. Before encoding, the architecture
-is canonicalized and unrolled one timestep so the representation of
-h_{t-1}/c_{t-1} reflects the cell's own graph.
+N-ary cells with per-position weights. The architecture is canonicalized
+and read unrolled one timestep, so the representation of h_{t-1}/c_{t-1}
+reflects the cell's own graph.
 
 Each cell's gate matrices are stacked into one i|o|u|f block (per child
 position for an N-ary cell). The encoder hash-conses the subtrees of the
@@ -30,53 +30,16 @@ from .dsl import (
     canonicalize,
     node_at_index,
     parse,
-    subtree_uses,
 )
 from .evaluator import ArchPerfRecord
 
 H_TM2 = "h_tm2"
 C_TM2 = "c_tm2"
 
-LEAF_LABELS = [
-    OpKind.X.value,
-    OpKind.XM1.value,
-    OpKind.HM1.value,
-    OpKind.CM1.value,
-    OpKind.POSENC.value,
-    H_TM2,
-    C_TM2,
-]
-
-@dataclass(frozen=True)
-class EvalNode:
-    """Architecture-like tree fed to the encoder (labels, not OpKinds)."""
-
-    label: str
-    children: tuple["EvalNode", ...] = ()
-
-
-def _to_eval(n: ArchNode, leaves: dict[OpKind, EvalNode]) -> EvalNode:
-    """Copy of n with OpKinds as labels; a source in `leaves` becomes its
-    value there."""
-    if n.op.is_source:
-        return leaves.get(n.op) or EvalNode(n.op.value)
-    return EvalNode(n.op.value, tuple(_to_eval(c, leaves) for c in n.children))
-
-
-# the recurrent leaves one timestep further back (x leaves are not shifted)
-_SHIFTED = {OpKind.HM1: EvalNode(H_TM2), OpKind.CM1: EvalNode(C_TM2)}
-
-
-def unroll_once(arch: Architecture) -> EvalNode:
-    """Replace each h_tm1 leaf by the h_t tree and each c_tm1 leaf by the
-    c_t subtree, relabeling the recurrent leaves inside the copies."""
-    uses_c = subtree_uses(arch.root, OpKind.CM1)
-    if uses_c and arch.ct_node is None:
-        raise ValueError("cannot unroll: c_tm1 used without a c_t tap")
-    leaves = {OpKind.HM1: _to_eval(arch.root, _SHIFTED)}
-    if uses_c:
-        leaves[OpKind.CM1] = _to_eval(node_at_index(arch.root, arch.ct_node), _SHIFTED)
-    return _to_eval(arch.root, leaves)
+# the sources in enum order, then the recurrent leaves one timestep further
+# back, which stand for h_tm1 and c_tm1 inside an unrolled copy
+LEAF_LABELS = [op.value for op in OpKind if op.is_source] + [H_TM2, C_TM2]
+_BACK = {OpKind.HM1: H_TM2, OpKind.CM1: C_TM2}
 
 
 # the cap on the regression target, a log-perplexity: an ok record's
@@ -105,33 +68,64 @@ class RankerConfig:
             raise ValueError(f"RankerConfig.head_dropout must be in [0, 1), got {self.head_dropout}")
 
 
-def _levels(trees: Sequence[EvalNode]) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
-    """Hash-cons the trees' subtrees and group the distinct ones by (height,
-    label), lowest height first.
+def _levels(
+    archs: Sequence[Architecture], unroll: bool
+) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
+    """Hash-cons the subtrees of the trees as the encoder reads them and
+    group the distinct ones by (height, label), lowest height first.
 
-    A subtree is keyed by its label and its children's keys, so each distinct
-    subtree is one row, numbered group after group. Each node object is
-    walked once: `unroll_once` puts one shared h_t copy under every h_tm1
-    leaf. Returns each group's label and child rows [members, arity] (arity
-    0 for a leaf), and the trees' root rows.
+    With `unroll` a tree is read one timestep unrolled: at its top level an
+    h_tm1 leaf reads as the tree's root and a c_tm1 leaf as its c_t tap (as
+    itself if the tree has no tap), each read as a copy, in which h_tm1 and
+    c_tm1 are the h_tm2 and c_tm2 leaves. A subtree is keyed by its label
+    and its children's keys, so each distinct subtree is one row, numbered
+    group after group in first-seen depth-first order. A node object is
+    walked once per reading: once in each tree's own reading, and once as a
+    copy for all trees, since a copy's reading depends only on the node
+    (c_t variants share one root object, so the tree's own reading cannot be
+    cached by node alone). Returns each group's label and child rows
+    [members, arity] (arity 0 for a leaf), and the trees' root rows.
     """
     ids: dict[tuple, int] = {}  # (label, child ids) -> id, in first-seen order
     heights: list[int] = []
-    walked: dict[int, int] = {}  # id(node) -> its id; the trees keep every node alive
 
-    def intern(node: EvalNode) -> int:
-        i = walked.get(id(node))
-        if i is not None:
-            return i
-        key = (node.label, tuple(map(intern, node.children)))
+    def key_id(label: str, kids: tuple[int, ...] = ()) -> int:
+        key = (label, kids)
         i = ids.get(key)
         if i is None:
             i = ids[key] = len(heights)
-            heights.append(max([heights[k] for k in key[1]], default=-1) + 1)
-        walked[id(node)] = i
+            heights.append(max([heights[k] for k in kids], default=-1) + 1)
         return i
 
-    roots = [intern(t) for t in trees]
+    def intern(node: ArchNode, seen: dict[int, int], leaf) -> int:
+        # `seen` holds one reading's ids by node object (the trees keep every
+        # node alive), and `leaf` gives a source leaf's id in that reading
+        i = seen.get(id(node))
+        if i is None:
+            kids = node.children
+            i = seen[id(node)] = (
+                key_id(node.op.value, tuple(intern(c, seen, leaf) for c in kids))
+                if kids else leaf(node.op))
+        return i
+
+    copies: dict[int, int] = {}
+
+    def back(op: OpKind) -> int:
+        return key_id(_BACK.get(op, op.value))
+
+    roots = []
+    for arch in archs:
+        subs = {}  # a source leaf -> the node read as a copy in its place
+        if unroll:
+            subs[OpKind.HM1] = arch.root
+            if arch.ct_node is not None:
+                subs[OpKind.CM1] = node_at_index(arch.root, arch.ct_node)
+
+        def own(op: OpKind) -> int:
+            return intern(subs[op], copies, back) if op in subs else key_id(op.value)
+
+        roots.append(intern(arch.root, {}, own))
+
     members: dict[tuple[int, str], list[tuple]] = {}
     for key, i in ids.items():
         members.setdefault((heights[i], key[0]), []).append(key)
@@ -190,8 +184,8 @@ class Ranker:
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode(self, trees: Sequence[EvalNode]) -> en.Tensor:
-        """Root states h [len(trees), hidden] of the trees, as one tape node.
+    def _encode(self, archs: Sequence[Architecture]) -> en.Tensor:
+        """Root states h [len(archs), hidden] of the trees, as one tape node.
 
         Each distinct subtree is encoded once (`_levels`), and each (height,
         label) group runs its cell as array math, lowest height first: one
@@ -202,7 +196,7 @@ class Ranker:
         children's gradients (a child can appear twice under one parent, or
         under two parents) and returns one gradient term per parameter.
         """
-        groups, roots = _levels(trees)
+        groups, roots = _levels(archs, self.cfg.unroll)
         h = self.cfg.hidden
         H = np.empty((sum(len(kids) for _, kids in groups), h))
         C = np.zeros_like(H)
@@ -211,13 +205,9 @@ class Ranker:
         for label, kids in groups:
             r0, r1 = r1, r1 + len(kids)
             if not kids.shape[1]:
-                if label not in self.leaf_emb:
-                    raise KeyError(f"no embedding for leaf {label!r}")
                 H[r0:r1] = self.leaf_emb[label].data
                 saved.append((r0, r1, label, None))
                 continue
-            if label not in self.cells:
-                raise KeyError(f"no tree cell for operator {label!r}")
             U, *bias = (p.data for p in self.cells[label])
             kh = H[kids.T]  # [arity, n, h], the children by position
             kc = C[kids.T]
@@ -280,16 +270,13 @@ class Ranker:
 
         return en.Tensor(H[roots], tuple(self.params), backward)
 
-    def _eval_tree(self, arch: Architecture) -> EvalNode:
-        arch = canonicalize(arch)
-        if self.cfg.unroll:
-            return unroll_once(arch)
-        return _to_eval(arch.root, {})
+    def _eval_tree(self, arch: Architecture) -> Architecture:
+        return canonicalize(arch)
 
-    def _predict(self, *trees: EvalNode, train: bool) -> en.Tensor:
-        """Predicted metric [len(trees), 1] of the trees."""
-        hroot = en.dropout(self._encode(trees), self.cfg.head_dropout, self._rng, train)
-        return en.add(en.linear(hroot, self.head_w), self.head_b)
+    def _predict(self, *archs: Architecture, train: bool) -> en.Tensor:
+        """Predicted metric [len(archs), 1] of the canonical trees."""
+        hroot = en.dropout(self._encode(archs), self.cfg.head_dropout, self._rng, train)
+        return en.linear(hroot, self.head_w, self.head_b)
 
     def score(self, arch: Architecture) -> float:
         with en.no_grad():

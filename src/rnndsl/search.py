@@ -447,23 +447,6 @@ def write_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def report(store: Optional[RecordStore], kind: str, **args) -> list[dict]:
-    if kind == "ops_over_time":
-        assert store is not None
-        return ops_over_time(store)
-    if kind == "search_curve":
-        assert store is not None
-        return search_curve(store)
-    if kind == "hidden_dump":
-        if "dsl" not in args and store is not None:
-            best = store.best()
-            if best is None:
-                raise ValueError("store has no successful record to dump")
-            args["dsl"] = best.dsl
-        return hidden_dump(**args)
-    raise ValueError(f"unknown report kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------

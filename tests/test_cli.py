@@ -1,5 +1,6 @@
 """Command-line behavior: output, exit codes, equivalence with the API."""
 
+import csv
 import json
 import math
 from dataclasses import fields, is_dataclass
@@ -14,7 +15,13 @@ from rnndsl.dsl import analyze, builtin, canonicalize, parse, render
 from rnndsl.evaluator import TaskSpec, TrainConfig, make_task
 from rnndsl.randgen import GenConfig, arch_id
 from rnndsl.ranker import RankerConfig
-from rnndsl.search import CONFIG_SECTIONS, RecordStore, SearchConfig, run_random_search
+from rnndsl.search import (
+    CONFIG_SECTIONS,
+    RecordStore,
+    SearchConfig,
+    hidden_dump,
+    run_random_search,
+)
 from conftest import torn_cut
 
 TANH_RNN = "Tanh(Add(MM(x_t),MM(h_tm1)))"
@@ -127,12 +134,13 @@ class TestCompile:
 
 
 class TestEval:
-    def _config(self, tmp_path):
+    def _config(self, tmp_path, **sections):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "task": {"batch_size": 16, "train_size": 64,
                      "valid_size": 32, "test_size": 32},
             "train": {"epochs": 1, "hidden_size": 8, "failure_check_epoch": 1},
+            **sections,
         }))
         return str(path)
 
@@ -176,6 +184,28 @@ class TestEval:
         )
         assert code == 0
         assert payload["status"] == "timeout"
+
+    def test_tapless_c_tm1_record_can_be_ranked_not_dumped(self, capsys, tmp_path):
+        # c_tm1 without a c_t tap compiles to no cell: a well-formed invalid
+        # record, which the ranker reads with c_tm1 as a leaf of its own
+        cfg = self._config(tmp_path, ranker={"hidden": 8, "epochs": 5})
+        out = str(tmp_path / "records.jsonl")
+        code, payload, _ = run_json(capsys, "eval", "Tanh(Add(MM(x_t),MM(c_tm1)))",
+                                    "--task", "copy_memory", "--config", cfg, "--out", out)
+        assert code == 0 and payload["status"] == "invalid" and payload["ct_node"] is None
+        code, _, err = run_cli(capsys, "report", "hidden-dump", "--records", out,
+                               "--out", str(tmp_path / "hidden.csv"))
+        assert code == 1
+        assert err == "error[ValueError]: store has no successful record to dump\n"
+        run_cli(capsys, "eval", TANH_RNN, "--task", "copy_memory", "--config", cfg,
+                "--out", out)
+        code, text, err = run_cli(capsys, "rank", "fit", "--records", out, "--config", cfg)
+        assert code == 0, err
+        assert text.startswith("fit on 2 records; loss ")
+        code, payload, err = run_json(capsys, "rank", "score", "--records", out,
+                                      "--config", cfg, "--dsl", "MM(c_tm1)")
+        assert code == 0, err
+        assert math.isfinite(payload["score"])
 
     def test_seed_env_fallback(self, capsys, tmp_path, monkeypatch):
         cfg = self._config(tmp_path)
@@ -221,6 +251,10 @@ class TestSearchAndReport:
             )
             assert code == 0
             assert rep["rows"] >= 1
+        # the hidden dump is of the best record's cell
+        with open(tmp_path / "hidden.csv", newline="") as fh:
+            dumped = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+        assert dumped == hidden_dump(RecordStore.load(out).best().dsl, seed=0)
 
     def test_search_deterministic(self, capsys, tmp_path):
         cfg = self._config(tmp_path)

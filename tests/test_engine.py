@@ -199,6 +199,43 @@ class TestUnaryKernels:
         np.testing.assert_array_equal(grad, g * self.OLD_DERIVATIVES[name](x, out))
 
 
+def embedding_grads_per_timestep(table, ids, g):
+    """The table's gradients of a [T, B] lookup, last timestep first, each
+    built in its own zero table: the reference for `en.embedding`."""
+    b = ids.shape[1]
+    for t in range(len(ids) - 1, -1, -1):
+        full = np.zeros_like(table)
+        np.add.at(full, ids[t], g[t * b:(t + 1) * b])
+        yield full
+
+
+class TestEmbeddingBackward:
+    # ids repeat within a timestep and across timesteps; g holds signed zeros
+    IDS = np.array([[1, 1, 4], [4, 0, 1], [6, 6, 6], [1, 2, 1], [3, 3, 0]])
+
+    def _g(self, rng):
+        g = rng.standard_normal((self.IDS.size, 5))
+        g[::4, 1] = -0.0
+        return g
+
+    def test_tables_match_per_timestep_construction(self, rng):
+        table = en.Parameter(rng.standard_normal((7, 5)), "emb")
+        g = self._g(rng)
+        got = list(en.embedding(table, self.IDS)._backward(g))
+        want = list(embedding_grads_per_timestep(table.data, self.IDS, g))
+        assert len(got) == len(self.IDS)
+        assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
+
+    def test_parameter_gradient_bits(self, rng):
+        table = en.Parameter(rng.standard_normal((7, 5)), "emb")
+        g = self._g(rng)
+        en.tsum(en.mul(en.embedding(table, self.IDS), en.Tensor(g))).backward()
+        want = None
+        for full in embedding_grads_per_timestep(table.data, self.IDS, g):
+            want = full.copy() if want is None else want + full
+        assert table.grad.tobytes() == want.tobytes()
+
+
 class TestNoGrad:
     def test_no_graph_built(self):
         p = en.Parameter(np.ones((2, 2)), "p")

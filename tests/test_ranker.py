@@ -2,26 +2,73 @@
 
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import rnndsl.engine as en
-from rnndsl.dsl import OpKind, analyze, builtin, builtin_names, canonicalize, parse, render
+from rnndsl.dsl import (
+    Architecture,
+    ArchNode,
+    OpKind,
+    analyze,
+    builtin,
+    builtin_names,
+    canonicalize,
+    node_at_index,
+    parse,
+    render,
+)
 from rnndsl.evaluator import ArchPerfRecord
+from rnndsl.randgen import GenConfig, generate_batch
 from rnndsl.ranker import (
     C_TM2,
     H_TM2,
     LEAF_LABELS,
-    EvalNode,
     Ranker,
     RankerConfig,
     _levels,
     select,
-    unroll_once,
 )
 from conftest import random_architectures
+
+
+@dataclass(frozen=True)
+class Node:
+    """A labelled tree: an architecture as the encoder reads it, built out
+    explicitly (labels, not OpKinds)."""
+
+    label: str
+    children: tuple["Node", ...] = ()
+
+
+def relabeled(n, leaves):
+    """Copy of n with OpKinds as labels; a source in `leaves` becomes its
+    value there."""
+    if n.op.is_source:
+        return leaves.get(n.op) or Node(n.op.value)
+    return Node(n.op.value, tuple(relabeled(c, leaves) for c in n.children))
+
+
+# the recurrent leaves one timestep further back (x leaves are not shifted)
+SHIFTED = {OpKind.HM1: Node(H_TM2), OpKind.CM1: Node(C_TM2)}
+
+
+def unroll_once(arch):
+    """Replace each h_tm1 leaf by the h_t tree and each c_tm1 leaf by the
+    c_t subtree (a c_tm1 leaf stays itself if there is no tap), relabeling
+    the recurrent leaves inside the copies: the reference for the reading
+    `_levels` interns."""
+    leaves = {OpKind.HM1: relabeled(arch.root, SHIFTED)}
+    if arch.ct_node is not None:
+        leaves[OpKind.CM1] = relabeled(node_at_index(arch.root, arch.ct_node), SHIFTED)
+    return relabeled(arch.root, leaves)
+
+
+def reference_tree(arch, unroll):
+    return unroll_once(arch) if unroll else relabeled(arch.root, {})
 
 
 def operator_count(node):
@@ -99,20 +146,14 @@ class TestUnrollOnce:
             expect = n + n_h * n + n_c * ct_size
             assert operator_count(unroll_once(arch)) == expect
 
-    def test_cm1_without_tap_refused(self):
-        from rnndsl.dsl import Architecture, ArchNode
-
-        arch = Architecture(
-            ArchNode(
-                OpKind.TANH,
-                (ArchNode(OpKind.ADD, (
-                    ArchNode(OpKind.MM, (ArchNode(OpKind.X),)),
-                    ArchNode(OpKind.MM, (ArchNode(OpKind.CM1),)),
-                )),),
-            )
-        )
-        with pytest.raises(ValueError):
-            unroll_once(arch)
+    def test_cm1_without_tap_read_as_itself(self):
+        # there is no c_t to put in; inside the h_t copy it is still c_tm2
+        arch = parse("Tanh(Add(MM(h_tm1),MM(c_tm1)))")
+        assert arch.ct_node is None
+        tree = unroll_once(arch)
+        assert operator_count(tree) == 8
+        assert labels(tree) == {"Tanh", "Add", "MM", OpKind.CM1.value, H_TM2, C_TM2}
+        assert_levels_match([arch], unroll=True)
 
 
 class TestScore:
@@ -183,33 +224,27 @@ def cell_per_node(ranker, label, kids):
     return en.mul(o, en.tanh(c)), c
 
 
-def encode_per_node(ranker, trees):
-    """Root states of the trees with every node encoded on its own."""
+def encode_per_node(ranker, archs):
+    """Root states of the trees with every node of their explicit reading
+    (`reference_tree`) encoded on its own."""
 
     def encode(node):
         return cell_per_node(ranker, node.label, [encode(c) for c in node.children])
 
+    trees = [reference_tree(a, ranker.cfg.unroll) for a in archs]
     return en.concat([encode(t)[0] for t in trees], axis=0)
 
 
-def node(label, *children):
-    return EvalNode(label, children)
-
-
-# every operator label, with two identical children under Add and under Sub
-ALL_LABELS_TREE = node(
-    "Gate3",
-    node("Add", node("Tanh", node("x_t")), node("Tanh", node("x_t"))),
-    node("Sub", node("LayerNorm", node("h_tm1")), node("LayerNorm", node("h_tm1"))),
-    node("Mult",
-         node("Div", node("Sin", node("MM", node("x_tm1"))), node("Cos", node("c_tm1"))),
-         node("Sigmoid", node("ReLU", node("SeLU", node("posenc"))))),
-)
+# every operator and source label, with two identical children under Add
+# and under Sub; c_tm1 has no tap, so unrolled it reads c_tm1 and c_tm2
+ALL_LABELS = parse(
+    "Gate3(Add(Tanh(x_t),Tanh(x_t)),Sub(LayerNorm(h_tm1),LayerNorm(h_tm1)),"
+    "Mult(Div(Sin(MM(x_tm1)),Cos(c_tm1)),Sigmoid(ReLU(SeLU(posenc)))))")
 
 
 def levels_unmemoized(trees):
-    """`_levels` walking every place a node appears, as it did before node
-    objects were memoized."""
+    """`_levels` over explicit trees, walking every place a node appears:
+    the reference for the rows `_levels` interns."""
     ids, heights = {}, []
 
     def intern(node):
@@ -233,34 +268,53 @@ def levels_unmemoized(trees):
     return groups, [row[i] for i in roots]
 
 
-class CountedNode(EvalNode):
-    """An EvalNode that counts how often its children are read."""
+def assert_levels_match(archs, unroll):
+    """`_levels` returns exactly the labels, child rows and root rows of
+    the explicit reading of the trees."""
+    groups, roots = _levels(archs, unroll)
+    want_groups, want_roots = levels_unmemoized([reference_tree(a, unroll) for a in archs])
+    assert roots == want_roots
+    assert [label for label, _ in groups] == [label for label, _ in want_groups]
+    for (_, kids), (_, want) in zip(groups, want_groups):
+        np.testing.assert_array_equal(kids, want)
+
+
+class CountedNode(ArchNode):
+    """An ArchNode that counts how often its children are read."""
 
     def __getattribute__(self, name):
         if name == "children":
-            object.__setattr__(self, "reads", object.__getattribute__(self, "reads") + 1)
-        return super().__getattribute__(name)
+            d = object.__getattribute__(self, "__dict__")
+            d["reads"] = d.get("reads", 0) + 1
+        return object.__getattribute__(self, name)
 
 
-def counted_copies(trees):
-    """Copies of the trees as CountedNodes, sharing what the originals share;
-    returns them and their distinct node objects."""
-    made = {}
+def counted_copy(arch):
+    """A copy of the architecture built of CountedNodes; returns it and its
+    node objects, their counts at 0."""
+    made = []
 
     def copy(n):
-        if id(n) not in made:
-            made[id(n)] = CountedNode(n.label, tuple(copy(c) for c in n.children))
-            object.__setattr__(made[id(n)], "reads", 0)
-        return made[id(n)]
+        made.append(CountedNode(n.op, tuple(copy(c) for c in n.children)))
+        return made[-1]
 
-    copies = [copy(t) for t in trees]
-    return copies, list(made.values())
+    out = Architecture(copy(arch.root), arch.ct_node)
+    for n in made:
+        n.reads = 0
+    return out, made
+
+
+def generated_candidates():
+    """300 extended-DSL candidates, most with a c_t tap; the c_t variants of
+    one raw tree share its root object."""
+    cands = generate_batch(GenConfig(seed=3, extended_dsl=True), 300,
+                           rng=np.random.default_rng(3))
+    assert len(cands) == 300 and sum(a.ct_node is not None for a in cands) >= 200
+    return cands
 
 
 class TestEncodeOnce:
     def test_scores_match_per_node_encoding(self, monkeypatch):
-        from rnndsl.randgen import GenConfig, generate_batch
-
         r = tiny_ranker(hidden=8)
         cands = generate_batch(GenConfig(seed=4), 100, rng=np.random.default_rng(4))
         assert sum(a.ct_node is not None for a in cands) >= 10
@@ -302,45 +356,50 @@ class TestEncodeOnce:
         assert calls == cands
 
     def test_gru_repeated_subtrees_encoded_once(self):
-        tree = unroll_once(canonicalize(builtin("gru")))
-        groups, roots = _levels([tree])
+        arch = canonicalize(builtin("gru"))
+        groups, roots = _levels([arch], True)
         rows = sum(len(kids) for _, kids in groups if kids.shape[1])
         # the h_t copy put in for each h_tm1 leaf is encoded once
-        assert 0 < rows < operator_count(tree)
+        assert 0 < rows < operator_count(unroll_once(arch))
         # a minibatch that repeats the tree encodes the same rows
-        assert _levels([tree, tree])[1] == roots * 2
-        assert sum(len(kids) for _, kids in _levels([tree, tree])[0]) == sum(
+        assert _levels([arch, arch], True)[1] == roots * 2
+        assert sum(len(kids) for _, kids in _levels([arch, arch], True)[0]) == sum(
             len(kids) for _, kids in groups)
 
-    def test_levels_walk_each_node_object_once(self):
-        from rnndsl.randgen import GenConfig, generate_batch
+    @pytest.mark.parametrize("unroll", [True, False])
+    def test_levels_match_explicit_unroll(self, unroll):
+        builtins = [builtin(name) for name in builtin_names()]
+        cands = generated_candidates()
+        variants = next(cands[i:i + 2] for i in range(len(cands) - 1)
+                        if cands[i].root is cands[i + 1].root)
+        assert variants[0].ct_node != variants[1].ct_node
+        canonical = [canonicalize(a) for a in builtins + cands]
+        # one candidate per call, as `score` encodes, all in one call, as
+        # `fit`, the raw candidates (c_t variants share a root object), a
+        # minibatch that repeats one tree, and two variants on one root
+        for batch in ([[a] for a in canonical] + [canonical, cands]
+                      + [[canonical[0], canonical[7], canonical[0]], variants]):
+            assert_levels_match(batch, unroll)
 
-        cands = generate_batch(GenConfig(seed=0), 300, rng=np.random.default_rng((0, 2)))
-        trees = [unroll_once(canonicalize(a)) for a in cands]
-        # one candidate per call, as `score` encodes, and all in one call, as `fit`
-        for batch in [[t] for t in trees] + [trees]:
-            groups, roots = _levels(batch)
-            want_groups, want_roots = levels_unmemoized(batch)
-            assert roots == want_roots
-            assert [label for label, _ in groups] == [label for label, _ in want_groups]
-            for (_, kids), (_, want) in zip(groups, want_groups):
-                np.testing.assert_array_equal(kids, want)
-        copies, nodes = counted_copies(trees)
-        assert _levels(copies)[1] == levels_unmemoized(trees)[1]
-        assert {n.reads for n in nodes} == {1}
-        # the h_t copy under every h_tm1 leaf was walked once per leaf
-        levels_unmemoized(copies)
-        assert sum(n.reads for n in nodes) > 2.2 * len(nodes)
+    def test_levels_walk_each_node_object_once(self):
+        # once in the tree's own reading, once as a copy (every candidate
+        # reads h_tm1) and, with a tap, once to find the tap
+        for arch in generated_candidates()[:60]:
+            counted, nodes = counted_copy(canonicalize(arch))
+            _levels([counted], True)
+            assert {n.reads for n in nodes} == {2 + (arch.ct_node is not None)}
 
     def test_groups_by_height_and_label(self):
-        groups, roots = _levels([ALL_LABELS_TREE])
-        assert {label for label, _ in groups} == labels(ALL_LABELS_TREE)
-        # every child row is a row of an earlier group
-        start = 0
-        for _, kids in groups:
-            assert kids.size == 0 or kids.max() < start
-            start += len(kids)
-        assert roots == [start - 1]
+        for unroll in (True, False):
+            groups, roots = _levels([ALL_LABELS], unroll)
+            tree = reference_tree(ALL_LABELS, unroll)
+            assert {label for label, _ in groups} == labels(tree)
+            # every child row is a row of an earlier group
+            start = 0
+            for _, kids in groups:
+                assert kids.size == 0 or kids.max() < start
+                start += len(kids)
+            assert roots == [start - 1]
 
     def test_fresh_parameters_pinned(self):
         # the stacked blocks hold the numbers of the per-gate parameters
@@ -348,13 +407,6 @@ class TestEncodeOnce:
         digest = hashlib.sha256(b"".join(p.data.tobytes() for p in r.params))
         assert digest.hexdigest() == (
             "3ed9dc72811d2dc87a36c674078673c9a4f42cb74a3863e3e1d859710276e261")
-
-    def test_unknown_labels_refused(self):
-        r = tiny_ranker(hidden=4)
-        with pytest.raises(KeyError, match="no embedding for leaf"):
-            r._predict(node("Tanh", node("y_t")), train=False)
-        with pytest.raises(KeyError, match="no tree cell"):
-            r._predict(node("Max", node("x_t")), train=False)
 
 
 class TestFit:
@@ -455,14 +507,17 @@ class TestGradient:
         assert en.gradient_check(loss, r.params) < 1e-4
 
     def test_all_labels_shared_children_and_repeated_trees(self):
-        r = tiny_ranker(hidden=3, head_dropout=0.0)
-        other = r._eval_tree(builtin("gru"))
-        trees = [ALL_LABELS_TREE, other, ALL_LABELS_TREE]
-        assert labels(ALL_LABELS_TREE) >= {op.value for op in OpKind if not op.is_source}
-        targets = en.Tensor([[1.5], [0.2], [-0.7]])
+        ops = {op.value for op in OpKind if not op.is_source}
+        # unrolled, every leaf label but h_tm1; as it is, every source
+        for unroll, leaves in ((True, set(LEAF_LABELS) - {OpKind.HM1.value}),
+                               (False, set(LEAF_LABELS) - {H_TM2, C_TM2})):
+            assert labels(reference_tree(ALL_LABELS, unroll)) == ops | leaves
+            r = tiny_ranker(hidden=3, head_dropout=0.0, unroll=unroll)
+            trees = [ALL_LABELS, r._eval_tree(builtin("gru")), ALL_LABELS]
+            targets = en.Tensor([[1.5], [0.2], [-0.7]])
 
-        def loss():
-            diff = en.sub(r._predict(*trees, train=False), targets)
-            return en.tsum(en.mul(diff, diff))
+            def loss():
+                diff = en.sub(r._predict(*trees, train=False), targets)
+                return en.tsum(en.mul(diff, diff))
 
-        assert en.gradient_check(loss, r.params) < 1e-4
+            assert en.gradient_check(loss, r.params) < 1e-4

@@ -24,7 +24,6 @@ from rnndsl.search import (
     hidden_dump,
     load_config,
     ops_over_time,
-    report,
     run_random_search,
     run_rl_search,
     search_curve,
@@ -349,15 +348,6 @@ class TestReports:
         a = hidden_dump(render(builtin("gru")), seed=5)
         b = hidden_dump(render(builtin("gru")), seed=5)
         assert a == b
-
-    def test_report_dispatch(self):
-        store = self._store()
-        assert report(store, "ops_over_time") == ops_over_time(store)
-        assert report(store, "search_curve") == search_curve(store)
-        dump = report(store, "hidden_dump", seq_len=4)
-        assert len(dump) == 4  # defaults to the best record's cell
-        with pytest.raises(ValueError):
-            report(store, "pie_chart")
 
     def test_write_csv_round_trip(self, tmp_path):
         import csv
