@@ -547,6 +547,8 @@ def structural_violations(
         if req not in sources
     ]
     flags += found
+    if not root.children:
+        flags.append("bare_source")
     if ops > max_nodes:
         flags.append("too_big")
     if height > max_height:

@@ -14,10 +14,11 @@ layer over a whole sequence (`compiler.run_steps`) is one tape node whose
 backward pass calls the generated backward function for the timesteps in
 reverse (`compiler.step` is the one-timestep case). The fused LSTM step
 has a kernel pair too (`lstm_fwd`, `lstm_bwd`): the policy rolls out on
-arrays with it and records its steps, and one tape node per update window
-(`rlgen.Policy.window`) runs the backward pass over the stacked steps; an
-episode's log-probability sum is one node over its rows of that node.
-A fused node (a cell layer, the ranker's tree encoder, a policy window)
+arrays with it and records its steps, and the REINFORCE loss of an update
+window (`rlgen.reinforce_loss`) is one tape node whose backward pass runs
+over the stacked steps; an episode's log-probability sum is that loss for
+the episode alone.
+A fused node (a cell layer, the ranker's tree encoder, a REINFORCE loss)
 lists the parameters it reads among its parents and returns their
 gradients like any other parent's, so only `backward()` adds into a
 Parameter (`Parameter.accumulate`).

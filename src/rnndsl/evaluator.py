@@ -182,6 +182,10 @@ class TrainConfig:
                 f"TrainConfig.failure_ppl_threshold must be > 1, got {self.failure_ppl_threshold}")
 
 
+# the statuses `train_and_score` gives a record
+STATUSES = ("ok", "diverged", "failed_threshold", "invalid", "timeout")
+
+
 @dataclass
 class ArchPerfRecord:
     id: str
@@ -189,13 +193,19 @@ class ArchPerfRecord:
     ct_node: Optional[int]
     source: str  # random | rl | seed | human
     task: str
-    status: str  # ok | diverged | failed_threshold | invalid | timeout
+    status: str  # one of STATUSES
     valid_metric: Optional[float]
     test_metric: Optional[float]
     epochs_run: int
     wall_seconds: float
     batch_index: int
     timestamp: str
+
+    def __post_init__(self) -> None:
+        if self.status not in STATUSES:
+            raise ValueError(f"record status must be one of {list(STATUSES)}, got {self.status!r}")
+        if self.status == "ok" and self.valid_metric is None:
+            raise ValueError("an ok record needs a valid_metric")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

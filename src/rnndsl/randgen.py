@@ -84,6 +84,8 @@ _Level = tuple[list[float], int, list[OpKind], list[int], list[tuple[tuple[int, 
 _DrawPlan = tuple[list[_Level], int, int]
 
 _BIT = {k: 1 << i for i, k in enumerate(OpKind)}
+# h_t must be an operator: the root slot bans every source (bare_source)
+_SOURCE_BITS = sum(_BIT[k] for k in OpKind if k.is_source)
 
 
 def _child_slots(op: OpKind, depth: int) -> tuple[tuple[int, int], ...]:
@@ -128,12 +130,12 @@ def _draw_raw(plan: _DrawPlan, uniform: Callable[[], float]) -> tuple[list[OpKin
     are checked as each node is drawn: its slot's banned kinds and the
     operator count. The trial stops at its first violation, so a failing
     trial's kinds are a prefix of its tree; a whole tree is then checked
-    for the required sources."""
+    for the required sources. The verdict is `check_restrictions`'s."""
     levels, max_nodes, required = plan
     bisect_left = bisect.bisect_left
     drawn: list[OpKind] = []
     append = drawn.append
-    stack = [(0, 0)]
+    stack = [(0, _SOURCE_BITS)]
     pop = stack.pop
     ops = 0
     leaves = 0
@@ -208,17 +210,12 @@ def generate_batch(
     while len(out) < n and budget > 0:
         budget -= 1
         # restriction flags are invariant under canonicalization, so the
-        # raw tree is checked before the canonical pass: the draw's rules
-        # reject most trials unbuilt, and dsl.structural_violations decides
-        # on the rest
+        # draw's verdict on the raw tree admits the canonical one
         drawn, passed = _draw_raw(plan, uniform)
         used += len(drawn)
         if not passed:
             continue
-        raw = Architecture(from_preorder(drawn))
-        if not check_restrictions(raw, cfg).admissible:
-            continue
-        cand = canonicalize(raw)
+        cand = canonicalize(Architecture(from_preorder(drawn)))
         for variant in expand_ct_variants(cand):
             # variants are already canonical: hash the render directly
             vid = hashlib.sha1(render(variant).encode()).hexdigest()[:12]

@@ -288,7 +288,7 @@ class Ranker:
     # -- training ----------------------------------------------------------
 
     def target_for(self, rec: ArchPerfRecord) -> float:
-        if rec.status == "ok" and rec.valid_metric is not None:
+        if rec.status == "ok":
             return min(rec.valid_metric, METRIC_CAP)
         return METRIC_CAP
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -167,7 +168,7 @@ class Memo:
     on, each encoder step that ``keys`` missed is recorded in ``enc`` and
     each head step in ``head``, with the chosen log-probability and the
     entropy; an episode is a range of head steps (`Episode.rows`), and
-    `Policy.window` turns the records into a tape node. A memo serves one
+    `reinforce_loss` turns the records into a tape node. A memo serves one
     parameter version in one grad mode: it must not outlive a parameter
     change or a change of grad mode.
     """
@@ -199,13 +200,7 @@ class Policy:
         self.params: list[en.Parameter] = []
 
         def par(name, shape, zero=False):
-            data = (
-                np.zeros(shape)
-                if zero
-                else en.init_mm_weight(rng, shape[0], shape[1])
-                if len(shape) == 2
-                else rng.uniform(-0.1, 0.1, size=shape)
-            )
+            data = np.zeros(shape) if zero else en.init_mm_weight(rng, *shape)
             p = en.Parameter(data, name)
             self.params.append(p)
             return p
@@ -234,8 +229,7 @@ class Policy:
         }
         self.lin2_w = par("lin2_W", (len(self.actions), w))
         self.lin2_b = par("lin2_b", (len(self.actions),), zero=True)
-        self.baseline = 0.0
-        self._baseline_seen = False
+        self.baseline: Optional[float] = None  # running-mean reward; None before an update
 
     # -- encoder -----------------------------------------------------------
 
@@ -364,17 +358,6 @@ class Policy:
         memo.head.append((enc_step, prev, 0 if prev < 0 else memo.head[prev][2] + 1, idx,
                           a1, x, head[0], *saved, head_state, logp, entropy))
         return self.actions[idx], (head_state, len(memo.head) - 1)
-
-    def window(self, memo: Memo) -> en.Tensor:
-        """A tape node of ``memo``'s head steps: its value [head steps, 2]
-        holds each step's chosen log-probability and entropy, and its
-        backward pass is `_window_backward`. Each call builds a new node
-        over the steps recorded so far; backward is linear, so two nodes
-        over one memo sum correctly."""
-        steps = list(memo.hc), list(memo.enc), list(memo.levels), list(memo.head)
-        values = np.array([(s[-2][0, s[3]], s[-1]) for s in memo.head])
-        return en.Tensor(values, tuple(self.params),
-                         lambda g: self._window_backward(*steps, g))
 
     # -- reverse pass ------------------------------------------------------
 
@@ -537,24 +520,26 @@ def reinforce_loss(
     summed log-probabilities, minus ``beta`` times the summed entropies.
 
     The episodes must share one update window (one memo). The loss is one
-    node over the window node that weights each row by its gradient:
-    (1/N) * -adv for the log-probability and -(1/N) * beta for the
-    entropy, the products a chain of scalar nodes per episode would form,
-    so the bits are the same."""
+    node over the policy's parameters that weights each head step's chosen
+    log-probability and entropy by their gradient, (1/N) * -adv and
+    -(1/N) * beta, the products a chain of scalar nodes per episode would
+    form, so the bits are the same; its backward pass is
+    `Policy._window_backward` of those weights."""
     memo = episodes[0].memo
     if any(e.memo is not memo for e in episodes):
         raise ValueError("episodes of one update must share one update window (memo)")
     if not all(e.rows for e in episodes):
         raise ValueError("episode was rolled out without gradients")
-    window = policy.window(memo)
-    weights = np.zeros_like(window.data)
+    steps = list(memo.hc), list(memo.enc), list(memo.levels), list(memo.head)
+    values = np.array([(s[-2][0, s[3]], s[-1]) for s in memo.head])
+    weights = np.zeros_like(values)
     scale = 1.0 / len(episodes)
     for e, adv in zip(episodes, advs):
         weights[e.rows, 0] += scale * -float(adv)
         if beta > 0:
             weights[e.rows, 1] += -scale * beta
-    return en.Tensor((window.data * weights).sum().reshape(1, 1), (window,),
-                     lambda g: (g * weights,))
+    return en.Tensor((values * weights).sum().reshape(1, 1), tuple(policy.params),
+                     lambda g: policy._window_backward(*steps, g * weights))
 
 
 def reinforce_update(
@@ -574,7 +559,7 @@ def reinforce_update(
     if policy.cfg.normalize_advantage and len(episodes) > 1:
         advs = (rewards - rewards.mean()) / (rewards.std() + 1e-8)
     else:
-        base = policy.baseline if policy._baseline_seen else float(rewards.mean())
+        base = float(rewards.mean()) if policy.baseline is None else policy.baseline
         advs = rewards - base
     beta = policy.cfg.entropy_weight if entropy_weight is None else entropy_weight
     reinforce_loss(policy, episodes, advs, beta).backward()
@@ -582,11 +567,10 @@ def reinforce_update(
     # running-mean baseline over recent rewards
     d = BASELINE_DECAY
     for e in episodes:
-        if policy._baseline_seen:
-            policy.baseline = d * policy.baseline + (1 - d) * e.reward
-        else:
+        if policy.baseline is None:
             policy.baseline = e.reward
-            policy._baseline_seen = True
+        else:
+            policy.baseline = d * policy.baseline + (1 - d) * e.reward
     return stepped
 
 
@@ -645,8 +629,8 @@ def pretrain_priors(
         policy.params,
         en.OptimizerConfig(kind="adam", learning_rate=policy.cfg.learning_rate),
     )
-    buffer: list[list[int]] = []
-    recent: list[bool] = []
+    buffer: deque[list[OpKind]] = deque(maxlen=PRETRAIN_REPLAY_CAPACITY)
+    recent: deque[bool] = deque(maxlen=PRETRAIN_WINDOW)
     history: list[float] = []
     batch: list[Episode] = []
     run = 0
@@ -661,12 +645,8 @@ def pretrain_priors(
         ep.reward = sum(sat) / len(sat)
         batch.append(ep)
         recent.append(all(sat))
-        if len(recent) > PRETRAIN_WINDOW:
-            recent.pop(0)
         if all(sat):
             buffer.append(list(ep.actions))
-            if len(buffer) > PRETRAIN_REPLAY_CAPACITY:
-                buffer.pop(0)
         run += 1
         if len(batch) >= PRETRAIN_BATCH:
             for _ in range(min(PRETRAIN_REPLAYS, len(buffer))):

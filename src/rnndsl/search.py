@@ -157,7 +157,7 @@ class RecordStore:
         self.by_id[rec.id] = rec
 
     def best(self) -> Optional[ArchPerfRecord]:
-        ok = [r for r in self.records if r.status == "ok" and r.valid_metric is not None]
+        ok = [r for r in self.records if r.status == "ok"]
         if not ok:
             return None
         return min(ok, key=lambda r: r.valid_metric)
@@ -277,9 +277,7 @@ def _episode_result(
     results = _evaluate(variants, store, run, task, train_cfg, "rl", batch_index)
     best_rec = min(
         results,
-        key=lambda r: r.valid_metric
-        if r.status == "ok" and r.valid_metric is not None
-        else math.inf,
+        key=lambda r: r.valid_metric if r.status == "ok" else math.inf,
     )
     good = best_rec.status == "ok"
     loss = best_rec.valid_metric if good else None
@@ -397,14 +395,14 @@ def search_curve(store: RecordStore) -> list[dict]:
     batch_means: dict[int, float] = {}
     by_batch: dict[int, list[float]] = {}
     for rec in store.records:
-        if rec.status == "ok" and rec.valid_metric is not None:
+        if rec.status == "ok":
             by_batch.setdefault(rec.batch_index, []).append(rec.valid_metric)
     for b, vals in by_batch.items():
         batch_means[b] = float(np.mean(vals))
     rows = []
     best = math.inf
     for i, rec in enumerate(store.records):
-        if rec.status == "ok" and rec.valid_metric is not None:
+        if rec.status == "ok":
             best = min(best, rec.valid_metric)
         rows.append(
             {

@@ -207,6 +207,21 @@ class TestEval:
         assert code == 0, err
         assert math.isfinite(payload["score"])
 
+    @pytest.mark.parametrize("change", [{"status": "exploded"}, {"valid_metric": None}],
+                             ids=["unknown-status", "ok-without-metric"])
+    def test_record_no_run_writes_refused(self, capsys, tmp_path, change):
+        cfg = self._config(tmp_path, ranker={"hidden": 8, "epochs": 5})
+        out = tmp_path / "records.jsonl"
+        run_cli(capsys, "eval", TANH_RNN, "--task", "copy_memory", "--config", cfg,
+                "--out", str(out))
+        good = out.read_text()
+        out.write_text(good + json.dumps({**json.loads(good), "id": "0" * 12, **change}) + "\n")
+        for argv in (("rank", "fit", "--config", cfg),
+                     ("report", "search-curve", "--out", str(tmp_path / "curve.csv"))):
+            code, text, err = run_cli(capsys, *argv, "--records", str(out))
+            assert code == 1 and text == ""
+            assert err.startswith(f"error[StoreError]: {out}:2: malformed record: ")
+
     def test_seed_env_fallback(self, capsys, tmp_path, monkeypatch):
         cfg = self._config(tmp_path)
         monkeypatch.setenv("ARCHDSL_SEED", "5")
@@ -255,6 +270,25 @@ class TestSearchAndReport:
         with open(tmp_path / "hidden.csv", newline="") as fh:
             dumped = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
         assert dumped == hidden_dump(RecordStore.load(out).best().dsl, seed=0)
+
+    def test_rl_search(self, capsys, tmp_path):
+        cfg = tmp_path / "rl.json"
+        cfg.write_text(json.dumps({
+            "search": {"max_evaluations": 3, "seed_baselines": []},
+            "train": {"epochs": 1, "hidden_size": 4, "failure_check_epoch": 1},
+            "rl": {"width": 16, "normalize_advantage": True, "entropy_weight": 0.03,
+                   "epsilon": 0.0, "learning_rate": 0.01},
+            "task": {"kind": "copy_memory", "batch_size": 8, "train_size": 16,
+                     "valid_size": 8, "test_size": 8},
+        }))
+        out = tmp_path / "records.jsonl"
+        code, payload, err = run_json(capsys, "search", "rl", "--config", str(cfg),
+                                      "--out", str(out))
+        assert code == 0, err
+        lines = out.read_text().splitlines()
+        assert payload["records"] == payload["trained"] == len(lines) >= 1
+        assert {"batches", "relaxed_batches"} <= payload.keys()
+        assert len(RecordStore.load(str(out))) == len(lines)
 
     def test_search_deterministic(self, capsys, tmp_path):
         cfg = self._config(tmp_path)

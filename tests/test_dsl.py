@@ -401,6 +401,8 @@ def multi_walk_violations(arch, max_nodes, max_height, require_sources):
             if not n.op.is_source and c.op is n.op:
                 if "stacked_identical" not in flags:
                     flags.append("stacked_identical")
+    if root.op.is_source:
+        flags.append("bare_source")
     if operator_count(root) > max_nodes:
         flags.append("too_big")
     if tree_height(root) > max_height:
@@ -448,7 +450,8 @@ class TestOnePassMatchesMultiWalk:
         assert n_taps > 1000
         assert seen_flags == {
             "missing_x", "missing_h", "missing_c_tm1", "gate_not_sigmoid",
-            "stacked_identical", "too_big", "too_tall", "ct_without_cm1", "trivial_ct",
+            "stacked_identical", "bare_source", "too_big", "too_tall", "ct_without_cm1",
+            "trivial_ct",
         }
 
     def test_gate_and_stacking_flags_keep_tree_order(self):

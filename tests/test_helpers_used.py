@@ -1,9 +1,9 @@
 """No helper that only a unit test calls: every module-level function and
-class of the package is named somewhere in the package or the benchmark
-outside its own definition, and every module-level name bound to a callable
-by assignment is used, bare in its own module or qualified by its module
-elsewhere; the rest are held by the acceptance gate. No config field that
-the package never reads."""
+class of the package, and every method of a package class, is named
+somewhere in the package or the benchmark outside its own definition, and
+every module-level name bound to a callable by assignment is used, bare in
+its own module or qualified by its module elsewhere; the rest are held by
+the acceptance gate. No config field that the package never reads."""
 
 import ast
 import importlib
@@ -17,8 +17,10 @@ from rnndsl.search import CONFIG_SECTIONS, SearchConfig
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rnndsl"
 
-# module.name -> the acceptance test that calls it, and nothing else does
+# module.name or module.Class.method -> the acceptance test that calls it,
+# and nothing else does
 ACCEPTANCE_ONLY = {
+    "compiler.CellProgram.params_for_node_index": "TestAcceptance03Canonicalization",
     "engine.safe_div": "TestAcceptance04Gradients",
     "engine.gate3": "TestAcceptance04Gradients",
     "engine.layer_norm": "TestAcceptance04Gradients",
@@ -30,6 +32,7 @@ ACCEPTANCE_ONLY = {
     "engine.exp": "TestAcceptance04Gradients",
     "engine.selu": "TestAcceptance04Gradients",
     "rlgen.sample_architecture": "TestAcceptance08Pretraining",
+    "rlgen.Episode.logp_sum": "TestAcceptance04Gradients",
 }
 
 
@@ -55,9 +58,19 @@ def read_names(tree: ast.Module, skip: ast.stmt) -> set[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def named_elsewhere(node: ast.stmt, lines: list[str], rest: list[str]) -> bool:
+    """Whether the name ``node`` defines appears, as a word, in ``rest`` or
+    in its own file's ``lines`` outside the definition."""
+    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    own = "".join(lines[:start - 1] + lines[node.end_lineno:])
+    word = re.compile(rf"\b{re.escape(node.name)}\b")
+    return any(word.search(t) for t in [*rest, own])
+
+
 def unreferenced_definitions() -> set[str]:
     """module.name of each top-level def or class whose name appears, as a
-    word, nowhere in src/rnndsl/ or perfbench/ outside its definition; and
+    word, nowhere in src/rnndsl/ or perfbench/ outside its definition, and
+    module.Class.name of each such method (dunders aside); and module.name
     of each top-level name bound to a callable by assignment that its own
     module's code does not read outside the binding (`np.tanh` is not a
     read of `tanh`, nor is a comment), and that no other file imports or
@@ -71,12 +84,14 @@ def unreferenced_definitions() -> set[str]:
         rest = [t for p, t in texts.items() if p != path]
         tree = ast.parse(texts[path])
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found.update(
+                    f"{path.stem}.{node.name}.{m.name}" for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not m.name.startswith("__") and not named_elsewhere(m, lines, rest))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
-                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                own = "".join(lines[:start - 1] + lines[node.end_lineno:])
-                word = re.compile(rf"\b{re.escape(name)}\b")
-                used = any(word.search(t) for t in [*rest, own])
+                used = named_elsewhere(node, lines, rest)
             elif (name := assigned_callable(node, module)) is not None:
                 aliases = {path.stem, *re.findall(rf"\b{path.stem}\s+as\s+(\w+)", everything)}
                 qualified = re.compile(rf"\b(?:{'|'.join(aliases)})\.{re.escape(name)}\b")
@@ -98,7 +113,7 @@ def test_acceptance_holds_each_allowed_name():
     gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     classes = {n.name: ast.unparse(n) for n in gate.body if isinstance(n, ast.ClassDef)}
     for qualified, holder in ACCEPTANCE_ONLY.items():
-        name = qualified.split(".")[1]
+        name = qualified.rsplit(".", 1)[1]
         assert re.search(rf"\b{name}\b", classes[holder]), qualified
 
 

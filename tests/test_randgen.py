@@ -227,6 +227,15 @@ class TestGenerateBatch:
         for arch in generate_batch(cfg, 500):
             assert check_restrictions(arch, cfg).admissible
 
+    @pytest.mark.parametrize("required", [(), (OpKind.X,)])
+    def test_no_bare_source_root(self, required):
+        # with fewer than two required kinds a one-leaf tree passes the
+        # required-source check; the root slot still bans every source
+        cfg = GenConfig(require_sources=required, seed=1)
+        batch = generate_batch(cfg, 300, rng=np.random.default_rng(1))
+        assert len(batch) == 300
+        assert not [render(a) for a in batch if a.root.op.is_source]
+
     def test_id_stable_under_recanonicalization(self):
         from rnndsl.dsl import canonicalize
 

@@ -136,9 +136,6 @@ class TestUnrollOnce:
             if n_c:
                 from rnndsl.dsl import node_at_index
 
-                ct_size = analyze(
-                    parse(render(arch).split("|")[0])
-                ).node_count  # placeholder; real size below
                 sub = node_at_index(arch.root, arch.ct_node)
                 ct_size = sum(1 for m in sub.walk() if not m.op.is_source)
             else:

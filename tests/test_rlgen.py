@@ -53,9 +53,10 @@ def encoding(pol, p):
 
 
 def rows(ep):
-    """The episode's rows of its window node: per action, the chosen
+    """The episode's head steps in its memo: per action, the chosen
     log-probability and the entropy."""
-    return ep.memo.policy.window(ep.memo).data[ep.rows]
+    steps = [ep.memo.head[i] for i in ep.rows]
+    return np.array([(s[-2][0, s[3]], s[-1]) for s in steps])
 
 
 class TestMasking:
@@ -395,7 +396,7 @@ class TestEpisodes:
         assert en.grad_enabled() and made == []
         assert [len(e.rows) for e in eps] == [len(e.actions) for e in eps]
         eps[0].logp_sum()
-        assert len(made) == 2  # the window node and the episode's weighted sum
+        assert len(made) == 1  # the loss node over the episode's rows
 
     def test_forced_replay_rescores_identically(self):
         pol = tiny_policy()
@@ -500,7 +501,7 @@ class TestReinforce:
 
     def test_positive_advantage_raises_logp(self):
         pol = tiny_policy(normalize_advantage=False, epsilon=0.0)
-        pol.baseline, pol._baseline_seen = 0.0, True  # advantage = reward
+        pol.baseline = 0.0  # advantage = reward
         ep = generate_episode(pol, np.random.default_rng(7))
         before = ep.logp_sum().data.item()
         ep.reward = 1.0
@@ -515,7 +516,7 @@ class TestReinforce:
 
     def test_negative_advantage_lowers_logp(self):
         pol = tiny_policy(normalize_advantage=False, epsilon=0.0)
-        pol.baseline, pol._baseline_seen = 0.0, True  # advantage = reward
+        pol.baseline = 0.0  # advantage = reward
         ep = generate_episode(pol, np.random.default_rng(8))
         before = ep.logp_sum().data.item()
         ep.reward = -1.0

@@ -179,6 +179,23 @@ class TestRecordStore:
         with pytest.raises(StoreError, match=f"typed.jsonl:2: malformed record: record.{field}: "):
             RecordStore.load(str(path))
 
+    @pytest.mark.parametrize("change,why", [
+        ({"status": "exploded"}, "record status must be one of"),
+        ({"valid_metric": None}, "an ok record needs a valid_metric"),
+    ], ids=["unknown-status", "ok-without-metric"])
+    def test_record_no_run_writes_refused(self, tmp_path, change, why):
+        good = make_record(builtin("gru"), 0.9)
+        bad = json.dumps({**json.loads(make_record(builtin("lstm"), 0.8).to_json()), **change})
+        path = tmp_path / "odd.jsonl"
+        path.write_text(good.to_json() + "\n" + bad + "\n")
+        with pytest.raises(StoreError, match=f"odd.jsonl:2: malformed record: {why}"):
+            RecordStore.load(str(path))
+        # without its newline the same line is a torn append
+        path.write_text(good.to_json() + "\n" + bad)
+        assert RecordStore.load(str(path)).records == [good]
+        with pytest.raises(ValueError, match=why):
+            ArchPerfRecord.from_json(bad)
+
     def test_int_metric_kept_as_int(self, tmp_path):
         path = tmp_path / "int.jsonl"
         rec = make_record(builtin("gru"), 1)
