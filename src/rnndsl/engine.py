@@ -13,11 +13,15 @@ and a compiled cell's generated timestep functions call them by name: one
 layer over a whole sequence (`compiler.run_steps`) is one tape node whose
 backward pass calls the generated backward function for the timesteps in
 reverse (`compiler.step` is the one-timestep case). The fused LSTM step
-has a kernel pair too (`lstm_fwd`, `lstm_bwd`): the policy rolls out on
-arrays with it and records its steps, and the REINFORCE loss of an update
-window (`rlgen.reinforce_loss`) is one tape node whose backward pass runs
-over the stacked steps; an episode's log-probability sum is that loss for
-the episode alone.
+has a kernel pair too (`lstm_fwd`, `lstm_bwd`). `lstm_fwd` is its two
+products, x @ W.T and h @ U.T, then a gate kernel (`lstm_gates`) that
+computes the gates in place and writes the packed hidden|cell state into
+one output array; the policy's encoder calls the gate kernel directly
+with products it keeps for its token steps. The policy rolls out on
+arrays with these kernels and records its steps, and the REINFORCE loss
+of an update window (`rlgen.reinforce_loss`) is one tape node whose
+backward pass runs over the stacked steps; an episode's log-probability
+sum is that loss for the episode alone.
 A fused node (a cell layer, the ranker's tree encoder, a REINFORCE loss)
 lists the parameters it reads among its parents and returns their
 gradients like any other parent's, so only `backward()` adds into a
@@ -357,13 +361,34 @@ def lstm_fwd(x, hc, W, U, b):
     i|f|o gates [B, 3w], u and the tanh of the new cell state.
     """
     w = hc.shape[1] // 2
-    z = (x @ W.T + hc[:, :w] @ U.T) + b
-    ifo = sigmoid_fwd(z[:, : 3 * w])[0]
-    i, f, o = ifo[:, :w], ifo[:, w : 2 * w], ifo[:, 2 * w :]
-    u = np.tanh(z[:, 3 * w :])
-    c2 = f * hc[:, w:] + i * u
+    return lstm_gates(x @ W.T, hc[:, :w] @ U.T, hc, b)
+
+
+def lstm_gates(xW, hU, hc, b):
+    """`lstm_fwd` from its two products, ``xW`` = x @ W.T and ``hU`` =
+    h @ U.T [B, 4w], so that a caller can reuse a product it keeps.
+
+    The same operations in the same order, so the same bits: z = (xW + hU)
+    + b, the gates 1 / (1 + exp(-z)) and tanh in place in z, the cell state
+    f * c + i * u and the hidden state o * tanh(c2) written into the packed
+    output. The saved gates are views of z.
+    """
+    w = hc.shape[1] // 2
+    z = xW + hU
+    z += b
+    ifo, u = z[:, : 3 * w], z[:, 3 * w :]
+    np.negative(ifo, out=ifo)
+    np.exp(ifo, out=ifo)
+    ifo += 1.0
+    np.divide(1.0, ifo, out=ifo)
+    np.tanh(u, out=u)
+    out = np.empty(hc.shape)
+    c2 = out[:, w:]
+    np.multiply(ifo[:, w : 2 * w], hc[:, w:], out=c2)
+    c2 += ifo[:, :w] * u
     th = np.tanh(c2)
-    return np.concatenate([o * th, c2], axis=1), (ifo, u, th)
+    np.multiply(ifo[:, 2 * w :], th, out=out[:, :w])
+    return out, (ifo, u, th)
 
 
 def lstm_bwd(g, inputs, saved):

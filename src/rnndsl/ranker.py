@@ -181,6 +181,7 @@ class Ranker:
         self.head_w = par("head_W", (1, h))
         self.head_b = par("head_b", (1,), False)
         self._rng = rng
+        self._trees: dict[str, Architecture] = {}  # canonical tree by record text
 
     # -- encoding ----------------------------------------------------------
 
@@ -297,17 +298,20 @@ class Ranker:
         records: Sequence[ArchPerfRecord],
         rng: Optional[np.random.Generator] = None,
     ) -> list[float]:
-        """Weighted MSE regression on architecture-performance pairs."""
+        """Weighted MSE regression on architecture-performance pairs. Each
+        record text is parsed once per ranker: a search that refits on its
+        growing store parses only the new records."""
         if not records:
             raise ValueError("need at least one record")
         if rng is None:
             rng = np.random.default_rng(self.cfg.seed + 1)
         trees = []
-        targets = []
         for rec in records:
-            trees.append(self._eval_tree(parse(rec.dsl)))
-            targets.append(self.target_for(rec))
-        targets = np.array(targets)
+            tree = self._trees.get(rec.dsl)
+            if tree is None:
+                tree = self._trees[rec.dsl] = self._eval_tree(parse(rec.dsl))
+            trees.append(tree)
+        targets = np.array([self.target_for(rec) for rec in records])
         # better (lower) metrics sampled more often: weight ~ 1/rank
         order = np.argsort(np.argsort(targets))
         weights = 1.0 / (order + 1.0)

@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -159,26 +159,51 @@ class PartialArch:
 # policy
 # ---------------------------------------------------------------------------
 
+def draw_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs / probs.sum())`` by choice's own
+    arithmetic, without its checks and conversions: the same index from the
+    same one double, and `ValueError` where choice raises it, on NaN."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("probabilities contain NaN")
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class Memo:
     """One update window: the encoder's states by value, and the policy
     steps its episodes took, recorded for one reverse pass over them all.
 
     ``keys`` maps the key of an encoder prefix to its step and ``hc`` holds
-    each step's packed [1, 2w] state (`Policy._node_state`). With gradients
-    on, each encoder step that ``keys`` missed is recorded in ``enc`` and
-    each head step in ``head``, with the chosen log-probability and the
-    entropy; an episode is a range of head steps (`Episode.rows`), and
-    `reinforce_loss` turns the records into a tape node. A memo serves one
-    parameter version in one grad mode: it must not outlive a parameter
-    change or a change of grad mode.
+    each step's packed [1, 2w] state (`Policy.encode_partial`); a token's
+    step keeps the product through which later steps read it, so they do
+    not recompute it. The memo also holds the open path of the partial tree
+    it encoded last, so that the next action of that tree costs lookups
+    along the path only. With gradients on, each encoder step that ``keys``
+    missed is recorded in ``enc`` and each head step in ``head``, with the
+    chosen log-probability and the entropy; an episode is a range of head
+    steps (`Episode.rows`), and `reinforce_loss` turns the records into a
+    tape node. A memo serves one parameter version in one grad mode: it
+    must not outlive a parameter change or a change of grad mode.
     """
 
     def __init__(self) -> None:
         self.keys: dict = {}
         self.hc: list[np.ndarray] = []
+        # per token step: its h times the encoder weight that later steps
+        # read it through, W for a leaf (an input) and U for an operator (a
+        # prefix)
+        self.products: dict[int, np.ndarray] = {}
+        # the partial tree encoded last, how many of its actions are folded
+        # into ``path``, and its open path: per ancestor of the target, root
+        # first, [step of the prefix (the token and the finished children),
+        # open children]
+        self.tree: Optional[PartialArch] = None
+        self.folded = 0
+        self.path: list[list[int]] = []
         # per encoder step: its input (a step whose h it reads, or -1 -
         # token index), previous step (-1: the zero state) and what
-        # `lstm_fwd` saved; and its dependency level
+        # `lstm_gates` saved; and its dependency level
         self.enc: list[tuple] = []
         self.levels: list[int] = []
         # per head step: its encoder step, previous head step (-1: the zero
@@ -230,6 +255,14 @@ class Policy:
         self.lin2_w = par("lin2_W", (len(self.actions), w))
         self.lin2_b = par("lin2_b", (len(self.actions),), zero=True)
         self.baseline: Optional[float] = None  # running-mean reward; None before an update
+        self._zero = np.zeros((1, 2 * w))  # the packed state before a node's first step
+        # the legal-action mask and its additive score row (0 where legal,
+        # -1e9 where not), by whether operators and sources are allowed:
+        # the mask depends on nothing else. Read-only.
+        self._legal = {}
+        for ops_ok, srcs_ok in itertools.product((False, True), repeat=2):
+            mask = (self._operators & ops_ok) | (self._sources & srcs_ok)
+            self._legal[ops_ok, srcs_ok] = mask, np.where(mask, 0.0, -1e9)[None, :]
 
     # -- encoder -----------------------------------------------------------
 
@@ -242,14 +275,18 @@ class Policy:
         """One encoder step that ``memo`` does not hold yet; returns the
         step. ``src`` is a step whose hidden state is the input, or -1 -
         the row of a token; ``prev`` -1 is the zero state of a node's
-        first step."""
-        w = self.cfg.width
-        hc = memo.hc
-        x = hc[src][:, :w] if src >= 0 else self.tok_emb.data[[-1 - src]]
-        out, saved = en.lstm_fwd(
-            x, np.zeros((1, 2 * w)) if prev < 0 else hc[prev],
-            self.enc["W"].data, self.enc["U"].data, self.enc["b"].data,
-        )
+        first step. A product that ``memo.products`` keeps is not
+        recomputed."""
+        w, enc = self.cfg.width, self.enc
+        hc, products = memo.hc, memo.products
+        if src < 0:
+            xW = self.tok_emb.data[[-1 - src]] @ enc["W"].data.T
+        elif (xW := products.get(src)) is None:
+            xW = hc[src][:, :w] @ enc["W"].data.T
+        state = hc[prev] if prev >= 0 else self._zero
+        if (hU := products.get(prev)) is None:
+            hU = state[:, :w] @ enc["U"].data.T
+        out, saved = en.lstm_gates(xW, hU, state, enc["b"].data)
         step = memo.keys[key] = len(hc)
         hc.append(out)
         if en.grad_enabled():
@@ -259,43 +296,76 @@ class Policy:
                                   levels[prev] if prev >= 0 else -1))
         return step
 
-    def _node_state(self, kinds: Iterator, memo: Memo) -> int:
-        """The last encoder step of the node whose preorder starts at the
-        next of ``kinds`` (operators, sources and slot tokens): the shared
-        LSTM over [token, child states], state reset per node. The state
-        after the token and the first j children depends only on the token,
-        those children's steps and the parameters, so ``memo`` holds it by
-        (token) or (step of the previous prefix, step of child j), across
-        episodes when the caller shares it. Each action walks the whole
-        partial tree again; a subtree seen before is a chain of lookups and
-        costs no step."""
-        keys = memo.keys
-        token, arity = self._token_input[next(kinds)]
-        step = keys.get(token)
+    def _token_step(self, memo: Memo, kind) -> int:
+        """The step of a node's token alone (an operator, a source or a slot
+        token), keyed by its input (`_memo_step`). A new one keeps the
+        product that later steps read it through."""
+        token, arity = self._token_input[kind]
+        step = memo.keys.get(token)
         if step is None:
             step = self._memo_step(memo, token, token, -1)
-        for _ in range(arity):
-            kid = self._node_state(kinds, memo)
-            key = (step, kid)
-            known = keys.get(key)
-            step = self._memo_step(memo, key, kid, step) if known is None else known
+            weight = self.enc["U" if arity else "W"].data
+            memo.products[step] = memo.hc[step][:, :self.cfg.width] @ weight.T
         return step
+
+    def _combine(self, memo: Memo, prefix: int, kid: int) -> int:
+        """The step after the prefix step ``prefix`` reads the state of the
+        child step ``kid``."""
+        key = (prefix, kid)
+        step = memo.keys.get(key)
+        return self._memo_step(memo, key, kid, prefix) if step is None else step
 
     def encode_partial(self, p: PartialArch, memo: Memo) -> int:
         """The memo step whose hidden state, ``memo.hc[step][:, :w]``,
-        encodes the partial tree: its actions, then its open slots in
-        preorder, the first the target and the rest empty."""
-        kinds = itertools.chain(p.actions, (TARGET_TOKEN,), itertools.repeat(EMPTY_TOKEN))
-        return self._node_state(kinds, memo)
+        encodes the partial tree: the shared LSTM over [token, child
+        states] per node, state reset per node, over its actions, then its
+        open slots in preorder, the first the target and the rest empty.
+
+        The state after a node's token and its first j children depends only
+        on the token, those children's steps and the parameters, so ``memo``
+        holds it by (token) or (step of the previous prefix, step of child
+        j), across episodes when the caller shares it. The memo also keeps
+        the tree's open path (`Memo.path`). The actions filled since the
+        last call are folded into it (an operator opens a node; a source
+        finishes its slot and each ancestor whose last slot it was), then
+        the target and the trailing empty slots are folded up it; so an
+        action looks up O(depth) keys and misses the steps a walk of the
+        whole tree would, in the same order. On a memo that holds another
+        tree's path, the path is rebuilt from the actions."""
+        if p.complete:
+            raise ValueError("a complete tree has no target to encode")
+        if memo.tree is not p:
+            memo.tree, memo.folded, memo.path = p, 0, []
+        path = memo.path
+        for kind in p.actions[memo.folded:]:
+            step = self._token_step(memo, kind)
+            if kind.arity:
+                path.append([step, kind.arity])
+                continue
+            while path:
+                top = path[-1]
+                top[0] = self._combine(memo, top[0], step)
+                top[1] -= 1
+                if top[1]:
+                    break
+                step = path.pop()[0]
+        memo.folded = len(p.actions)
+        step = self._token_step(memo, TARGET_TOKEN)
+        for prefix, n_open in reversed(path):
+            step = self._combine(memo, prefix, step)
+            for _ in range(n_open - 1):
+                step = self._combine(memo, step, self._token_step(memo, EMPTY_TOKEN))
+        return step
 
     # -- action selection --------------------------------------------------
 
     def legal_actions(self, p: PartialArch) -> np.ndarray:
-        """Boolean mask over the action space for the current target."""
+        """Boolean mask over the action space for the current target; one of
+        the four the policy builds once, so read-only."""
         depth = p.target_depth
         operators_ok = depth < self.cfg.max_depth and p.operator_count < self.cfg.max_nodes
         # h_t itself must be an operator
-        return (self._operators & operators_ok) | (self._sources & (depth > 0))
+        return self._legal[operators_ok, depth > 0][0]
 
     def action_logprobs(
         self, p: PartialArch, head_state: np.ndarray, memo: Memo
@@ -306,17 +376,19 @@ class Policy:
         w = self.cfg.width
         enc_step = self.encode_partial(p, memo)
         a1 = memo.hc[enc_step][:, :w] @ self.lin1_w.data.T
-        a1 = a1 + self.lin1_b.data
+        a1 += self.lin1_b.data
         x = en.relu_fwd(a1)[0]
         head_state, saved = en.lstm_fwd(
             x, head_state, self.head["W"].data, self.head["U"].data, self.head["b"].data
         )
         scores = head_state[:, :w] @ self.lin2_w.data.T
-        scores = scores + self.lin2_b.data
+        scores += self.lin2_b.data
         mask = self.legal_actions(p)
-        masked = scores + np.where(mask, 0.0, -1e9)[None, :]
-        z = masked - masked.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        # the actions are the operators, then the sources: the mask's first
+        # and last entries say which pair it is
+        scores += self._legal[mask[0], mask[-1]][1]
+        scores -= scores.max(axis=-1, keepdims=True)
+        logp = scores - np.log(np.exp(scores).sum(axis=-1, keepdims=True))
         return logp, mask, (enc_step, a1, x, saved, head_state)
 
     def next_action(
@@ -330,14 +402,15 @@ class Policy:
     ) -> tuple[OpKind, tuple[np.ndarray, int]]:
         """Draw (or force) one action. ``head`` is the head's packed state
         and its step in ``memo`` (`head_start`); returns the action and the
-        next head. With gradients on, the head step is recorded in ``memo``
-        with the chosen log-probability and the entropy of the distribution;
-        the loss's entropy weight decides whether the entropy gets a
-        gradient (`_window_backward`)."""
+        next head. A draw is `draw_index`. With gradients on, the head step
+        is recorded in ``memo`` with the chosen log-probability and the
+        entropy of the distribution; the loss's entropy weight decides
+        whether the entropy gets a gradient (`_window_backward`)."""
         head_state, prev = head
         logp, mask, (enc_step, a1, x, saved, head_state) = self.action_logprobs(
             p, head_state, memo
         )
+        probs = np.exp(logp[0])
         if forced is not None:
             idx = self.actions.index(forced)
             if not mask[idx]:
@@ -346,14 +419,12 @@ class Policy:
             legal = np.flatnonzero(mask)
             idx = int(legal[rng.integers(len(legal))])
         else:
-            probs = np.exp(logp[0])
-            probs = probs / probs.sum()
-            idx = int(rng.choice(len(probs), p=probs))
+            idx = draw_index(probs, rng)
         if not en.grad_enabled():
             return self.actions[idx], (head_state, -1)
         # entropy of the masked distribution; exp(-1e9) underflows to
         # exactly zero, so illegal entries contribute nothing
-        entropy = -float((np.exp(logp) * logp).sum())
+        entropy = -float((probs * logp[0]).sum())
         memo.policy = self
         memo.head.append((enc_step, prev, 0 if prev < 0 else memo.head[prev][2] + 1, idx,
                           a1, x, head[0], *saved, head_state, logp, entropy))
@@ -484,13 +555,14 @@ def generate_episode(
 ) -> Episode:
     """Roll out one architecture; with forced_actions, re-score a tree.
 
-    ``memo`` holds the encoder's states by value (`Policy._node_state`) and
-    is the rollout's only cache: each action re-encodes the partial tree
-    through it, so only the path to the filled slot and to the new target
-    costs steps. It is also the update window: with gradients on, the
-    episode's head steps are appended to it as the episode's rows (`Memo`),
-    and the rollout itself builds no tape node. ``None`` means a fresh memo
-    for this episode.
+    ``memo`` holds the encoder's states by value and the partial tree's
+    open path (`Policy.encode_partial`), and is the rollout's only cache:
+    each action folds the last action and then the target into the path,
+    so it looks up keys along the path only, and only the path to the
+    filled slot and to the new target costs steps. It is also the update
+    window: with gradients on, the episode's head steps are appended to it
+    as the episode's rows (`Memo`), and the rollout itself builds no tape
+    node. ``None`` means a fresh memo for this episode.
     """
     eps = policy.cfg.epsilon if epsilon is None else epsilon
     p = PartialArch()

@@ -1,5 +1,6 @@
 """Tree-encoder performance predictor: unrolling, fitting, selection."""
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -439,6 +440,33 @@ class TestFit:
         assert r.fit(recs) == []  # the first step is refused and the fit stops
         assert all(np.isfinite(p.data).all() for p in r.params)
         assert [p.data.tobytes() for p in r.params] == [b.tobytes() for b in before]
+
+    def test_refit_parses_only_new_records(self, monkeypatch):
+        """A second fit on a store grown by k records parses k texts, and
+        its curve and parameters equal those of a copy of the ranker that
+        holds no parsed tree and parses every record."""
+        import rnndsl.ranker as ranker_mod
+
+        parse_text = ranker_mod.parse
+        parsed = []
+
+        def counted(text):
+            parsed.append(text)
+            return parse_text(text)
+
+        monkeypatch.setattr(ranker_mod, "parse", counted)
+        records = [record_for(a, analyze(a).node_count / 4.0)
+                   for a in random_architectures(30, seed=5)]
+        r = tiny_ranker(epochs=20)
+        r.fit(records[:20], rng=np.random.default_rng(1))
+        assert len(parsed) == 20
+        uncached = copy.deepcopy(r)
+        uncached._trees.clear()
+        curve = r.fit(records, rng=np.random.default_rng(2))
+        assert parsed[20:] == [rec.dsl for rec in records[20:]]
+        assert uncached.fit(records, rng=np.random.default_rng(2)) == curve
+        assert len(parsed) == 60
+        assert [p.data.tobytes() for p in r.params] == [p.data.tobytes() for p in uncached.params]
 
     def test_bootstrap_ct_embeddings(self):
         r = tiny_ranker()

@@ -1,5 +1,6 @@
 """Policy-driven incremental generation: masking, rewards, REINFORCE."""
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -57,6 +58,42 @@ def rows(ep):
     log-probability and the entropy."""
     steps = [ep.memo.head[i] for i in ep.rows]
     return np.array([(s[-2][0, s[3]], s[-1]) for s in steps])
+
+
+def walk_encode(pol, p, memo):
+    """The partial tree's encoding by a walk of the whole tree, as the
+    rollout made it before it kept the open path: the oracle of
+    `Policy.encode_partial`. Its encoder step is `lstm_fwd` of the stored
+    states, with no kept product."""
+    w = pol.cfg.width
+    W, U, b = (pol.enc[k].data for k in "WUb")
+
+    def memo_step(key, src, prev):
+        x = memo.hc[src][:, :w] if src >= 0 else pol.tok_emb.data[[-1 - src]]
+        out, saved = en.lstm_fwd(x, np.zeros((1, 2 * w)) if prev < 0 else memo.hc[prev], W, U, b)
+        step = memo.keys[key] = len(memo.hc)
+        memo.hc.append(out)
+        if en.grad_enabled():
+            levels = memo.levels
+            memo.enc.append((src, prev, *saved))
+            levels.append(1 + max(levels[src] if src >= 0 else -1,
+                                  levels[prev] if prev >= 0 else -1))
+        return step
+
+    def node_state(kinds):
+        # the last step of the node whose preorder starts at the next kind
+        token, arity = pol._token_input[next(kinds)]
+        step = memo.keys.get(token)
+        if step is None:
+            step = memo_step(token, token, -1)
+        for _ in range(arity):
+            kid = node_state(kinds)
+            known = memo.keys.get((step, kid))
+            step = memo_step((step, kid), kid, step) if known is None else known
+        return step
+
+    return node_state(itertools.chain(p.actions, [rlgen.TARGET_TOKEN],
+                                      itertools.repeat(rlgen.EMPTY_TOKEN)))
 
 
 class TestMasking:
@@ -137,6 +174,36 @@ class TestMasking:
         assert np.all(probs[~mask] == 0.0)  # exp(-1e9) underflows exactly
 
 
+class TestDraw:
+    def test_draw_matches_generator_choice(self):
+        """On 10,000 masked distributions made as the policy makes them,
+        `draw_index` picks what `Generator.choice` picks and leaves the
+        generator where choice leaves it."""
+        pol = tiny_policy()
+        masks = [mask for mask, _ in pol._legal.values() if mask.any()]
+        make, ours, theirs = (np.random.default_rng(s) for s in (19, 20, 20))
+        zeros = 0
+        for i in range(10000):
+            mask = masks[i % len(masks)]
+            scores = make.standard_normal(len(mask)) * make.choice([0.1, 1.0, 10.0])
+            scores = np.where(mask, scores, scores - 1e9)
+            z = scores - scores.max()
+            probs = np.exp(z - np.log(np.exp(z).sum()))
+            zeros += not probs.all()
+            assert rlgen.draw_index(probs, ours) == theirs.choice(len(probs),
+                                                                  p=probs / probs.sum())
+            assert ours.random() == theirs.random()
+        assert zeros > 5000
+
+    def test_nan_parameters_raise(self):
+        pol = tiny_policy(epsilon=0.0)
+        pol.lin2_w.data[...] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            generate_episode(pol, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            rlgen.draw_index(np.array([np.nan, 0.5, 0.5]), np.random.default_rng(0))
+
+
 class TestInit:
     @pytest.mark.parametrize("cfg,digest", [
         (RLConfig(width=8, seed=0),
@@ -200,6 +267,43 @@ class TestEncoding:
         for _ in range(50):
             generate_episode(pol, rng, epsilon=0.3, memo=memo)
         assert steps > 300
+
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    def test_open_path_matches_tree_walk(self, monkeypatch, grad):
+        """Rollouts through the open path and through the walk of the whole
+        tree, on memos shared by windows of episodes and forced replays,
+        make the same encoder steps in the same order, bit for bit."""
+
+        def roll(oracle):
+            pol = tiny_policy()
+            if oracle:
+                monkeypatch.setattr(pol, "encode_partial",
+                                    lambda p, memo: walk_encode(pol, p, memo))
+            rng = np.random.default_rng(18)
+            actions, memos = [], []
+            with contextlib.nullcontext() if grad else en.no_grad():
+                for _ in range(6):
+                    memos.append(Memo())
+                    for _ in range(10):
+                        actions.append(generate_episode(pol, rng, epsilon=0.3,
+                                                        memo=memos[-1]).actions)
+                    for acts in actions[-9::4]:
+                        generate_episode(pol, rng, forced_actions=acts, memo=memos[-1])
+            return actions, memos
+
+        actions, memos = roll(oracle=False)
+        oracle_actions, oracle_memos = roll(oracle=True)
+        assert actions == oracle_actions and len(actions) == 60
+        for memo, oracle in zip(memos, oracle_memos):
+            assert list(memo.keys.items()) == list(oracle.keys.items())
+            assert np.concatenate(memo.hc).tobytes() == np.concatenate(oracle.hc).tobytes()
+            assert [e[:2] for e in memo.enc] == [e[:2] for e in oracle.enc]
+            for e, o in zip(memo.enc, oracle.enc):
+                assert all(np.array_equal(a, b) for a, b in zip(e[2:], o[2:]))
+            assert memo.levels == oracle.levels
+            assert bool(memo.enc) == grad
+        assert sum(len(m.hc) for m in memos) > 300
 
 
 class TestReward:
@@ -797,7 +901,7 @@ class TestPretrain:
         rates and parameters of the oracle: rollouts on a memo per episode
         and each update's loss on the per-op graph."""
         rollout = rlgen.generate_episode
-        cell = en.lstm_fwd
+        memo_step = rlgen.Policy._memo_step
 
         def per_op_loss(policy, episodes, advs, beta):
             sums = []
@@ -818,10 +922,11 @@ class TestPretrain:
 
             def counted(*args):
                 calls[0] += 1
-                return cell(*args)
+                return memo_step(*args)
 
             monkeypatch.setattr(rlgen, "generate_episode", episode)
-            monkeypatch.setattr(en, "lstm_fwd", counted)
+            # every encoder step, and only those, goes through the memo step
+            monkeypatch.setattr(rlgen.Policy, "_memo_step", counted)
             if per_episode:
                 monkeypatch.setattr(rlgen, "reinforce_loss", per_op_loss)
             pol = tiny_policy(learning_rate=0.01, entropy_weight=0.03,
