@@ -11,7 +11,9 @@ position for an N-ary cell). The encoder hash-conses the subtrees of the
 trees it is given, groups the distinct ones by (height, label) and runs
 each group as array math, level by level, in one tape node (in the manner
 of TensorFlow Fold's dynamic batching): `fit` encodes a whole minibatch in
-one call, and `score` one candidate per call.
+one call, and `score` one candidate per call. `score_many` keeps one
+subtree memo across its `score` calls, so that each candidate encodes only
+the subtrees that no earlier candidate of the call had.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ _BACK = {OpKind.HM1: H_TM2, OpKind.CM1: C_TM2}
 # validation loss is clipped to it, and any other record gets it
 METRIC_CAP = math.log(500.0)
 
+# the most rows a shared subtree memo holds before it is cleared: H and C
+# take 16 MB each at hidden 128
+MEMO_ROWS = 1 << 14
+
 
 @dataclass
 class RankerConfig:
@@ -68,26 +74,69 @@ class RankerConfig:
             raise ValueError(f"RankerConfig.head_dropout must be in [0, 1), got {self.head_dropout}")
 
 
+class SubtreeMemo:
+    """Subtrees encoded so far: the interning table of `_levels` and the
+    rows of `Ranker._encode`.
+
+    ``ids`` maps a subtree's key, its label and its children's ids, to its
+    id, and ``heights`` and ``row`` give each id's height and row of ``H``
+    and ``C`` (a call's new ids and new rows are the same range, in another
+    order). The arrays grow on demand. The memo that `score_many` shares
+    across its calls serves one parameter version under `no_grad`.
+    """
+
+    def __init__(self, hidden: int = 0) -> None:
+        self.ids: dict[tuple, int] = {}
+        self.heights: list[int] = []
+        self.row: dict[int, int] = {}
+        self.H = np.empty((0, hidden))
+        self.C = np.empty((0, hidden))
+
+    def clear(self) -> None:
+        """Forget every subtree; the arrays are kept for reuse."""
+        self.ids.clear()
+        self.heights.clear()
+        self.row.clear()
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """H and C over every interned subtree, as views of arrays grown
+        (at most doubled, up to `MEMO_ROWS`) to hold them."""
+        n = len(self.heights)
+        if len(self.H) < n:
+            size = max(n, min(2 * len(self.H), MEMO_ROWS))
+            for name in ("H", "C"):
+                old = getattr(self, name)
+                new = np.empty((size, old.shape[1]))
+                new[:len(old)] = old
+                setattr(self, name, new)
+        return self.H[:n], self.C[:n]
+
+
 def _levels(
-    archs: Sequence[Architecture], unroll: bool
+    archs: Sequence[Architecture], unroll: bool, memo: Optional[SubtreeMemo] = None
 ) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
     """Hash-cons the subtrees of the trees as the encoder reads them and
-    group the distinct ones by (height, label), lowest height first.
+    group the distinct ones that `memo` lacks by (height, label), lowest
+    height first.
 
     With `unroll` a tree is read one timestep unrolled: at its top level an
     h_tm1 leaf reads as the tree's root and a c_tm1 leaf as its c_t tap (as
     itself if the tree has no tap), each read as a copy, in which h_tm1 and
     c_tm1 are the h_tm2 and c_tm2 leaves. A subtree is keyed by its label
     and its children's keys, so each distinct subtree is one row, numbered
-    group after group in first-seen depth-first order. A node object is
-    walked once per reading: once in each tree's own reading, and once as a
-    copy for all trees, since a copy's reading depends only on the node
-    (c_t variants share one root object, so the tree's own reading cannot be
-    cached by node alone). Returns each group's label and child rows
-    [members, arity] (arity 0 for a leaf), and the trees' root rows.
+    group after group in first-seen depth-first order, after the memo's
+    rows. A node object is walked once per reading: once in each tree's own
+    reading, and once as a copy for all trees, since a copy's reading
+    depends only on the node (c_t variants share one root object, so the
+    tree's own reading cannot be cached by node alone). Returns each new
+    group's label and child rows [members, arity] (arity 0 for a leaf), and
+    the trees' root rows; the memo (a fresh one by default) takes the new
+    subtrees.
     """
-    ids: dict[tuple, int] = {}  # (label, child ids) -> id, in first-seen order
-    heights: list[int] = []
+    if memo is None:
+        memo = SubtreeMemo()
+    ids, heights = memo.ids, memo.heights
+    fresh: list[tuple] = []  # the keys new to the memo, in first-seen order
 
     def key_id(label: str, kids: tuple[int, ...] = ()) -> int:
         key = (label, kids)
@@ -95,6 +144,7 @@ def _levels(
         if i is None:
             i = ids[key] = len(heights)
             heights.append(max([heights[k] for k in kids], default=-1) + 1)
+            fresh.append(key)
         return i
 
     def intern(node: ArchNode, seen: dict[int, int], leaf) -> int:
@@ -127,9 +177,9 @@ def _levels(
         roots.append(intern(arch.root, {}, own))
 
     members: dict[tuple[int, str], list[tuple]] = {}
-    for key, i in ids.items():
-        members.setdefault((heights[i], key[0]), []).append(key)
-    row: dict[int, int] = {}  # id -> row
+    for key in fresh:
+        members.setdefault((heights[ids[key]], key[0]), []).append(key)
+    row = memo.row  # id -> row
     groups = []
     for hl in sorted(members):
         keys = members[hl]
@@ -182,6 +232,7 @@ class Ranker:
         self.head_b = par("head_b", (1,), False)
         self._rng = rng
         self._trees: dict[str, Architecture] = {}  # canonical tree by record text
+        self._memo: Optional[SubtreeMemo] = None  # shared within one `score_many`
 
     # -- encoding ----------------------------------------------------------
 
@@ -193,20 +244,29 @@ class Ranker:
         product of its children's h with the stacked gate block per child
         position gives every child's i|o|u|f terms; i, o and u take their
         sum (for a Child-Sum cell, U applied to the children's summed h).
+        Inside `score_many` (whose `score` calls run under `no_grad`) the
+        subtrees that the call's memo already holds are read from it, and a
+        memo that would pass `MEMO_ROWS` is cleared first; any other call
+        encodes into a fresh memo.
         The reverse pass walks the groups top down, scatter-adds the
         children's gradients (a child can appear twice under one parent, or
         under two parents) and returns one gradient term per parameter.
         """
-        groups, roots = _levels(archs, self.cfg.unroll)
         h = self.cfg.hidden
-        H = np.empty((sum(len(kids) for _, kids in groups), h))
-        C = np.zeros_like(H)
+        memo = self._memo or SubtreeMemo(h)
+        r1 = len(memo.heights)
+        groups, roots = _levels(archs, self.cfg.unroll, memo)
+        if r1 and len(memo.heights) > MEMO_ROWS:
+            memo.clear()
+            r1 = 0
+            groups, roots = _levels(archs, self.cfg.unroll, memo)
+        H, C = memo.rows()
         saved = []  # per group, what its reverse pass needs
-        r1 = 0
         for label, kids in groups:
             r0, r1 = r1, r1 + len(kids)
             if not kids.shape[1]:
                 H[r0:r1] = self.leaf_emb[label].data
+                C[r0:r1] = 0.0
                 saved.append((r0, r1, label, None))
                 continue
             U, *bias = (p.data for p in self.cells[label])
@@ -284,7 +344,13 @@ class Ranker:
             return self._predict(self._eval_tree(arch), train=False).data.item()
 
     def score_many(self, archs: Sequence[Architecture]) -> np.ndarray:
-        return np.array([self.score(a) for a in archs])
+        """`score` of each candidate, with one subtree memo for the call:
+        the candidates of a search step share most of their subtrees."""
+        self._memo = SubtreeMemo(self.cfg.hidden)
+        try:
+            return np.array([self.score(a) for a in archs])
+        finally:
+            self._memo = None
 
     # -- training ----------------------------------------------------------
 

@@ -407,6 +407,105 @@ class TestEncodeOnce:
             "3ed9dc72811d2dc87a36c674078673c9a4f42cb74a3863e3e1d859710276e261")
 
 
+def fitted_ranker(**overrides):
+    """A tiny ranker fitted on builtins and random trees."""
+    archs = random_architectures(20, seed=12, allow_cm1=True)
+    archs += [builtin(name) for name in builtin_names()]
+    metrics = np.random.default_rng(12).uniform(0.5, 3.0, len(archs))
+    r = tiny_ranker(**overrides)
+    r.fit([record_for(a, m) for a, m in zip(archs, metrics)])
+    return r
+
+
+class TestSubtreeMemo:
+    """`score_many` shares one subtree memo across its `score` calls."""
+
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_matches_per_candidate_and_per_node(self, monkeypatch, fitted):
+        # the c_t variants of one raw tree share its root object
+        r = fitted_ranker(hidden=8, epochs=10) if fitted else tiny_ranker(hidden=8)
+        cands = generated_candidates()
+        got = r.score_many(cands)
+        alone = [r.score(a) for a in cands]
+        np.testing.assert_allclose(got, alone, rtol=0, atol=1e-12)
+        monkeypatch.setattr(Ranker, "_encode", encode_per_node)
+        np.testing.assert_allclose(got, r.score_many(cands), rtol=0, atol=1e-12)
+
+    def test_encodes_each_distinct_subtree_once(self, monkeypatch):
+        import rnndsl.ranker as ranker_mod
+
+        r = tiny_ranker(hidden=4)
+        cands = generated_candidates()
+        levels = ranker_mod._levels
+        encoded = []
+
+        def counted(*args):
+            groups, roots = levels(*args)
+            encoded.append(sum(len(kids) for _, kids in groups))
+            return groups, roots
+
+        monkeypatch.setattr(ranker_mod, "_levels", counted)
+        r.score_many(cands)
+        monkeypatch.undo()
+        groups, _ = _levels([r._eval_tree(a) for a in cands], True)
+        assert len(encoded) == len(cands)
+        assert sum(encoded) == sum(len(kids) for _, kids in groups)
+        alone = sum(sum(len(kids) for _, kids in _levels([r._eval_tree(a)], True)[0])
+                    for a in cands)
+        assert sum(encoded) < alone / 2
+
+    def test_memo_dropped_on_return_and_raise(self, monkeypatch):
+        r = tiny_ranker(hidden=8, epochs=10)
+        cands = generated_candidates()[:60]
+        r.score_many(cands)
+        assert r._memo is None
+        eval_tree = Ranker._eval_tree
+        seen = []
+
+        def third_raises(self, arch):
+            seen.append(arch)
+            if len(seen) == 3:
+                raise RuntimeError("third candidate")
+            return eval_tree(self, arch)
+
+        monkeypatch.setattr(Ranker, "_eval_tree", third_raises)
+        with pytest.raises(RuntimeError, match="third candidate"):
+            r.score_many(cands)
+        monkeypatch.undo()
+        assert r._memo is None
+        # no row encoded before the fit is read after it
+        archs = random_architectures(10, seed=13)
+        r.fit([record_for(a, float(i)) for i, a in enumerate(archs)])
+        fresh = tiny_ranker(hidden=8, epochs=10)
+        for p, q in zip(fresh.params, r.params):
+            p.data[...] = q.data
+        assert [r.score(a) for a in cands] == [fresh.score(a) for a in cands]
+        np.testing.assert_array_equal(r.score_many(cands), fresh.score_many(cands))
+
+    def test_memo_cleared_at_row_cap(self, monkeypatch):
+        import rnndsl.ranker as ranker_mod
+
+        cap = 150
+        monkeypatch.setattr(ranker_mod, "MEMO_ROWS", cap)
+        r = tiny_ranker(hidden=4)
+        cands = generated_candidates()[:120]
+        score = Ranker.score
+        held = []  # rows and allocated rows after each candidate
+
+        def watched(self, arch):
+            out = score(self, arch)
+            held.append((len(self._memo.heights), len(self._memo.H)))
+            return out
+
+        monkeypatch.setattr(Ranker, "score", watched)
+        got = r.score_many(cands)
+        monkeypatch.undo()
+        rows = [n for n, _ in held]
+        assert max(rows) <= cap and max(size for _, size in held) <= cap
+        assert sum(b < a for a, b in zip(rows, rows[1:])) >= 3
+        np.testing.assert_allclose(got, [r.score(a) for a in cands], rtol=0, atol=1e-12)
+
+
 class TestFit:
     def test_memorizes_single_record(self):
         r = tiny_ranker(epochs=400, head_dropout=0.0)
