@@ -687,7 +687,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_MAGIC):
-        raise ValueError(f"{path}: not a rnndsl checkpoint")
+        raise ValueError(f"{path}: not a rnndsl checkpoint: no {_MAGIC!r} at byte 0")
     pos = len(_MAGIC)
     if len(blob) < pos + 8:
         raise ValueError(f"{path}: truncated at byte {len(blob)}, inside the header length")

@@ -39,11 +39,14 @@ COPY_DELAY = 5
 # the learning rate is divided by this after an epoch that does not
 # improve the best validation loss
 LR_DECAY_FACTOR = 4.0
+# the tasks `make_task` builds, and the sources a record can come from
+TASK_KINDS = ("copy_memory", "char_lm")
+SOURCES = ("random", "rl", "seed", "human")
 
 
 @dataclass
 class TaskSpec:
-    kind: str = "copy_memory"  # or "char_lm"
+    kind: str = "copy_memory"  # one of TASK_KINDS
     corpus_path: Optional[str] = None
     seed: int = 0
     batch_size: int = 32
@@ -54,6 +57,8 @@ class TaskSpec:
     test_size: int = 128
 
     def __post_init__(self) -> None:
+        if self.kind not in TASK_KINDS:
+            raise ValueError(f"TaskSpec.kind must be one of {list(TASK_KINDS)}, got {self.kind!r}")
         for name, least in (("batch_size", 1), ("seq_len", 2), ("train_size", 1),
                             ("valid_size", 1), ("test_size", 0)):
             if getattr(self, name) < least:
@@ -130,7 +135,7 @@ def make_task(spec: TaskSpec) -> Task:
         train = _copy_batches(spec, rng, spec.train_size)
         valid = _copy_batches(spec, rng, spec.valid_size)
         test = _copy_batches(spec, rng, spec.test_size)
-    elif spec.kind == "char_lm":
+    else:  # char_lm
         if spec.corpus_path:
             with open(spec.corpus_path, encoding="utf-8") as fh:
                 text = fh.read()
@@ -148,8 +153,6 @@ def make_task(spec: TaskSpec) -> Task:
         train = _lm_batches(ids[:a], spec.batch_size, spec.seq_len)
         valid = _lm_batches(ids[a:b], spec.batch_size, spec.seq_len)
         test = _lm_batches(ids[b:], spec.batch_size, spec.seq_len)
-    else:
-        raise ValueError(f"unknown task kind {spec.kind!r}")
     if not train or not valid:
         raise ValueError("task splits produced no batches")
     return Task(spec=spec, vocab_size=vocab, train=train, valid=valid, test=test)
@@ -191,8 +194,8 @@ class ArchPerfRecord:
     id: str
     dsl: str
     ct_node: Optional[int]
-    source: str  # random | rl | seed | human
-    task: str
+    source: str  # one of SOURCES
+    task: str  # one of TASK_KINDS
     status: str  # one of STATUSES
     valid_metric: Optional[float]
     test_metric: Optional[float]
@@ -202,8 +205,10 @@ class ArchPerfRecord:
     timestamp: str
 
     def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"record status must be one of {list(STATUSES)}, got {self.status!r}")
+        for name, allowed in (("status", STATUSES), ("source", SOURCES), ("task", TASK_KINDS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"record {name} must be one of {list(allowed)}, got {value!r}")
         if self.status == "ok" and self.valid_metric is None:
             raise ValueError("an ok record needs a valid_metric")
 

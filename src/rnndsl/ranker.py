@@ -7,13 +7,14 @@ and read unrolled one timestep, so the representation of h_{t-1}/c_{t-1}
 reflects the cell's own graph.
 
 Each cell's gate matrices are stacked into one i|o|u|f block (per child
-position for an N-ary cell). The encoder hash-conses the subtrees of the
-trees it is given, groups the distinct ones by (height, label) and runs
-each group as array math, level by level, in one tape node (in the manner
-of TensorFlow Fold's dynamic batching): `fit` encodes a whole minibatch in
-one call, and `score` one candidate per call. `score_many` keeps one
-subtree memo across its `score` calls, so that each candidate encodes only
-the subtrees that no earlier candidate of the call had.
+position for an N-ary cell). A `SubtreeMemo` hash-conses the subtrees of
+the trees it is given, groups the distinct ones by (height, label) and
+caps its own size; the encoder runs each new group as array math, level by
+level, in one tape node (in the manner of TensorFlow Fold's dynamic
+batching): `fit` encodes a whole minibatch in one call through a fresh
+memo, and `score` one candidate per call. `score_many` passes one memo to
+each of its `score` calls, so that each candidate encodes only the
+subtrees that no earlier candidate of the call had.
 """
 
 from __future__ import annotations
@@ -75,14 +76,15 @@ class RankerConfig:
 
 
 class SubtreeMemo:
-    """Subtrees encoded so far: the interning table of `_levels` and the
-    rows of `Ranker._encode`.
+    """Subtrees encoded so far, and the one owner of their tables: `intern`
+    writes ``ids``, ``heights`` and ``row``, and `rows` grows ``H`` and
+    ``C``, whose rows `Ranker._encode` fills.
 
     ``ids`` maps a subtree's key, its label and its children's ids, to its
     id, and ``heights`` and ``row`` give each id's height and row of ``H``
     and ``C`` (a call's new ids and new rows are the same range, in another
-    order). The arrays grow on demand. The memo that `score_many` shares
-    across its calls serves one parameter version under `no_grad`.
+    order). A memo that `score_many` shares across its candidates serves
+    one parameter version under `no_grad`.
     """
 
     def __init__(self, hidden: int = 0) -> None:
@@ -92,11 +94,86 @@ class SubtreeMemo:
         self.H = np.empty((0, hidden))
         self.C = np.empty((0, hidden))
 
-    def clear(self) -> None:
-        """Forget every subtree; the arrays are kept for reuse."""
-        self.ids.clear()
-        self.heights.clear()
-        self.row.clear()
+    def intern(
+        self, archs: Sequence[Architecture], unroll: bool
+    ) -> tuple[int, list[tuple[str, np.ndarray]], list[int]]:
+        """Hash-cons the subtrees of the trees as the encoder reads them and
+        group the distinct ones that the memo lacks by (height, label),
+        lowest height first.
+
+        With `unroll` a tree is read one timestep unrolled: at its top level
+        an h_tm1 leaf reads as the tree's root and a c_tm1 leaf as its c_t
+        tap (as itself if the tree has no tap), each read as a copy, in which
+        h_tm1 and c_tm1 are the h_tm2 and c_tm2 leaves. A subtree is keyed by
+        its label and its children's keys, so each distinct subtree is one
+        row, numbered group after group in first-seen depth-first order,
+        after the memo's rows. A node object is walked once per reading: once
+        in each tree's own reading, and once as a copy for all trees, since a
+        copy's reading depends only on the node (c_t variants share one root
+        object, so the tree's own reading cannot be cached by node alone).
+        A memo that already held rows and would pass `MEMO_ROWS` forgets
+        them all (keeping its arrays) and interns the trees again. Returns
+        the first new row, each new group's label and child rows [members,
+        arity] (arity 0 for a leaf), and the trees' root rows.
+        """
+        ids, heights, row = self.ids, self.heights, self.row
+        first = len(heights)
+        fresh: list[tuple] = []  # the keys new to the memo, in first-seen order
+
+        def key_id(label: str, kids: tuple[int, ...] = ()) -> int:
+            key = (label, kids)
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(heights)
+                heights.append(max([heights[k] for k in kids], default=-1) + 1)
+                fresh.append(key)
+            return i
+
+        def walk(node: ArchNode, seen: dict[int, int], leaf) -> int:
+            # `seen` holds one reading's ids by node object (the trees keep
+            # every node alive), and `leaf` gives a source leaf's id in that
+            # reading
+            i = seen.get(id(node))
+            if i is None:
+                kids = node.children
+                i = seen[id(node)] = (
+                    key_id(node.op.value, tuple(walk(c, seen, leaf) for c in kids))
+                    if kids else leaf(node.op))
+            return i
+
+        copies: dict[int, int] = {}
+
+        def back(op: OpKind) -> int:
+            return key_id(_BACK.get(op, op.value))
+
+        roots = []
+        for arch in archs:
+            subs = {}  # a source leaf -> the node read as a copy in its place
+            if unroll:
+                subs[OpKind.HM1] = arch.root
+                if arch.ct_node is not None:
+                    subs[OpKind.CM1] = node_at_index(arch.root, arch.ct_node)
+
+            def own(op: OpKind) -> int:
+                return walk(subs[op], copies, back) if op in subs else key_id(op.value)
+
+            roots.append(walk(arch.root, {}, own))
+        if first and len(heights) > MEMO_ROWS:
+            for table in (ids, heights, row):
+                table.clear()
+            return self.intern(archs, unroll)
+
+        members: dict[tuple[int, str], list[tuple]] = {}
+        for key in fresh:
+            members.setdefault((heights[ids[key]], key[0]), []).append(key)
+        groups = []
+        for hl in sorted(members):
+            keys = members[hl]
+            kids = np.array([[row[k] for k in key[1]] for key in keys], dtype=np.intp)
+            groups.append((hl[1], kids.reshape(len(keys), -1)))
+            for key in keys:
+                row[ids[key]] = len(row)
+        return first, groups, [row[i] for i in roots]
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """H and C over every interned subtree, as views of arrays grown
@@ -110,84 +187,6 @@ class SubtreeMemo:
                 new[:len(old)] = old
                 setattr(self, name, new)
         return self.H[:n], self.C[:n]
-
-
-def _levels(
-    archs: Sequence[Architecture], unroll: bool, memo: Optional[SubtreeMemo] = None
-) -> tuple[list[tuple[str, np.ndarray]], list[int]]:
-    """Hash-cons the subtrees of the trees as the encoder reads them and
-    group the distinct ones that `memo` lacks by (height, label), lowest
-    height first.
-
-    With `unroll` a tree is read one timestep unrolled: at its top level an
-    h_tm1 leaf reads as the tree's root and a c_tm1 leaf as its c_t tap (as
-    itself if the tree has no tap), each read as a copy, in which h_tm1 and
-    c_tm1 are the h_tm2 and c_tm2 leaves. A subtree is keyed by its label
-    and its children's keys, so each distinct subtree is one row, numbered
-    group after group in first-seen depth-first order, after the memo's
-    rows. A node object is walked once per reading: once in each tree's own
-    reading, and once as a copy for all trees, since a copy's reading
-    depends only on the node (c_t variants share one root object, so the
-    tree's own reading cannot be cached by node alone). Returns each new
-    group's label and child rows [members, arity] (arity 0 for a leaf), and
-    the trees' root rows; the memo (a fresh one by default) takes the new
-    subtrees.
-    """
-    if memo is None:
-        memo = SubtreeMemo()
-    ids, heights = memo.ids, memo.heights
-    fresh: list[tuple] = []  # the keys new to the memo, in first-seen order
-
-    def key_id(label: str, kids: tuple[int, ...] = ()) -> int:
-        key = (label, kids)
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(heights)
-            heights.append(max([heights[k] for k in kids], default=-1) + 1)
-            fresh.append(key)
-        return i
-
-    def intern(node: ArchNode, seen: dict[int, int], leaf) -> int:
-        # `seen` holds one reading's ids by node object (the trees keep every
-        # node alive), and `leaf` gives a source leaf's id in that reading
-        i = seen.get(id(node))
-        if i is None:
-            kids = node.children
-            i = seen[id(node)] = (
-                key_id(node.op.value, tuple(intern(c, seen, leaf) for c in kids))
-                if kids else leaf(node.op))
-        return i
-
-    copies: dict[int, int] = {}
-
-    def back(op: OpKind) -> int:
-        return key_id(_BACK.get(op, op.value))
-
-    roots = []
-    for arch in archs:
-        subs = {}  # a source leaf -> the node read as a copy in its place
-        if unroll:
-            subs[OpKind.HM1] = arch.root
-            if arch.ct_node is not None:
-                subs[OpKind.CM1] = node_at_index(arch.root, arch.ct_node)
-
-        def own(op: OpKind) -> int:
-            return intern(subs[op], copies, back) if op in subs else key_id(op.value)
-
-        roots.append(intern(arch.root, {}, own))
-
-    members: dict[tuple[int, str], list[tuple]] = {}
-    for key in fresh:
-        members.setdefault((heights[ids[key]], key[0]), []).append(key)
-    row = memo.row  # id -> row
-    groups = []
-    for hl in sorted(members):
-        keys = members[hl]
-        kids = np.array([[row[k] for k in key[1]] for key in keys], dtype=np.intp)
-        groups.append((hl[1], kids.reshape(len(keys), -1)))
-        for key in keys:
-            row[ids[key]] = len(row)
-    return groups, [row[i] for i in roots]
 
 
 class Ranker:
@@ -232,34 +231,26 @@ class Ranker:
         self.head_b = par("head_b", (1,), False)
         self._rng = rng
         self._trees: dict[str, Architecture] = {}  # canonical tree by record text
-        self._memo: Optional[SubtreeMemo] = None  # shared within one `score_many`
 
     # -- encoding ----------------------------------------------------------
 
-    def _encode(self, archs: Sequence[Architecture]) -> en.Tensor:
+    def _encode(self, archs: Sequence[Architecture], memo: SubtreeMemo) -> en.Tensor:
         """Root states h [len(archs), hidden] of the trees, as one tape node.
 
-        Each distinct subtree is encoded once (`_levels`), and each (height,
-        label) group runs its cell as array math, lowest height first: one
-        product of its children's h with the stacked gate block per child
-        position gives every child's i|o|u|f terms; i, o and u take their
-        sum (for a Child-Sum cell, U applied to the children's summed h).
-        Inside `score_many` (whose `score` calls run under `no_grad`) the
-        subtrees that the call's memo already holds are read from it, and a
-        memo that would pass `MEMO_ROWS` is cleared first; any other call
-        encodes into a fresh memo.
+        The subtrees that `memo` lacks are interned (`SubtreeMemo.intern`)
+        and encoded into its rows; those it holds are read from it. Each
+        (height, label) group runs its cell as array math, lowest height
+        first: one product of its children's h with the stacked gate block
+        per child position gives every child's i|o|u|f terms; i, o and u
+        take their sum (for a Child-Sum cell, U applied to the children's
+        summed h). A memo that outlives the call must serve one parameter
+        version under `no_grad`, as `score_many`'s does.
         The reverse pass walks the groups top down, scatter-adds the
         children's gradients (a child can appear twice under one parent, or
         under two parents) and returns one gradient term per parameter.
         """
         h = self.cfg.hidden
-        memo = self._memo or SubtreeMemo(h)
-        r1 = len(memo.heights)
-        groups, roots = _levels(archs, self.cfg.unroll, memo)
-        if r1 and len(memo.heights) > MEMO_ROWS:
-            memo.clear()
-            r1 = 0
-            groups, roots = _levels(archs, self.cfg.unroll, memo)
+        r1, groups, roots = memo.intern(archs, self.cfg.unroll)
         H, C = memo.rows()
         saved = []  # per group, what its reverse pass needs
         for label, kids in groups:
@@ -334,23 +325,25 @@ class Ranker:
     def _eval_tree(self, arch: Architecture) -> Architecture:
         return canonicalize(arch)
 
-    def _predict(self, *archs: Architecture, train: bool) -> en.Tensor:
-        """Predicted metric [len(archs), 1] of the canonical trees."""
-        hroot = en.dropout(self._encode(archs), self.cfg.head_dropout, self._rng, train)
+    def _predict(
+        self, *archs: Architecture, train: bool, memo: Optional[SubtreeMemo] = None
+    ) -> en.Tensor:
+        """Predicted metric [len(archs), 1] of the canonical trees, encoded
+        through `memo` (a fresh one by default)."""
+        if memo is None:
+            memo = SubtreeMemo(self.cfg.hidden)
+        hroot = en.dropout(self._encode(archs, memo), self.cfg.head_dropout, self._rng, train)
         return en.linear(hroot, self.head_w, self.head_b)
 
-    def score(self, arch: Architecture) -> float:
+    def score(self, arch: Architecture, memo: Optional[SubtreeMemo] = None) -> float:
         with en.no_grad():
-            return self._predict(self._eval_tree(arch), train=False).data.item()
+            return self._predict(self._eval_tree(arch), train=False, memo=memo).data.item()
 
     def score_many(self, archs: Sequence[Architecture]) -> np.ndarray:
-        """`score` of each candidate, with one subtree memo for the call:
-        the candidates of a search step share most of their subtrees."""
-        self._memo = SubtreeMemo(self.cfg.hidden)
-        try:
-            return np.array([self.score(a) for a in archs])
-        finally:
-            self._memo = None
+        """`score` of each candidate, through one subtree memo for the
+        call: the candidates of a search step share most of their subtrees."""
+        memo = SubtreeMemo(self.cfg.hidden)
+        return np.array([self.score(a, memo) for a in archs])
 
     # -- training ----------------------------------------------------------
 

@@ -255,7 +255,10 @@ class Policy:
         self.lin2_w = par("lin2_W", (len(self.actions), w))
         self.lin2_b = par("lin2_b", (len(self.actions),), zero=True)
         self.baseline: Optional[float] = None  # running-mean reward; None before an update
-        self._zero = np.zeros((1, 2 * w))  # the packed state before a node's first step
+        # the packed state before a node's first step and before an
+        # episode's first action. Read-only.
+        self._zero = np.zeros((1, 2 * w))
+        self._zero.flags.writeable = False
         # the legal-action mask and its additive score row (0 where legal,
         # -1e9 where not), by whether operators and sources are allowed:
         # the mask depends on nothing else. Read-only.
@@ -268,8 +271,9 @@ class Policy:
 
     def head_start(self) -> tuple[np.ndarray, int]:
         """The action head's state before an episode's first action: the
-        packed [1, 2w] zero state, and no previous head step."""
-        return np.zeros((1, 2 * self.cfg.width)), -1
+        policy's read-only packed [1, 2w] zero state, and no previous head
+        step."""
+        return self._zero, -1
 
     def _memo_step(self, memo: Memo, key, src: int, prev: int) -> int:
         """One encoder step that ``memo`` does not hold yet; returns the
@@ -359,13 +363,14 @@ class Policy:
 
     # -- action selection --------------------------------------------------
 
-    def legal_actions(self, p: PartialArch) -> np.ndarray:
-        """Boolean mask over the action space for the current target; one of
-        the four the policy builds once, so read-only."""
+    def legal_actions(self, p: PartialArch) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean mask over the action space for the current target and its
+        additive score row; one of the four pairs the policy builds once, so
+        read-only."""
         depth = p.target_depth
         operators_ok = depth < self.cfg.max_depth and p.operator_count < self.cfg.max_nodes
         # h_t itself must be an operator
-        return self._legal[operators_ok, depth > 0][0]
+        return self._legal[operators_ok, depth > 0]
 
     def action_logprobs(
         self, p: PartialArch, head_state: np.ndarray, memo: Memo
@@ -383,10 +388,8 @@ class Policy:
         )
         scores = head_state[:, :w] @ self.lin2_w.data.T
         scores += self.lin2_b.data
-        mask = self.legal_actions(p)
-        # the actions are the operators, then the sources: the mask's first
-        # and last entries say which pair it is
-        scores += self._legal[mask[0], mask[-1]][1]
+        mask, masked = self.legal_actions(p)
+        scores += masked
         scores -= scores.max(axis=-1, keepdims=True)
         logp = scores - np.log(np.exp(scores).sum(axis=-1, keepdims=True))
         return logp, mask, (enc_step, a1, x, saved, head_state)

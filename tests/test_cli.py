@@ -207,6 +207,19 @@ class TestEval:
         assert code == 0, err
         assert math.isfinite(payload["score"])
 
+    def test_root_ct_tap_is_an_invalid_record_that_ranks(self, capsys, tmp_path):
+        # a tap at the root compiles to no cell; the parser keeps it, so the
+        # record loads and the ranker fits on it
+        cfg = self._config(tmp_path, ranker={"hidden": 8, "epochs": 5})
+        out = str(tmp_path / "records.jsonl")
+        code, payload, _ = run_json(capsys, "eval", "Tanh(Add(MM(x_t),MM(c_tm1)))|4",
+                                    "--task", "copy_memory", "--config", cfg, "--out", out)
+        assert code == 0 and (payload["status"], payload["ct_node"]) == ("invalid", 4)
+        assert RecordStore.load(out).records[0].dsl == "Tanh(Add(MM(c_tm1),MM(x_t)))|4"
+        code, text, err = run_cli(capsys, "rank", "fit", "--records", out, "--config", cfg)
+        assert code == 0, err
+        assert text.startswith("fit on 1 records; loss ")
+
     @pytest.mark.parametrize("change", [{"status": "exploded"}, {"valid_metric": None}],
                              ids=["unknown-status", "ok-without-metric"])
     def test_record_no_run_writes_refused(self, capsys, tmp_path, change):
@@ -361,6 +374,21 @@ class TestSearchAndReport:
         )
         assert code == 0
         assert isinstance(payload["score"], float)
+
+    def test_rank_refuses_empty_store_and_score_without_dsl(self, capsys, tmp_path):
+        cfg = self._config(tmp_path)
+        out = tmp_path / "records.jsonl"
+        model = tmp_path / "ranker.ckpt"
+        for action in ("fit", "score"):
+            code, text, err = run_cli(capsys, "rank", action, "--records", str(out),
+                                      "--config", cfg, "--model", str(model))
+            assert (code, text, err) == (1, "", f"error[ValueError]: no records in {out}\n")
+        run_cli(capsys, "eval", TANH_RNN, "--task", "copy_memory", "--config", cfg,
+                "--out", str(out))
+        code, text, err = run_cli(capsys, "rank", "score", "--records", str(out),
+                                  "--config", cfg, "--model", str(model))
+        assert (code, text, err) == (1, "", "error[ValueError]: rank score requires --dsl\n")
+        assert not model.exists()
 
     def test_rank_score_refuses_per_gate_checkpoint(self, capsys, tmp_path):
         import rnndsl.engine as en
@@ -605,10 +633,28 @@ class TestConfigRefusedAtLoad:
         ("search", "max_failing", -2, "SearchConfig.max_failing must be >= 0, got -2"),
         ("search", "min_batch", 0, "SearchConfig.min_batch must be >= 1, got 0"),
         ("search", "starvation_limit", 0, "SearchConfig.starvation_limit must be >= 1, got 0"),
+        ("task", "kind", "bogus",
+         "TaskSpec.kind must be one of ['copy_memory', 'char_lm'], got 'bogus'"),
     ])
     def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
         err = self.refused(capsys, tmp_path, nest(section, name, value))
         assert err.startswith(f"error[ValueError]: {message}")
+
+    def test_unknown_task_kind_refused_by_rank_fit(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": {"kind": "bogus"}}))
+        records = tmp_path / "r.jsonl"
+        code, stdout, err = run_cli(capsys, "rank", "fit", "--records", str(records),
+                                    "--config", str(cfg))
+        assert (code, stdout) == (1, "")
+        assert err == ("error[ValueError]: TaskSpec.kind must be one of "
+                       "['copy_memory', 'char_lm'], got 'bogus'\n")
+        assert not records.exists()
+
+    @pytest.mark.parametrize("doc", [[{"task": {}}], "task", 3, None])
+    def test_document_not_an_object(self, capsys, tmp_path, doc):
+        err = self.refused(capsys, tmp_path, doc)
+        assert err == f"error[ValueError]: config: expected an object, got {type(doc).__name__}\n"
 
     def test_c_tm1_required_while_the_ct_gate_is_shut(self, capsys, tmp_path):
         doc = {"gen": {"require_sources": ["x_t", "c_tm1"]}}

@@ -71,6 +71,13 @@ class TestCompileBasics:
         with pytest.raises(CompileError):
             compile(parse("Tanh(Add(MM(x_t),MM(c_tm1)))"), D, H)
 
+    def test_root_ct_tap_refused(self):
+        # the parser takes the tap (a stored record must still load)
+        arch = parse("Tanh(Add(MM(x_t),MM(c_tm1)))|4")
+        assert numbered_operator_nodes(arch.root)[arch.ct_node - 1] is arch.root
+        with pytest.raises(CompileError, match="^c_t tap must differ from the root$"):
+            compile(arch, D, H)
+
     def test_zero_weights_give_zero_output(self, rng):
         prog = compile(builtin("tanh_rnn"), D, H, rng=rng)
         for p in prog.parameters():
@@ -91,6 +98,17 @@ class TestCompileBasics:
         outs, _, _ = run_sequence(prog, [x])
         h, _ = step(prog, x, initial_state(prog, 2))
         np.testing.assert_array_equal(outs[0].data, h.data)
+
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_rows_not_whole_timesteps_refused(self, rows):
+        prog = compile(builtin("tanh_rnn"), D, H)
+        x = en.Tensor(np.ones((rows, D)))
+        with pytest.raises(ValueError, match=f"^{rows} input rows are not T >= 1 batches of 2$"):
+            run_steps(prog, x, initial_state(prog, 2))
+
+    def test_empty_sequence_refused(self):
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            run_sequence(compile(builtin("tanh_rnn"), D, H), [])
 
     def test_posenc_table_shared_per_width_and_read_only(self):
         arch = parse("Add(Tanh(MM(x_t)),Mult(posenc,Tanh(MM(h_tm1))))")

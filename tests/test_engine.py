@@ -1,6 +1,8 @@
 """Numeric engine: primitives, gradients, optimizers, checkpoints."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -454,6 +456,11 @@ class TestDropout:
         assert out.data.mean() == pytest.approx(1.0, abs=0.01)
 
 
+def checkpoint_bytes(header: bytes) -> bytes:
+    """A checkpoint whose header is the given bytes, with no payload."""
+    return b"RNDL\x01\x00" + struct.pack("<Q", len(header)) + header
+
+
 class TestCheckpoints:
     def test_array_round_trip(self, tmp_path, rng):
         arrays = {
@@ -504,6 +511,34 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:20])
         with pytest.raises(ValueError, match="truncated at byte 20"):
             en.load_arrays(path)
+
+    @pytest.mark.parametrize("blob,message", [
+        (b"RNDX\x01\x00" + bytes(8), r"not a rnndsl checkpoint: no b'RNDL\\x01\\x00' at byte 0$"),
+        (b"RNDL\x01\x00\x05\x00\x00", "truncated at byte 9, inside the header length$"),
+        (checkpoint_bytes(b"{not json"), "malformed header at byte 14: Expecting property name"),
+        (checkpoint_bytes(b"[1, 2]"), "malformed header at byte 14: 'list' object has no "
+                                      "attribute 'items'$"),
+        (checkpoint_bytes(b'{"p0": {"offset": 0}}'), "malformed header at byte 14: 'shape'$"),
+        (checkpoint_bytes(b'{"p0": {"shape": [-2, 2], "offset": 0}}'),
+         "malformed header at byte 14: negative size$"),
+    ], ids=["not-a-checkpoint", "cut-header-length", "header-not-json", "header-a-list",
+            "meta-without-shape", "negative-size"])
+    def test_refused_at_its_byte_with_no_parameter_changed(self, tmp_path, blob, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        qs = [en.Parameter(np.full((2, 2), 3.0), "p0")]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            en.load_params(path, qs)
+        np.testing.assert_array_equal(qs[0].data, np.full((2, 2), 3.0))
+
+    def test_shape_mismatch_leaves_every_parameter_untouched(self, tmp_path):
+        path = tmp_path / "shapes.bin"
+        en.save_arrays(path, {"p0": np.ones((2, 2)), "p1": np.ones(3)})
+        qs = [en.Parameter(np.zeros((2, 2)), "p0"), en.Parameter(np.zeros(2), "p1")]
+        with pytest.raises(ValueError) as exc:
+            en.load_params(path, qs)
+        assert str(exc.value) == "shape mismatch for p1: checkpoint (3,), parameter (2,)"
+        assert not any(q.data.any() for q in qs)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "c.bin"

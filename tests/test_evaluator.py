@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rnndsl.engine as en
-from rnndsl.compiler import initial_state, step
+from rnndsl.compiler import DivergenceError, initial_state, step
 from rnndsl.dsl import builtin, parse
 from rnndsl.evaluator import (
     COPY_DELAY,
@@ -160,6 +160,82 @@ class TestTrainAndScore:
         rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
         assert rec.valid_metric is not None
         assert 0.0 < rec.valid_metric < math.log(500.0)
+
+
+class TestDivergenceExits:
+    """Each way a divergence ends `train_and_score`'s training loop, and a
+    test pass that diverges after it."""
+
+    @staticmethod
+    def steps_taken(monkeypatch):
+        """The result of every optimizer step from now on."""
+        taken = []
+        step = en.Optimizer.step
+
+        def watched(self):
+            taken.append(step(self))
+            return taken[-1]
+
+        monkeypatch.setattr(en.Optimizer, "step", watched)
+        return taken
+
+    @staticmethod
+    def nth_call_replaced(monkeypatch, name, n, replace):
+        """SequenceModel.<name>'s n-th call (from 1) returns replace(model,
+        *args) instead."""
+        calls = []
+        method = getattr(SequenceModel, name)
+
+        def nth(self, *args):
+            calls.append(args)
+            return replace(self, *args) if len(calls) == n else method(self, *args)
+
+        monkeypatch.setattr(SequenceModel, name, nth)
+
+    def test_overflowing_update(self, monkeypatch):
+        # lr * (g + l2 * p) overflows in the first step
+        taken = self.steps_taken(monkeypatch)
+        cfg = quick_cfg(optimizer=en.OptimizerConfig(kind="sgd", learning_rate=1e300, l2=1e10))
+        rec = train_and_score(builtin("tanh_rnn"), small_copy_task(), cfg)
+        assert (rec.status, rec.epochs_run, rec.valid_metric) == ("diverged", 0, None)
+        assert taken == [False]
+
+    def test_huge_learning_rate(self, monkeypatch):
+        # the first step is finite; the loss of the next batch is not
+        taken = self.steps_taken(monkeypatch)
+        cfg = quick_cfg(optimizer=en.OptimizerConfig(kind="sgd", learning_rate=1e300))
+        rec = train_and_score(builtin("tanh_rnn"), small_copy_task(), cfg)
+        assert (rec.status, rec.epochs_run, rec.valid_metric) == ("diverged", 0, None)
+        assert taken == [True]
+
+    def test_non_finite_training_loss(self, monkeypatch):
+        task = small_copy_task()
+        # the first batch of the second epoch
+        self.nth_call_replaced(monkeypatch, "loss", len(task.train) + 1,
+                               lambda model, x, y: en.Tensor(np.array(math.inf)))
+        rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
+        assert (rec.status, rec.epochs_run, rec.valid_metric) == ("diverged", 1, None)
+
+    def test_non_finite_validation_loss(self, monkeypatch):
+        # the second epoch's validation pass
+        self.nth_call_replaced(monkeypatch, "mean_loss", 2, lambda model, batches: math.nan)
+        rec = train_and_score(builtin("tanh_rnn"), small_copy_task(), quick_cfg())
+        assert (rec.status, rec.epochs_run, rec.valid_metric) == ("diverged", 2, None)
+
+    def test_diverging_test_pass_is_ok_without_test_metric(self, monkeypatch):
+        task = small_copy_task()
+        want = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
+        assert want.status == "ok" and want.test_metric is not None
+
+        def diverges(model, batches):
+            assert batches is task.test
+            raise DivergenceError("test pass")
+
+        # two validation passes, then the test pass
+        self.nth_call_replaced(monkeypatch, "mean_loss", 3, diverges)
+        rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
+        assert rec.status == "ok" and rec.test_metric is None
+        assert (rec.valid_metric, rec.epochs_run) == (want.valid_metric, want.epochs_run)
 
 
 class TestSequenceModelLoss:

@@ -30,7 +30,7 @@ from rnndsl.ranker import (
     LEAF_LABELS,
     Ranker,
     RankerConfig,
-    _levels,
+    SubtreeMemo,
     select,
 )
 from conftest import random_architectures
@@ -61,7 +61,7 @@ def unroll_once(arch):
     """Replace each h_tm1 leaf by the h_t tree and each c_tm1 leaf by the
     c_t subtree (a c_tm1 leaf stays itself if there is no tap), relabeling
     the recurrent leaves inside the copies: the reference for the reading
-    `_levels` interns."""
+    `levels` interns."""
     leaves = {OpKind.HM1: relabeled(arch.root, SHIFTED)}
     if arch.ct_node is not None:
         leaves[OpKind.CM1] = relabeled(node_at_index(arch.root, arch.ct_node), SHIFTED)
@@ -222,9 +222,9 @@ def cell_per_node(ranker, label, kids):
     return en.mul(o, en.tanh(c)), c
 
 
-def encode_per_node(ranker, archs):
+def encode_per_node(ranker, archs, memo=None):
     """Root states of the trees with every node of their explicit reading
-    (`reference_tree`) encoded on its own."""
+    (`reference_tree`) encoded on its own; the memo is not read."""
 
     def encode(node):
         return cell_per_node(ranker, node.label, [encode(c) for c in node.children])
@@ -240,9 +240,15 @@ ALL_LABELS = parse(
     "Mult(Div(Sin(MM(x_tm1)),Cos(c_tm1)),Sigmoid(ReLU(SeLU(posenc)))))")
 
 
+def levels(archs, unroll):
+    """The groups and root rows that a fresh memo interns."""
+    _, groups, roots = SubtreeMemo().intern(archs, unroll)
+    return groups, roots
+
+
 def levels_unmemoized(trees):
-    """`_levels` over explicit trees, walking every place a node appears:
-    the reference for the rows `_levels` interns."""
+    """`levels` over explicit trees, walking every place a node appears:
+    the reference for the rows `levels` interns."""
     ids, heights = {}, []
 
     def intern(node):
@@ -267,9 +273,9 @@ def levels_unmemoized(trees):
 
 
 def assert_levels_match(archs, unroll):
-    """`_levels` returns exactly the labels, child rows and root rows of
+    """`levels` returns exactly the labels, child rows and root rows of
     the explicit reading of the trees."""
-    groups, roots = _levels(archs, unroll)
+    groups, roots = levels(archs, unroll)
     want_groups, want_roots = levels_unmemoized([reference_tree(a, unroll) for a in archs])
     assert roots == want_roots
     assert [label for label, _ in groups] == [label for label, _ in want_groups]
@@ -345,9 +351,9 @@ class TestEncodeOnce:
         calls = []
         score = Ranker.score
 
-        def counted(self, arch):
+        def counted(self, arch, memo=None):
             calls.append(arch)
-            return score(self, arch)
+            return score(self, arch, memo)
 
         monkeypatch.setattr(Ranker, "score", counted)
         r.score_many(cands)
@@ -355,13 +361,13 @@ class TestEncodeOnce:
 
     def test_gru_repeated_subtrees_encoded_once(self):
         arch = canonicalize(builtin("gru"))
-        groups, roots = _levels([arch], True)
+        groups, roots = levels([arch], True)
         rows = sum(len(kids) for _, kids in groups if kids.shape[1])
         # the h_t copy put in for each h_tm1 leaf is encoded once
         assert 0 < rows < operator_count(unroll_once(arch))
         # a minibatch that repeats the tree encodes the same rows
-        assert _levels([arch, arch], True)[1] == roots * 2
-        assert sum(len(kids) for _, kids in _levels([arch, arch], True)[0]) == sum(
+        assert levels([arch, arch], True)[1] == roots * 2
+        assert sum(len(kids) for _, kids in levels([arch, arch], True)[0]) == sum(
             len(kids) for _, kids in groups)
 
     @pytest.mark.parametrize("unroll", [True, False])
@@ -384,12 +390,12 @@ class TestEncodeOnce:
         # reads h_tm1) and, with a tap, once to find the tap
         for arch in generated_candidates()[:60]:
             counted, nodes = counted_copy(canonicalize(arch))
-            _levels([counted], True)
+            levels([counted], True)
             assert {n.reads for n in nodes} == {2 + (arch.ct_node is not None)}
 
     def test_groups_by_height_and_label(self):
         for unroll in (True, False):
-            groups, roots = _levels([ALL_LABELS], unroll)
+            groups, roots = levels([ALL_LABELS], unroll)
             tree = reference_tree(ALL_LABELS, unroll)
             assert {label for label, _ in groups} == labels(tree)
             # every child row is a row of an earlier group
@@ -432,25 +438,23 @@ class TestSubtreeMemo:
         np.testing.assert_allclose(got, r.score_many(cands), rtol=0, atol=1e-12)
 
     def test_encodes_each_distinct_subtree_once(self, monkeypatch):
-        import rnndsl.ranker as ranker_mod
-
         r = tiny_ranker(hidden=4)
         cands = generated_candidates()
-        levels = ranker_mod._levels
+        intern = SubtreeMemo.intern
         encoded = []
 
-        def counted(*args):
-            groups, roots = levels(*args)
+        def counted(self, *args):
+            first, groups, roots = intern(self, *args)
             encoded.append(sum(len(kids) for _, kids in groups))
-            return groups, roots
+            return first, groups, roots
 
-        monkeypatch.setattr(ranker_mod, "_levels", counted)
+        monkeypatch.setattr(SubtreeMemo, "intern", counted)
         r.score_many(cands)
         monkeypatch.undo()
-        groups, _ = _levels([r._eval_tree(a) for a in cands], True)
+        groups, _ = levels([r._eval_tree(a) for a in cands], True)
         assert len(encoded) == len(cands)
         assert sum(encoded) == sum(len(kids) for _, kids in groups)
-        alone = sum(sum(len(kids) for _, kids in _levels([r._eval_tree(a)], True)[0])
+        alone = sum(sum(len(kids) for _, kids in levels([r._eval_tree(a)], True)[0])
                     for a in cands)
         assert sum(encoded) < alone / 2
 
@@ -458,7 +462,7 @@ class TestSubtreeMemo:
         r = tiny_ranker(hidden=8, epochs=10)
         cands = generated_candidates()[:60]
         r.score_many(cands)
-        assert r._memo is None
+        assert not any(isinstance(v, SubtreeMemo) for v in vars(r).values())
         eval_tree = Ranker._eval_tree
         seen = []
 
@@ -472,7 +476,7 @@ class TestSubtreeMemo:
         with pytest.raises(RuntimeError, match="third candidate"):
             r.score_many(cands)
         monkeypatch.undo()
-        assert r._memo is None
+        assert not any(isinstance(v, SubtreeMemo) for v in vars(r).values())
         # no row encoded before the fit is read after it
         archs = random_architectures(10, seed=13)
         r.fit([record_for(a, float(i)) for i, a in enumerate(archs)])
@@ -492,9 +496,9 @@ class TestSubtreeMemo:
         score = Ranker.score
         held = []  # rows and allocated rows after each candidate
 
-        def watched(self, arch):
-            out = score(self, arch)
-            held.append((len(self._memo.heights), len(self._memo.H)))
+        def watched(self, arch, memo=None):
+            out = score(self, arch, memo)
+            held.append((len(memo.heights), len(memo.H)))
             return out
 
         monkeypatch.setattr(Ranker, "score", watched)
@@ -512,6 +516,13 @@ class TestFit:
         rec = record_for(builtin("tanh_rnn"), 2.5)
         r.fit([rec])
         assert abs(r.score(builtin("tanh_rnn")) - 2.5) < 0.05
+
+    def test_no_records_refused(self):
+        r = tiny_ranker()
+        before = [p.data.copy() for p in r.params]
+        with pytest.raises(ValueError, match="^need at least one record$"):
+            r.fit([])
+        assert [p.data.tobytes() for p in r.params] == [b.tobytes() for b in before]
 
     def test_failure_target_capped(self):
         r = tiny_ranker()

@@ -100,7 +100,7 @@ class TestMasking:
     def test_root_slot_excludes_sources(self):
         pol = tiny_policy()
         p = PartialArch()
-        mask = pol.legal_actions(p)
+        mask, _ = pol.legal_actions(p)
         for a, ok in zip(pol.actions, mask):
             assert ok == (not a.is_source)
 
@@ -110,7 +110,7 @@ class TestMasking:
         p.fill(OpKind.ADD)
         p.fill(OpKind.TANH)
         assert p.target_depth == 2
-        mask = pol.legal_actions(p)
+        mask, _ = pol.legal_actions(p)
         for a, ok in zip(pol.actions, mask):
             assert ok == a.is_source
 
@@ -118,7 +118,7 @@ class TestMasking:
         pol = tiny_policy(max_nodes=1)
         p = PartialArch()
         p.fill(OpKind.ADD)
-        mask = pol.legal_actions(p)
+        mask, _ = pol.legal_actions(p)
         for a, ok in zip(pol.actions, mask):
             assert ok == a.is_source
 
@@ -154,7 +154,7 @@ class TestMasking:
             pol = tiny_policy(max_depth=max_depth, max_nodes=max_nodes)
             p = PartialArch()
             while not p.complete:
-                mask = pol.legal_actions(p)
+                mask, _ = pol.legal_actions(p)
                 assert np.array_equal(mask, walked(pol, p))
                 operators = [ok for a, ok in zip(pol.actions, mask) if not a.is_source]
                 at_limit += p.target_depth > 0 and not any(operators)
@@ -736,7 +736,7 @@ def episode_per_op(pol, actions, memo):
         enc = en.take(state(kinds)[1], (..., slice(0, w)))
         head = lstm_per_op(en.relu(en.linear(enc, pol.lin1_w, pol.lin1_b)), head, pol.head)
         scores = en.linear(en.take(head, (..., slice(0, w))), pol.lin2_w, pol.lin2_b)
-        mask = pol.legal_actions(p)
+        mask, _ = pol.legal_actions(p)
         logp = log_softmax_per_op(en.add(scores, en.Tensor(np.where(mask, 0.0, -1e9)[None, :])))
         idx = pol.actions.index(act)
         logps.append(en.take(logp, (..., slice(idx, idx + 1))))

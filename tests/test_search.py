@@ -182,7 +182,11 @@ class TestRecordStore:
     @pytest.mark.parametrize("change,why", [
         ({"status": "exploded"}, "record status must be one of"),
         ({"valid_metric": None}, "an ok record needs a valid_metric"),
-    ], ids=["unknown-status", "ok-without-metric"])
+        ({"source": "oracle"}, r"record source must be one of \['random', 'rl', 'seed', 'human'\], "
+                               "got 'oracle'"),
+        ({"task": "word_lm"}, r"record task must be one of \['copy_memory', 'char_lm'\], "
+                              "got 'word_lm'"),
+    ], ids=["unknown-status", "ok-without-metric", "unknown-source", "unknown-task"])
     def test_record_no_run_writes_refused(self, tmp_path, change, why):
         good = make_record(builtin("gru"), 0.9)
         bad = json.dumps({**json.loads(make_record(builtin("lstm"), 0.8).to_json()), **change})
