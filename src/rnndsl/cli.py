@@ -11,6 +11,7 @@ the config file's seeds (default 0) are used.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -122,9 +123,7 @@ def cmd_cells(args) -> int:
 def cmd_compile(args) -> int:
     arch = parse(args.dsl)
     rng = np.random.default_rng(_resolve_seed(args))
-    prog = compile(
-        arch, args.input, args.hidden, fuse=not args.no_fuse, rng=rng
-    )
+    prog = compile(arch, args.input, args.hidden, fuse=True, rng=rng)
     payload = {
         "dsl": render(prog.arch),
         "instructions": len(prog.instructions),
@@ -163,9 +162,7 @@ def cmd_compile(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_sections(args)
-    spec = cfg["task"]
-    spec.kind = args.task
-    task = make_task(spec)
+    task = make_task(dataclasses.replace(cfg["task"], kind=args.task))
     # a malformed store is reported before the candidate is trained
     store = RecordStore.load(args.out) if args.out else None
     rec = train_and_score(parse(args.dsl), task, cfg["train"], source="human")
@@ -301,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--hidden", type=int, required=True)
     sk.add_argument("--input", type=int, required=True)
     sk.add_argument("--check-grad", action="store_true")
-    sk.add_argument("--no-fuse", action="store_true")
     sk.set_defaults(func=cmd_compile)
 
     se = add_parser("eval", help="train one cell on a task")

@@ -517,22 +517,25 @@ class OptimizerConfig:
     kind: str = "sgd"  # or "adam"
     learning_rate: float = 1.0
     l2: float = 0.0
-    clip_norm: Optional[float] = None
     clip_value: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("sgd", "adam"):
             raise ValueError(f"OptimizerConfig.kind must be 'sgd' or 'adam', got {self.kind!r}")
-        # a clip of 0 zeroes every gradient and a negative norm bound
-        # reverses it, and training would still end with an ok record
-        for name in ("learning_rate", "clip_norm", "clip_value"):
+        # a clip of 0 zeroes every gradient, and training would still end
+        # with an ok record
+        for name in ("learning_rate", "clip_value"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"OptimizerConfig.{name} must be > 0, got {value}")
+        # a negative weight decay makes the weights grow
+        if self.l2 < 0:
+            raise ValueError(f"OptimizerConfig.l2 must be >= 0, got {self.l2}")
 
 
 class Optimizer:
-    """SGD / Adam with gradient clipping applied before the update.
+    """SGD / Adam with element-wise gradient value clipping applied before
+    the update.
 
     `step` returns False, signalling divergence to the caller, when a
     clipped gradient is non-finite, and then leaves the parameters, the
@@ -553,17 +556,11 @@ class Optimizer:
             p.zero_grad()
 
     def _clip(self) -> None:
-        cfg = self.cfg
-        grads = [p.grad for p in self.params if p.grad is not None]
-        if cfg.clip_norm is not None and grads:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-            if total > cfg.clip_norm and total > 0:
-                scale = cfg.clip_norm / total
-                for g in grads:
-                    g *= scale
-        if cfg.clip_value is not None:
-            for g in grads:
-                np.clip(g, -cfg.clip_value, cfg.clip_value, out=g)
+        c = self.cfg.clip_value
+        if c is not None:
+            for p in self.params:
+                if p.grad is not None:
+                    np.clip(p.grad, -c, c, out=p.grad)
 
     def step(self) -> bool:
         """One update, in place: the gradient, m, v and the parameter are
@@ -733,10 +730,10 @@ def load_params(path, params: Sequence[Parameter]) -> None:
     arrays = load_arrays(path)
     for p in params:
         if p.name not in arrays:
-            raise KeyError(f"checkpoint missing parameter {p.name}")
+            raise ValueError(f"{path}: checkpoint missing parameter {p.name}")
         if arrays[p.name].shape != p.data.shape:
             raise ValueError(
-                f"shape mismatch for {p.name}: checkpoint "
+                f"{path}: shape mismatch for {p.name}: checkpoint "
                 f"{arrays[p.name].shape}, parameter {p.data.shape}"
             )
     for p in params:

@@ -1,9 +1,9 @@
 """Train compiled candidate cells on desk-scale sequence tasks.
 
 Two tasks are provided: character-level language modeling over a corpus
-(or a synthetic one) and a copy-memory task. Every evaluation, whether it
-succeeds, diverges, times out, or trips the perplexity cutoff, produces
-exactly one ArchPerfRecord.
+file and a copy-memory task. Every evaluation, whether it succeeds,
+diverges, times out, or trips the perplexity cutoff, produces exactly one
+ArchPerfRecord.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ COPY_DELAY = 5
 # the learning rate is divided by this after an epoch that does not
 # improve the best validation loss
 LR_DECAY_FACTOR = 4.0
+# the perplexity cutoff: a cell whose validation perplexity is above it at
+# TrainConfig.failure_check_epoch is dropped as failed_threshold
+FAILURE_PPL = 500.0
 # the tasks `make_task` builds, and the sources a record can come from
 TASK_KINDS = ("copy_memory", "char_lm")
 SOURCES = ("random", "rl", "seed", "human")
@@ -47,7 +50,7 @@ SOURCES = ("random", "rl", "seed", "human")
 @dataclass
 class TaskSpec:
     kind: str = "copy_memory"  # one of TASK_KINDS
-    corpus_path: Optional[str] = None
+    corpus_path: Optional[str] = None  # char_lm's text
     seed: int = 0
     batch_size: int = 32
     seq_len: int = 12  # BPTT window
@@ -59,6 +62,8 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
             raise ValueError(f"TaskSpec.kind must be one of {list(TASK_KINDS)}, got {self.kind!r}")
+        if self.kind == "char_lm" and not self.corpus_path:
+            raise ValueError("TaskSpec.kind 'char_lm' needs a corpus_path")
         for name, least in (("batch_size", 1), ("seq_len", 2), ("train_size", 1),
                             ("valid_size", 1), ("test_size", 0)):
             if getattr(self, name) < least:
@@ -99,18 +104,6 @@ def _copy_batches(
     return batches
 
 
-def _synthetic_corpus(rng: np.random.Generator, n_tokens: int) -> str:
-    # structured pseudo-text a small recurrent model can learn
-    words = ["ab", "abc", "bca", "cab", "aabb", "cc"]
-    out: list[str] = []
-    total = 0
-    while total < n_tokens:
-        w = words[rng.integers(0, len(words))]
-        out.append(w + " ")
-        total += len(w) + 1
-    return "".join(out)[:n_tokens]
-
-
 def _lm_batches(
     ids: np.ndarray, batch_size: int, seq_len: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -129,21 +122,17 @@ def _lm_batches(
 
 
 def make_task(spec: TaskSpec) -> Task:
-    rng = np.random.default_rng(spec.seed)
     if spec.kind == "copy_memory":
+        rng = np.random.default_rng(spec.seed)
         vocab = COPY_SYMBOLS + 2
         train = _copy_batches(spec, rng, spec.train_size)
         valid = _copy_batches(spec, rng, spec.valid_size)
         test = _copy_batches(spec, rng, spec.test_size)
     else:  # char_lm
-        if spec.corpus_path:
-            with open(spec.corpus_path, encoding="utf-8") as fh:
-                text = fh.read()
-            if not text:
-                raise ValueError("empty corpus")
-        else:
-            total = spec.train_size + spec.valid_size + spec.test_size
-            text = _synthetic_corpus(rng, total)
+        with open(spec.corpus_path, encoding="utf-8") as fh:
+            text = fh.read()
+        if not text:
+            raise ValueError("empty corpus")
         chars = sorted(set(text))
         vocab = len(chars)
         lookup = {c: i for i, c in enumerate(chars)}
@@ -166,23 +155,15 @@ class TrainConfig:
             kind="sgd", learning_rate=1.0, clip_value=0.075
         )
     )
-    tie_embeddings: bool = True
     hidden_size: int = 24
-    n_layers: int = 1
-    failure_ppl_threshold: float = 500.0
     failure_check_epoch: int = 2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs and not (self.epochs >= self.failure_check_epoch >= 1):
             raise ValueError("need epochs >= failure_check_epoch >= 1")
-        for name in ("hidden_size", "n_layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"TrainConfig.{name} must be >= 1, got {getattr(self, name)}")
-        # a perplexity is never below 1
-        if not self.failure_ppl_threshold > 1:
-            raise ValueError(
-                f"TrainConfig.failure_ppl_threshold must be > 1, got {self.failure_ppl_threshold}")
+        if self.hidden_size < 1:
+            raise ValueError(f"TrainConfig.hidden_size must be >= 1, got {self.hidden_size}")
 
 
 # the statuses `train_and_score` gives a record
@@ -282,43 +263,33 @@ def _wrong(where: str, expected: str, v) -> ValueError:
 
 
 class SequenceModel:
-    """Embedding, stacked compiled cells, and a (tied) softmax head."""
+    """Embedding, one compiled cell, and a softmax head tied to the
+    embedding (Press & Wolf 2017)."""
 
     def __init__(
         self,
         arch: Architecture,
         vocab_size: int,
         hidden_size: int,
-        n_layers: int,
-        tie_embeddings: bool,
         rng: np.random.Generator,
     ):
-        self.tie = tie_embeddings
         self.emb = en.Parameter(en.init_embedding(rng, vocab_size, hidden_size), "emb")
-        self.layers = [
-            compile(arch, hidden_size, hidden_size, fuse=True, rng=rng)
-            for _ in range(n_layers)
-        ]
+        self.cell = compile(arch, hidden_size, hidden_size, fuse=True, rng=rng)
         self.params: list[en.Parameter] = [self.emb]
-        for i, layer in enumerate(self.layers):
-            for p in layer.parameters():
-                p.name = f"l{i}_{p.name}"
-                self.params.append(p)
+        # the cell's names take an "l0_" prefix, which the pinned gradient
+        # digests hash
+        for p in self.cell.parameters():
+            p.name = f"l0_{p.name}"
+            self.params.append(p)
         self.out_b = en.Parameter(np.zeros(vocab_size), "out_b")
         self.params.append(self.out_b)
-        if not tie_embeddings:
-            self.out_w = en.Parameter(
-                en.init_mm_weight(rng, vocab_size, hidden_size), "out_W"
-            )
-            self.params.append(self.out_w)
 
     def logits(self, x_ids: np.ndarray) -> en.Tensor:
         """The head's logits at every timestep, rows in time-major order;
-        each layer runs over the whole sequence as one tape node."""
+        the cell runs over the whole sequence as one tape node."""
         h = en.embedding(self.emb, x_ids.T)
-        for layer in self.layers:
-            h, _ = run_steps(layer, h, initial_state(layer, x_ids.shape[0]))
-        return en.linear(h, self.emb if self.tie else self.out_w, self.out_b)
+        h, _ = run_steps(self.cell, h, initial_state(self.cell, x_ids.shape[0]))
+        return en.linear(h, self.emb, self.out_b)
 
     def loss(self, x_ids: np.ndarray, y_ids: np.ndarray) -> en.Tensor:
         logits = self.logits(x_ids)
@@ -372,12 +343,7 @@ def train_and_score(
 
     try:
         model = SequenceModel(
-            arch,
-            task.vocab_size,
-            cfg.hidden_size,
-            cfg.n_layers,
-            cfg.tie_embeddings,
-            np.random.default_rng(cfg.seed),
+            arch, task.vocab_size, cfg.hidden_size, np.random.default_rng(cfg.seed)
         )
     except (CompileError, ValueError):
         return record("invalid")
@@ -388,7 +354,7 @@ def train_and_score(
     opt = en.Optimizer(model.params, cfg.optimizer)
     best_valid = math.inf
     epochs_run = 0
-    loss_cap = math.log(cfg.failure_ppl_threshold)
+    loss_cap = math.log(FAILURE_PPL)
 
     with np.errstate(all="ignore"):
         try:

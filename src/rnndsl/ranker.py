@@ -34,7 +34,7 @@ from .dsl import (
     node_at_index,
     parse,
 )
-from .evaluator import ArchPerfRecord
+from .evaluator import FAILURE_PPL, ArchPerfRecord
 
 H_TM2 = "h_tm2"
 C_TM2 = "c_tm2"
@@ -47,7 +47,7 @@ _BACK = {OpKind.HM1: H_TM2, OpKind.CM1: C_TM2}
 
 # the cap on the regression target, a log-perplexity: an ok record's
 # validation loss is clipped to it, and any other record gets it
-METRIC_CAP = math.log(500.0)
+METRIC_CAP = math.log(FAILURE_PPL)
 
 # the most rows a shared subtree memo holds before it is cleared: H and C
 # take 16 MB each at hidden 128
@@ -69,6 +69,8 @@ class RankerConfig:
         for name in ("hidden", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"RankerConfig.{name} must be >= 1, got {getattr(self, name)}")
+        if self.l2 < 0:
+            raise ValueError(f"RankerConfig.l2 must be >= 0, got {self.l2}")
         if not self.learning_rate > 0:
             raise ValueError(f"RankerConfig.learning_rate must be > 0, got {self.learning_rate}")
         if not 0 <= self.head_dropout < 1:

@@ -69,10 +69,10 @@ class SearchConfig:
             raise ValueError(f"unknown search mode {self.mode!r}")
         # k_top 0 picks only by sampling; ct_enable_after 0 allows c_tm1 from
         # the first step
-        for name, least in (("k_top", 0), ("k_sampled", 0), ("ct_enable_after", 0),
-                            ("min_good", 0), ("max_failing", 0), ("min_batch", 1),
-                            ("starvation_limit", 1), ("temperature", 0), ("max_steps", 1),
-                            ("max_evaluations", 1)):
+        for name, least in (("candidates_per_step", 1), ("k_top", 0), ("k_sampled", 0),
+                            ("ct_enable_after", 0), ("min_good", 0), ("max_failing", 0),
+                            ("min_batch", 1), ("starvation_limit", 1), ("temperature", 0),
+                            ("max_steps", 1), ("max_evaluations", 1)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")

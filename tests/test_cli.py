@@ -185,6 +185,14 @@ class TestEval:
         assert code == 0
         assert payload["status"] == "timeout"
 
+    def test_char_lm_without_corpus_refused(self, capsys, tmp_path):
+        out = tmp_path / "records.jsonl"
+        code, stdout, err = run_cli(capsys, "eval", TANH_RNN, "--task", "char_lm",
+                                    "--config", self._config(tmp_path), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "error[ValueError]: TaskSpec.kind 'char_lm' needs a corpus_path\n"
+        assert not out.exists()
+
     def test_tapless_c_tm1_record_can_be_ranked_not_dumped(self, capsys, tmp_path):
         # c_tm1 without a c_t tap compiles to no cell: a well-formed invalid
         # record, which the ranker reads with c_tm1 as a leaf of its own
@@ -447,6 +455,9 @@ class TestRemovedOptions:
          ("rl", "min_depth", "RLConfig"),
          ("train", "lr_decay_factor", "TrainConfig"),
          ("train", "dropout", "TrainConfig"),
+         ("train", "n_layers", "TrainConfig"),
+         ("train", "tie_embeddings", "TrainConfig"),
+         ("train", "failure_ppl_threshold", "TrainConfig"),
          ("ranker", "metric_cap", "RankerConfig"),
          ("reward", "a", "RewardConfig"),
          ("reward", "base_offset", "RewardConfig"),
@@ -461,7 +472,8 @@ class TestRemovedOptions:
          ("task", "delay", "TaskSpec"),
          ("train.optimizer", "beta1", "OptimizerConfig"),
          ("train.optimizer", "beta2", "OptimizerConfig"),
-         ("train.optimizer", "eps", "OptimizerConfig")],
+         ("train.optimizer", "eps", "OptimizerConfig"),
+         ("train.optimizer", "clip_norm", "OptimizerConfig")],
     )
     def test_removed_config_field_exit_1(self, capsys, tmp_path, section, name, cls):
         cfg = tmp_path / "cfg.json"
@@ -601,8 +613,8 @@ class TestConfigRefusedAtLoad:
         ("search", "max_steps", 0, "SearchConfig.max_steps must be >= 1, got 0"),
         ("search", "max_evaluations", 0, "SearchConfig.max_evaluations must be >= 1, got 0"),
         ("ranker", "head_dropout", math.nan, "ranker.head_dropout: expected a finite number"),
-        ("train", "failure_ppl_threshold", math.inf,
-         "train.failure_ppl_threshold: expected a finite number"),
+        ("train.optimizer", "learning_rate", math.inf,
+         "train.optimizer.learning_rate: expected a finite number"),
         ("train.optimizer", "kind", "rmsprop",
          "OptimizerConfig.kind must be 'sgd' or 'adam', got 'rmsprop'"),
         ("train.optimizer", "learning_rate", 0, "OptimizerConfig.learning_rate must be > 0, got 0"),
@@ -613,11 +625,6 @@ class TestConfigRefusedAtLoad:
          "got ['elman']"),
         ("train", "hidden_size", 0, "TrainConfig.hidden_size must be >= 1, got 0"),
         ("train", "hidden_size", -3, "TrainConfig.hidden_size must be >= 1, got -3"),
-        ("train", "n_layers", 0, "TrainConfig.n_layers must be >= 1, got 0"),
-        ("train", "failure_ppl_threshold", 0.0,
-         "TrainConfig.failure_ppl_threshold must be > 1, got 0.0"),
-        ("train", "failure_ppl_threshold", 1.0,
-         "TrainConfig.failure_ppl_threshold must be > 1, got 1.0"),
         ("ranker", "batch_size", 0, "RankerConfig.batch_size must be >= 1, got 0"),
         ("ranker", "head_dropout", 1.0, "RankerConfig.head_dropout must be in [0, 1), got 1.0"),
         ("ranker", "head_dropout", -0.1,
@@ -625,7 +632,8 @@ class TestConfigRefusedAtLoad:
         ("rl", "max_depth", 0, "RLConfig.max_depth must be >= 1, got 0"),
         ("rl", "max_nodes", 0, "RLConfig.max_nodes must be >= 1, got 0"),
         ("train.optimizer", "clip_value", 0.0, "OptimizerConfig.clip_value must be > 0, got 0.0"),
-        ("train.optimizer", "clip_norm", -1.0, "OptimizerConfig.clip_norm must be > 0, got -1.0"),
+        ("train.optimizer", "l2", -5.0, "OptimizerConfig.l2 must be >= 0, got -5.0"),
+        ("ranker", "l2", -1.0, "RankerConfig.l2 must be >= 0, got -1.0"),
         ("search", "k_top", -3, "SearchConfig.k_top must be >= 0, got -3"),
         ("search", "k_sampled", -1, "SearchConfig.k_sampled must be >= 0, got -1"),
         ("search", "ct_enable_after", -5, "SearchConfig.ct_enable_after must be >= 0, got -5"),
@@ -639,6 +647,12 @@ class TestConfigRefusedAtLoad:
     def test_out_of_range(self, capsys, tmp_path, section, name, value, message):
         err = self.refused(capsys, tmp_path, nest(section, name, value))
         assert err.startswith(f"error[ValueError]: {message}")
+
+    def test_no_candidates_per_step_refused_before_the_seed_baseline(self, capsys, tmp_path):
+        # no picks, so k_top + k_sampled does not exceed the 0 candidates
+        doc = {"search": {"candidates_per_step": 0, "k_top": 0, "k_sampled": 0}}
+        err = self.refused(capsys, tmp_path, doc)
+        assert err == "error[ValueError]: SearchConfig.candidates_per_step must be >= 1, got 0\n"
 
     def test_unknown_task_kind_refused_by_rank_fit(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

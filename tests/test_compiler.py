@@ -741,27 +741,17 @@ class TestGeneratedMatchesInterpreter:
         assert seen >= 400 and ops == {k for k in OpKind if not k.is_source}
         assert posenc >= 20 and ct >= 40 and fused >= 7
 
-    def test_two_layer_model_and_replaced_arrays(self, monkeypatch):
-        """Two layers of one architecture share one generated code object;
-        each call binds its own layer's arrays, also after they are replaced."""
-        model = ev.SequenceModel(builtin("lstm"), 7, H, 2, True, np.random.default_rng(3))
-        assert model.layers[0].bind.__code__ is model.layers[1].bind.__code__
-        rng = np.random.default_rng(4)
-        x, y = rng.integers(7, size=(3, 5)), rng.integers(7, size=(3, 5))
-
-        def loss_and_grads(runner):
-            monkeypatch.setattr(ev, "run_steps", runner)
-            for p in model.params:
-                p.zero_grad()
-            loss = model.loss(x, y)
-            loss.backward()
-            return [loss.data] + [p.grad for p in model.params]
-
+    def test_two_compiles_share_code_and_replaced_arrays(self):
+        """Two compiles of one architecture share one generated code object;
+        each call binds its own program's arrays, also after they are replaced."""
+        rng = np.random.default_rng(3)
+        progs = [compile(builtin("lstm"), H, H, rng=rng) for _ in range(2)]
+        assert progs[0].bind.__code__ is progs[1].bind.__code__
         for _ in range(2):
-            got, want = loss_and_grads(run_steps), loss_and_grads(run_steps_interpreted)
-            assert all(same_bits(a, b) for a, b in zip(got, want))
-            for p in model.params:
-                p.data = p.data * 1.5
+            for prog in progs:
+                self.check(prog, seed=4)
+                for p in prog.parameters():
+                    p.data = p.data * 1.5
 
 
 class TestGeneratedSource:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rnndsl.engine as en
+import rnndsl.evaluator as ev
 from rnndsl.compiler import DivergenceError, initial_state, step
 from rnndsl.dsl import builtin, parse
 from rnndsl.evaluator import (
@@ -71,10 +72,10 @@ class TestMakeTask:
         )
         assert task.vocab_size <= 3
 
-    def test_synthetic_char_lm(self):
-        task = make_task(TaskSpec(kind="char_lm", seed=2))
-        assert task.vocab_size >= 3
-        assert task.train and task.valid
+    @pytest.mark.parametrize("corpus_path", [None, ""], ids=["none", "empty"])
+    def test_char_lm_without_corpus_refused(self, corpus_path):
+        with pytest.raises(ValueError, match=r"^TaskSpec.kind 'char_lm' needs a corpus_path$"):
+            TaskSpec(kind="char_lm", corpus_path=corpus_path)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -146,13 +147,9 @@ class TestTrainAndScore:
         rec = train_and_score(builtin("tanh_rnn"), task, quick_cfg())
         assert ArchPerfRecord.from_json(rec.to_json()) == rec
 
-    def test_failure_threshold(self):
-        task = small_copy_task()
-        rec = train_and_score(
-            builtin("tanh_rnn"),
-            task,
-            quick_cfg(failure_ppl_threshold=1.0 + 1e-9),
-        )
+    def test_failure_threshold(self, monkeypatch):
+        monkeypatch.setattr(ev, "FAILURE_PPL", 1.0 + 1e-9)
+        rec = train_and_score(builtin("tanh_rnn"), small_copy_task(), quick_cfg())
         assert rec.status == "failed_threshold"
 
     def test_ok_metric_is_log_perplexity(self):
@@ -241,16 +238,14 @@ class TestDivergenceExits:
 class TestSequenceModelLoss:
     """One output head and one cross-entropy over every timestep of a batch."""
 
-    def _model(self, tie, hidden=3):
+    def _model(self, hidden=3):
         task = small_copy_task()
-        model = SequenceModel(builtin("gru"), task.vocab_size, hidden, 2, tie,
-                              np.random.default_rng(5))
+        model = SequenceModel(builtin("gru"), task.vocab_size, hidden, np.random.default_rng(5))
         x, y = task.train[0]
         return model, x, y
 
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_gradient_check(self, tie):
-        model, x, y = self._model(tie)
+    def test_gradient_check(self):
+        model, x, y = self._model()
         x, y = x[:2, :6], y[:2, :6]
 
         def loss():
@@ -258,26 +253,23 @@ class TestSequenceModelLoss:
 
         assert en.gradient_check(loss, model.params) < 1e-4
 
-    @pytest.mark.parametrize("tie", [True, False])
-    def test_value_is_mean_of_per_timestep_cross_entropies(self, tie):
-        model, x, y = self._model(tie, hidden=5)
+    def test_value_is_mean_of_per_timestep_cross_entropies(self):
+        model, x, y = self._model(hidden=5)
         loss = model.loss(x, y)
         loss.backward()
         got = {q.name: q.grad for q in model.params}
         for q in model.params:
             q.zero_grad()
 
-        # oracle: per timestep an embedding lookup, a step of each layer, a
-        # head and a cross-entropy; the loss is their mean
+        # oracle: per timestep an embedding lookup, a step of the cell, the
+        # tied head and a cross-entropy; the loss is their mean
         batch, seq = x.shape
-        w = model.emb if tie else model.out_w
-        states = [initial_state(layer, batch) for layer in model.layers]
+        state = initial_state(model.cell, batch)
         total = None
         for t in range(seq):
             h = en.embedding(model.emb, x[:, t])
-            for li, layer in enumerate(model.layers):
-                h, states[li] = step(layer, h, states[li])
-            ce = en.cross_entropy(en.linear(h, w, model.out_b), y[:, t])
+            h, state = step(model.cell, h, state)
+            ce = en.cross_entropy(en.linear(h, model.emb, model.out_b), y[:, t])
             total = ce if total is None else en.add(total, ce)
         oracle = en.mul(total, en.Tensor(1.0 / seq))
         assert abs(float(loss.data) - float(oracle.data)) < 1e-12
@@ -355,18 +347,17 @@ class TestPinnedTrainingBits:
         assert digest.hexdigest() == (
             "568577773eb1f9c0932dd0839d055fb3ee9820d857369403c2d89ebec4ba516f")
 
-    @pytest.mark.parametrize("arch, n_layers, pinned", [
+    @pytest.mark.parametrize("arch, pinned", [
         # fused MMs and a c_t tap
-        (builtin("lstm"), 1,
+        (builtin("lstm"),
          "90fa16d3003d95d5d6b04ef790da1ff1840eb834b0a7f2bb0cf5242a54127111"),
         # LayerNorm gain and bias gradients are summed over rows, then time
-        (parse("LayerNorm(Add(Tanh(LayerNorm(MM(x_t))),MM(h_tm1)))"), 2,
-         "51678da81894c50faba5a25d33b78ee4c592e9eab29b7e8bb656d563bde11f7e"),
+        (parse("LayerNorm(Add(Tanh(LayerNorm(MM(x_t))),MM(h_tm1)))"),
+         "f39312fc1764f62edf6d145cfc450bd30742fa62c9b979a9e39f16c5f4678e39"),
     ])
-    def test_one_batch_gradients_pinned(self, arch, n_layers, pinned):
+    def test_one_batch_gradients_pinned(self, arch, pinned):
         task, _ = desk_task_and_cfg()
-        model = SequenceModel(arch, task.vocab_size, 16, n_layers, True,
-                              np.random.default_rng(0))
+        model = SequenceModel(arch, task.vocab_size, 16, np.random.default_rng(0))
         x, y = task.train[0]
         model.loss(x, y).backward()
         digest = hashlib.sha256()
@@ -374,39 +365,3 @@ class TestPinnedTrainingBits:
             digest.update(p.name.encode())
             digest.update(p.grad.tobytes())
         assert digest.hexdigest() == pinned
-
-
-class TestStackedUntiedModel:
-    """Two layers of a cell with fused MMs and a c_t tap, under an untied
-    output head: TrainConfig's n_layers > 1 and tie_embeddings=False."""
-
-    def _model(self):
-        task = small_copy_task()
-        model = SequenceModel(builtin("lstm"), task.vocab_size, 3, n_layers=2,
-                              tie_embeddings=False, rng=np.random.default_rng(6))
-        return model, task
-
-    def test_parameter_names_unique(self):
-        model, _ = self._model()
-        names = [p.name for p in model.params]
-        assert len(set(names)) == len(names)
-        assert {n[:3] for n in names if n.startswith("l")} == {"l0_", "l1_"}
-        assert "out_W" in names
-
-    def test_gradient_check(self):
-        model, task = self._model()
-        x, y = task.train[0]
-        x, y = x[:2, :6], y[:2, :6]
-
-        def loss():
-            return model.loss(x, y)
-
-        assert en.gradient_check(loss, model.params) < 1e-4
-
-    def test_train_and_score_ok_and_deterministic(self):
-        task = small_copy_task()
-        cfg = quick_cfg(n_layers=2, tie_embeddings=False)
-        a = train_and_score(builtin("lstm"), task, cfg)
-        b = train_and_score(builtin("lstm"), task, cfg)
-        assert a.status == "ok"
-        assert a.to_json() == b.to_json()
