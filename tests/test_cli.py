@@ -4,7 +4,7 @@ import csv
 import json
 import math
 from dataclasses import fields, is_dataclass
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -557,13 +557,29 @@ def wrong_values(tp):
             bool: [1, "true", None], str: [1, False, None, ["x"]]}[tp]
 
 
+# training knobs made constants, with the annotation each had: a file that
+# still sets one is refused as an unknown field, whatever the value
+REMOVED_FIELDS = [("train", "TrainConfig", "n_layers", int),
+                  ("train", "TrainConfig", "tie_embeddings", bool),
+                  ("train", "TrainConfig", "failure_ppl_threshold", float),
+                  ("train.optimizer", "OptimizerConfig", "clip_norm", Optional[float])]
+
+
 def config_field_cases():
+    """(where, name, value, the start of the refusal) for each wrong value of
+    each config field, and for each value of a removed field."""
     classes = [(key, cls) for key, cls in CONFIG_SECTIONS.items()]
     classes.append(("train.optimizer", en.OptimizerConfig))
     for where, cls in classes:
         for name, tp in get_type_hints(cls).items():
             for value in wrong_values(tp):
-                yield pytest.param(where, name, value, id=f"{where}.{name}={value!r}")
+                yield pytest.param(where, name, value, f"{where}.{name}",
+                                   id=f"{where}.{name}={value!r}")
+    for where, cls_name, name, tp in REMOVED_FIELDS:
+        for value in wrong_values(tp):
+            yield pytest.param(where, name, value,
+                               f"{where}: unknown {cls_name} fields: ['{name}']\n",
+                               id=f"{where}.{name}={value!r}")
 
 
 def nest(where, name, value):
@@ -598,10 +614,10 @@ class TestConfigRefusedAtLoad:
             assert {(key, f.name) for f in fields(cls)} <= cases
         assert {("train.optimizer", f.name) for f in fields(en.OptimizerConfig)} <= cases
 
-    @pytest.mark.parametrize("where,name,value", config_field_cases())
-    def test_wrong_type(self, capsys, tmp_path, where, name, value):
+    @pytest.mark.parametrize("where,name,value,refusal", config_field_cases())
+    def test_wrong_type(self, capsys, tmp_path, where, name, value, refusal):
         err = self.refused(capsys, tmp_path, nest(where, name, value))
-        assert err.startswith(f"error[ValueError]: {where}.{name}")
+        assert err.startswith(f"error[ValueError]: {refusal}")
 
     @pytest.mark.parametrize("section,name,value,message", [
         ("ranker", "hidden", 0, "RankerConfig.hidden must be >= 1, got 0"),
