@@ -46,6 +46,7 @@ from .search import (
     hidden_dump,
     load_config,
     ops_over_time,
+    require_directory,
     run_random_search,
     run_rl_search,
     search_curve,
@@ -58,7 +59,6 @@ DOMAIN_ERRORS = (
     DivergenceError,
     StoreError,
     ValueError,
-    KeyError,
     FileNotFoundError,
 )
 
@@ -163,8 +163,11 @@ def cmd_compile(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_sections(args)
     task = make_task(dataclasses.replace(cfg["task"], kind=args.task))
-    # a malformed store is reported before the candidate is trained
+    # a malformed store, or one of another task, is reported before the
+    # candidate is trained
     store = RecordStore.load(args.out) if args.out else None
+    if store is not None:
+        store.check_task(task)
     rec = train_and_score(parse(args.dsl), task, cfg["train"], source="human")
     if store is not None and rec.id not in store:
         store.append(rec)
@@ -181,6 +184,7 @@ def cmd_search(args) -> int:
     cfg = _load_sections(args, mode=("the random|rl argument of rnndsl search", mode))
     task = make_task(cfg["task"])
     store = RecordStore.load(args.out) if args.out else RecordStore()
+    store.check_task(task)  # before the policy's priors are trained
     loaded = len(store)
     if mode == "random_rank":
         store, best = run_random_search(
@@ -216,6 +220,8 @@ def cmd_rank(args) -> int:
         raise ValueError(f"no records in {args.records}")
     ranker = Ranker(cfg["ranker"])
     if args.action == "fit":
+        if args.model:
+            require_directory(args.model)
         curve = ranker.fit(store.records)
         if args.model:
             en.save_params(args.model, ranker.params)

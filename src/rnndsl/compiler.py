@@ -17,7 +17,6 @@ import functools
 import linecache
 import weakref
 from dataclasses import dataclass
-from types import CodeType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -375,21 +374,16 @@ def _diverged(t: int, results: list, ops: tuple, div: Optional[int] = None) -> N
         raise DivergenceError(f"zero denominator in Div at instruction {div}", timestep=t)
 
 
-# each generated source's code while a program holds it, its lines in linecache
-_CODE: "weakref.WeakValueDictionary[str, CodeType]" = weakref.WeakValueDictionary()
-
-
 def _timestep_bind(arch: Architecture, source: str) -> Callable:
-    code = _CODE.get(source)
-    if code is None:
-        name, n = f"<cell:{arch_id(arch)}>", 1
-        while name in linecache.cache:  # live code of another program of this id
-            n += 1
-            name = f"<cell:{arch_id(arch)}#{n}>"
-        code = _CODE[source] = builtins.compile(source, name, "exec")
-        linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-        weakref.finalize(code, linecache.cache.pop, name, None)
-    namespace = {"np": np, "en": en, "diverged": _diverged, "CODE": code}  # keeps it in _CODE
+    name, n = f"<cell:{arch_id(arch)}>", 1
+    while name in linecache.cache:  # live code of another program of this id
+        n += 1
+        name = f"<cell:{arch_id(arch)}#{n}>"
+    code = builtins.compile(source, name, "exec")
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    weakref.finalize(code, linecache.cache.pop, name, None)
+    # CODE keeps the lines in linecache while the program holds `bind`
+    namespace = {"np": np, "en": en, "diverged": _diverged, "CODE": code}
     exec(code, namespace)
     return namespace.pop("bind")  # no cycle through its globals: freed with the program
 

@@ -497,6 +497,7 @@ def tree_height(root: ArchNode) -> int:
     return best
 
 
+# the sources every cell must read, and the flag of each one missing
 _MISSING = {OpKind.X: "missing_x", OpKind.HM1: "missing_h"}
 
 
@@ -504,7 +505,6 @@ def structural_violations(
     arch: Architecture,
     max_nodes: int = 21,
     max_height: int = 8,
-    require_sources: tuple[OpKind, ...] = (OpKind.X, OpKind.HM1),
 ) -> list[str]:
     """Named restriction violations; empty means admissible.
 
@@ -541,11 +541,7 @@ def structural_violations(
                     break
         depth += 1
         stack.extend([(c, depth) for c in reversed(kids)])
-    flags = [
-        _MISSING.get(req) or f"missing_{req.value}"
-        for req in require_sources
-        if req not in sources
-    ]
+    flags = [flag for req, flag in _MISSING.items() if req not in sources]
     flags += found
     if not root.children:
         flags.append("bare_source")

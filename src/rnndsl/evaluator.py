@@ -12,7 +12,6 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, is_dataclass
-from enum import Enum
 from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -222,26 +221,19 @@ def _readers(cls) -> dict[str, Callable[[object, str], object]]:
 # numbers, and an int is accepted as a float, unconverted
 _PLAIN = {int: ("an integer", int), float: ("a finite number", (int, float)),
           bool: ("true or false", bool), str: ("a string", str),
-          tuple: ("a list", list), dict: ("an object", dict)}
+          tuple: ("a list", list)}
 
 
 def _reader(tp) -> Callable[[object, str], object]:
     """A function (value, where) that checks a JSON value against the
-    annotation ``tp``: Optional, tuple[X, ...] from a list, dict, a nested
-    dataclass from an object, an enum from its value, or a plain type."""
+    annotation ``tp``: Optional, tuple[X, ...] from a list, a nested
+    dataclass from an object, or a plain type."""
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union:  # Optional[X]
         inner = _reader(args[0])
         return lambda v, w: None if v is None else inner(v, w)
     if is_dataclass(tp):
         return functools.partial(from_dict, tp)
-    if origin is None and issubclass(tp, Enum):
-        def member(v, w):
-            try:
-                return tp(v)
-            except ValueError:
-                raise _wrong(w, f"one of {[m.value for m in tp]}", v) from None
-        return member
     expected, accepted = _PLAIN[origin or tp]
 
     def plain(v, w):
@@ -252,9 +244,6 @@ def _reader(tp) -> Callable[[object, str], object]:
     if origin is tuple:
         item = _reader(args[0])
         return lambda v, w: tuple(item(x, f"{w}[{i}]") for i, x in enumerate(plain(v, w)))
-    if origin is dict:
-        key, value = _reader(args[0]), _reader(args[1])
-        return lambda v, w: {key(k, w): value(x, f"{w}.{k}") for k, x in plain(v, w).items()}
     return plain
 
 

@@ -36,21 +36,13 @@ class GenConfig:
     max_nodes: int = 21
     max_height: int = 8
     extended_dsl: bool = False
-    operator_weights: Optional[dict[OpKind, float]] = None
     seed: int = 0
-    require_sources: tuple[OpKind, ...] = (OpKind.X, OpKind.HM1)
     allow_cm1: bool = True
 
     def __post_init__(self) -> None:
         for name in ("max_nodes", "max_height"):
             if getattr(self, name) < 1:
                 raise ValueError(f"GenConfig.{name} must be >= 1, got {getattr(self, name)}")
-        # a required source the draw can never place would spend every raw
-        # draw of a batch and admit nothing
-        srcs = [k.value for k in vocabulary(self.extended_dsl, self.allow_cm1)[1]]
-        never = [k.value for k in self.require_sources if k.value not in srcs]
-        if never:
-            raise ValueError(f"GenConfig.require_sources must be among {srcs}, got {never}")
 
 
 @dataclass(frozen=True)
@@ -68,24 +60,17 @@ def arch_id(arch: Architecture) -> str:
     return hashlib.sha1(text.encode()).hexdigest()[:12]
 
 
-def _weights_for(cfg: GenConfig, kinds: list[OpKind]) -> np.ndarray:
-    table = cfg.operator_weights or {}
-    w = np.array([max(0.0, table.get(k, 1.0)) for k in kinds])
-    if w.sum() <= 0:
-        raise ValueError("no positive weight among allowed choices")
-    return w / w.sum()
-
-
 # one table per depth: cumulative weights, the last index, and per index
 # the kind, its one-hot bit and its children's (depth, banned bits) slots,
 # last child first
 _Level = tuple[list[float], int, list[OpKind], list[int], list[tuple[tuple[int, int], ...]]]
-# the levels, max_nodes, and the bits of the required sources
-_DrawPlan = tuple[list[_Level], int, int]
+# the levels and max_nodes
+_DrawPlan = tuple[list[_Level], int]
 
 _BIT = {k: 1 << i for i, k in enumerate(OpKind)}
-# h_t must be an operator: the root slot bans every source (bare_source)
-_SOURCE_BITS = sum(_BIT[k] for k in OpKind if k.is_source)
+# every cell reads x_t and h_tm1 (missing_x, missing_h); a lone source leaf
+# at the root reads at most one of them, so it fails here too (bare_source)
+_REQUIRED_BITS = _BIT[OpKind.X] | _BIT[OpKind.HM1]
 
 
 def _child_slots(op: OpKind, depth: int) -> tuple[tuple[int, int], ...]:
@@ -100,25 +85,22 @@ def _child_slots(op: OpKind, depth: int) -> tuple[tuple[int, int], ...]:
 
 def _draw_plan(cfg: GenConfig) -> _DrawPlan:
     """Draw tables built once per batch, so that a draw does no enum
-    lookups: every kind above the height bound, sources only at it. No
-    operator is drawn at depth >= max_height, so the height rule holds by
-    construction."""
+    lookups: every kind above the height bound, sources only at it, each
+    drawn with equal probability. No operator is drawn at depth >=
+    max_height, so the height rule holds by construction."""
     ops, srcs = vocabulary(cfg.extended_dsl, cfg.allow_cm1)
     tables = ops + srcs, srcs
     levels = []
     for depth in range(max(cfg.max_height, 0) + 1):
         kinds = tables[depth >= cfg.max_height]
         levels.append((
-            list(np.cumsum(_weights_for(cfg, kinds))),
+            list(np.cumsum(np.ones(len(kinds)) / len(kinds))),
             len(kinds) - 1,
             kinds,
             [_BIT[k] for k in kinds],
             [_child_slots(k, depth + 1) for k in kinds],
         ))
-    required = 0
-    for k in cfg.require_sources:
-        required |= _BIT[k]
-    return levels, cfg.max_nodes, required
+    return levels, cfg.max_nodes
 
 
 def _draw_raw(plan: _DrawPlan, uniform: Callable[[], float]) -> tuple[list[OpKind], bool]:
@@ -131,11 +113,11 @@ def _draw_raw(plan: _DrawPlan, uniform: Callable[[], float]) -> tuple[list[OpKin
     operator count. The trial stops at its first violation, so a failing
     trial's kinds are a prefix of its tree; a whole tree is then checked
     for the required sources. The verdict is `check_restrictions`'s."""
-    levels, max_nodes, required = plan
+    levels, max_nodes = plan
     bisect_left = bisect.bisect_left
     drawn: list[OpKind] = []
     append = drawn.append
-    stack = [(0, _SOURCE_BITS)]
+    stack = [(0, 0)]
     pop = stack.pop
     ops = 0
     leaves = 0
@@ -157,16 +139,11 @@ def _draw_raw(plan: _DrawPlan, uniform: Callable[[], float]) -> tuple[list[OpKin
             stack += kids
         else:
             leaves |= bit
-    return drawn, (leaves & required) == required
+    return drawn, (leaves & _REQUIRED_BITS) == _REQUIRED_BITS
 
 
 def check_restrictions(arch: Architecture, cfg: GenConfig) -> RestrictionReport:
-    flags = structural_violations(
-        arch,
-        max_nodes=cfg.max_nodes,
-        max_height=cfg.max_height,
-        require_sources=cfg.require_sources,
-    )
+    flags = structural_violations(arch, max_nodes=cfg.max_nodes, max_height=cfg.max_height)
     return RestrictionReport(tuple(flags))
 
 

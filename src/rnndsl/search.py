@@ -48,12 +48,6 @@ class SearchConfig:
     candidates_per_step: int = 50_000
     k_top: int = 28
     k_sampled: int = 4
-    ct_enable_after: int = 750
-    # rl batch composition
-    min_good: int = 3
-    max_failing: int = 1
-    min_batch: int = 4
-    starvation_limit: int = 25  # evaluations without a legal batch
     # stop criteria
     max_steps: int = 5
     # rl mode, checked before each episode; an episode trains every c_t
@@ -67,19 +61,14 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("random_rank", "rl"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        # k_top 0 picks only by sampling; ct_enable_after 0 allows c_tm1 from
-        # the first step
+        # k_top 0 picks only by sampling
         for name, least in (("candidates_per_step", 1), ("k_top", 0), ("k_sampled", 0),
-                            ("ct_enable_after", 0), ("min_good", 0), ("max_failing", 0),
-                            ("min_batch", 1), ("starvation_limit", 1), ("temperature", 0),
-                            ("max_steps", 1), ("max_evaluations", 1)):
+                            ("temperature", 0), ("max_steps", 1), ("max_evaluations", 1)):
             if getattr(self, name) < least:
                 raise ValueError(
                     f"SearchConfig.{name} must be >= {least}, got {getattr(self, name)}")
         if self.k_top + self.k_sampled > self.candidates_per_step:
             raise ValueError("k_top + k_sampled must not exceed candidates_per_step")
-        if self.min_good + self.max_failing > self.min_batch:
-            raise ValueError("min_good + max_failing must not exceed min_batch")
         unknown = [n for n in self.seed_baselines if n not in builtin_names()]
         if unknown:
             raise ValueError(
@@ -94,6 +83,14 @@ class StoreError(Exception):
     pass
 
 
+def require_directory(path: str) -> None:
+    """Refuse a file to be written whose directory does not exist, before
+    the work that would write it."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise StoreError(f"{path}: no directory {directory}")
+
+
 class RecordStore:
     """Append-only JSONL file with an in-memory index by canonical id.
 
@@ -105,6 +102,7 @@ class RecordStore:
         self.path = path
         self.records: list[ArchPerfRecord] = []
         self.by_id: dict[str, ArchPerfRecord] = {}
+        self.lines: dict[str, int] = {}  # the line of each record `load` read
         # (byte length to keep, bytes to add) before the next append writes
         self._repair: Optional[tuple[int, bytes]] = None
 
@@ -112,6 +110,7 @@ class RecordStore:
     def load(cls, path: str) -> "RecordStore":
         store = cls(path)
         if not os.path.exists(path):
+            require_directory(path)
             return store
         end = 0
         with open(path, "rb") as fh:
@@ -130,10 +129,19 @@ class RecordStore:
                     raise StoreError(f"{path}:{lineno}: duplicate id {rec.id}")
                 store.records.append(rec)
                 store.by_id[rec.id] = rec
+                store.lines[rec.id] = lineno
             else:  # no torn line; a parsed last line may still lack its newline
                 if end and not raw.endswith(b"\n"):
                     store._repair = (end, b"\n")
         return store
+
+    def check_task(self, task: Task) -> None:
+        """Refuse a store that holds a record of another task: its metric is
+        not this task's, yet a run would reuse it by id as its own."""
+        for rec in self.records:
+            if rec.task != task.name:
+                where = f"{self.path}:{self.lines[rec.id]}" if rec.id in self.lines else rec.id
+                raise StoreError(f"{where}: a {rec.task} record in a store used for {task.name}")
 
     def __contains__(self, rec_id: str) -> bool:
         return rec_id in self.by_id
@@ -194,6 +202,11 @@ def _evaluate(
 # random search directed by the ranking function
 # ---------------------------------------------------------------------------
 
+# random search draws c_tm1 only once the run holds this many ok records
+# without a c_t tap
+CT_ENABLE_AFTER = 750
+
+
 def run_random_search(
     cfg: SearchConfig,
     task: Task,
@@ -204,6 +217,7 @@ def run_random_search(
 ) -> tuple[RecordStore, Optional[ArchPerfRecord]]:
     if store is None:
         store = RecordStore()
+    store.check_task(task)
     run = RecordStore()
     rng = np.random.default_rng(cfg.seed)
     _evaluate([builtin(name) for name in cfg.seed_baselines], store, run, task,
@@ -212,7 +226,7 @@ def run_random_search(
     ct_bootstrapped = False
 
     for step in range(1, cfg.max_steps + 1):
-        ct_open = gen_cfg.allow_cm1 and run.valid_ht_count() >= cfg.ct_enable_after
+        ct_open = gen_cfg.allow_cm1 and run.valid_ht_count() >= CT_ENABLE_AFTER
         step_gen = replace(gen_cfg, allow_cm1=ct_open)
         cands = generate_batch(
             step_gen, cfg.candidates_per_step, seen=set(run.by_id), rng=rng
@@ -242,6 +256,14 @@ def run_random_search(
 # reinforcement-learning search
 # ---------------------------------------------------------------------------
 
+# The batch rule: an update waits for MIN_GOOD good episodes, takes at
+# most MAX_FAILING failures with them, and needs MIN_BATCH episodes in
+# all; failures beyond that wait for a later batch. After STARVATION_LIMIT
+# episodes without an update, whatever is pending forms a relaxed batch.
+MIN_GOOD = 3
+MAX_FAILING = 1
+MIN_BATCH = 4
+STARVATION_LIMIT = 25
 # consecutive episodes that dispatch no evaluation before the RL search
 # gives up: each tree it drew was in the run or offered nothing to evaluate
 IDLE_EPISODES_LIMIT = 100
@@ -294,6 +316,7 @@ def run_rl_search(
 ) -> RLSearchResult:
     if store is None:
         store = RecordStore()
+    store.check_task(task)
     if reward_cfg is None:
         reward_cfg = RewardConfig()
     run = RecordStore()
@@ -334,15 +357,12 @@ def run_rl_search(
         (good_pending if good else fail_pending).append(ep)
 
         batch: list[Episode] = []
-        n_fail = min(len(fail_pending), cfg.max_failing)
-        if (
-            len(good_pending) >= cfg.min_good
-            and len(good_pending) + n_fail >= cfg.min_batch
-        ):
+        n_fail = min(len(fail_pending), MAX_FAILING)
+        if len(good_pending) >= MIN_GOOD and len(good_pending) + n_fail >= MIN_BATCH:
             batch = good_pending + fail_pending[:n_fail]
             good_pending = []
             fail_pending = fail_pending[n_fail:]
-        elif since_update >= cfg.starvation_limit and (good_pending or fail_pending):
+        elif since_update >= STARVATION_LIMIT and (good_pending or fail_pending):
             # composition rule unsatisfiable for too long: accept what we have
             batch = good_pending + fail_pending
             good_pending, fail_pending = [], []
@@ -483,7 +503,4 @@ def load_config(path: Optional[str] = None, owned: Optional[dict] = None) -> dic
                     raise ValueError(f"{key}.{name} is set by {owner}, not by the config file")
                 section = {**section, name: value}
         out[key] = from_dict(cls, section, key)
-    if OpKind.CM1 in out["gen"].require_sources and out["search"].ct_enable_after:
-        raise ValueError("gen.require_sources holds c_tm1, which random search draws only after "
-                         "search.ct_enable_after ok records without a c_t tap; set it to 0")
     return out

@@ -20,7 +20,6 @@ Run as a script to repeat the null and power runs:
 
 import argparse
 import bisect
-import dataclasses
 import hashlib
 import time
 from contextlib import contextmanager
@@ -36,7 +35,8 @@ def reference_draw(plan, rng):
     """One raw tree drawn to its end: its kinds in preorder, and whether it
     passes the restriction rules. A tree that fails is still drawn whole,
     unchecked after its first violation."""
-    levels, max_nodes, required = plan
+    levels, max_nodes = plan
+    required = randgen._REQUIRED_BITS
     random = rng.random
     drawn = []
     stack = [(0, 0)]
@@ -176,11 +176,28 @@ HARNESS_CFG = GenConfig(allow_cm1=False)
 HARNESS_TREES = 5000
 
 
-def planted(cfg, factor, op=OpKind.MM):
-    """``cfg`` with one operator's weight multiplied by ``factor``."""
-    weights = dict(cfg.operator_weights or {})
-    weights[op] = weights.get(op, 1.0) * factor
-    return dataclasses.replace(cfg, operator_weights=weights)
+def planted(batch, factor, op=OpKind.MM):
+    """``batch`` drawing one operator with ``factor`` times the weight of
+    each other kind, wherever it may be drawn: its draw plan's cumulative
+    weights are replaced for the call."""
+    draw_plan = randgen._draw_plan
+
+    def biased_plan(cfg):
+        levels, max_nodes = draw_plan(cfg)
+        biased = []
+        for _, last, kinds, bits, slots in levels:
+            w = np.array([factor if k is op else 1.0 for k in kinds])
+            biased.append((list(np.cumsum(w / w.sum())), last, kinds, bits, slots))
+        return biased, max_nodes
+
+    def biased_batch(cfg, n, rng):
+        randgen._draw_plan = biased_plan
+        try:
+            return batch(cfg, n, rng=rng)
+        finally:
+            randgen._draw_plan = draw_plan
+
+    return biased_batch
 
 
 def harness_p(ref_batch, ref_cfg, ref_seed, cand_batch, cand_cfg, cand_seed,
@@ -210,7 +227,7 @@ def main():
     print(f"null, {args.pairs} seed pairs: {sum(p < 0.01 for p in nulls)} rejected at 0.01; "
           f"p = {' '.join(f'{p:.3f}' for p in nulls)}")
     for factor in args.factors:
-        ps = [harness_p(reference_batch, cfg, 200 + s, batch, planted(cfg, factor), 300 + s)
+        ps = [harness_p(reference_batch, cfg, 200 + s, planted(batch, factor), cfg, 300 + s)
               for s in range(args.seeds)]
         print(f"MM x{factor}, {args.seeds} seeds: {sum(p < 0.01 for p in ps)} rejected at 0.01; "
               f"p = {' '.join(f'{p:.2g}' for p in ps)}")

@@ -741,12 +741,11 @@ class TestGeneratedMatchesInterpreter:
         assert seen >= 400 and ops == {k for k in OpKind if not k.is_source}
         assert posenc >= 20 and ct >= 40 and fused >= 7
 
-    def test_two_compiles_share_code_and_replaced_arrays(self):
-        """Two compiles of one architecture share one generated code object;
-        each call binds its own program's arrays, also after they are replaced."""
+    def test_two_compiles_and_replaced_arrays(self):
+        """Each of two live compiles of one architecture binds its own
+        program's arrays, also after they are replaced."""
         rng = np.random.default_rng(3)
         progs = [compile(builtin("lstm"), H, H, rng=rng) for _ in range(2)]
-        assert progs[0].bind.__code__ is progs[1].bind.__code__
         for _ in range(2):
             for prog in progs:
                 self.check(prog, seed=4)

@@ -374,25 +374,19 @@ class TestStructuralViolations:
     def test_missing_sources(self):
         flags = structural_violations(parse("Tanh(MM(x_t))"))
         assert "missing_h" in flags
-        # every other required source is named by its own value
-        gru = builtin("gru")
-        assert structural_violations(gru, require_sources=(OpKind.X, OpKind.CM1)) == [
-            "missing_c_tm1"
-        ]
-        assert structural_violations(gru, require_sources=(OpKind.X, OpKind.POSENC)) == [
-            "missing_posenc"
-        ]
+        flags = structural_violations(parse("Tanh(MM(h_tm1))"))
+        assert "missing_x" in flags
 
 
-def multi_walk_violations(arch, max_nodes, max_height, require_sources):
+def multi_walk_violations(arch, max_nodes, max_height):
     """The former checker, one tree walk per rule, kept as the oracle."""
     flags = []
     root = arch.root
     sources = {n.op for n in root.walk() if n.op.is_source}
-    for req in require_sources:
-        if req not in sources:
-            flags.append({OpKind.X: "missing_x", OpKind.HM1: "missing_h"}.get(
-                req, f"missing_{req.value}"))
+    if OpKind.X not in sources:
+        flags.append("missing_x")
+    if OpKind.HM1 not in sources:
+        flags.append("missing_h")
     for n in root.walk():
         if n.op is OpKind.GATE3 and n.children[2].op is not OpKind.SIGMOID:
             if "gate_not_sigmoid" not in flags:
@@ -417,12 +411,9 @@ def multi_walk_violations(arch, max_nodes, max_height, require_sources):
 
 
 class TestOnePassMatchesMultiWalk:
-    # (max_nodes, max_height, require_sources): the defaults, then bounds
-    # tight enough that too_big and too_tall fire on raw trees
-    LIMITS = [
-        (21, 8, (OpKind.X, OpKind.HM1)),
-        (6, 3, (OpKind.HM1, OpKind.X, OpKind.CM1)),
-    ]
+    # (max_nodes, max_height): the defaults, then bounds tight enough that
+    # too_big and too_tall fire on raw trees
+    LIMITS = [(21, 8), (6, 3)]
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_same_flags_in_same_order(self, extended):
@@ -449,7 +440,7 @@ class TestOnePassMatchesMultiWalk:
                     seen_flags.update(want)
         assert n_taps > 1000
         assert seen_flags == {
-            "missing_x", "missing_h", "missing_c_tm1", "gate_not_sigmoid",
+            "missing_x", "missing_h", "gate_not_sigmoid",
             "stacked_identical", "bare_source", "too_big", "too_tall", "ct_without_cm1",
             "trivial_ct",
         }
@@ -462,7 +453,7 @@ class TestOnePassMatchesMultiWalk:
             (stack_first, ["stacked_identical", "gate_not_sigmoid"]),
         ]:
             assert structural_violations(arch) == want
-            assert multi_walk_violations(arch, 21, 8, (OpKind.X, OpKind.HM1)) == want
+            assert multi_walk_violations(arch, 21, 8) == want
 
 
 def test_tree_height_counts_operator_edges():

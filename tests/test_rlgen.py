@@ -858,8 +858,7 @@ class TestRLSearchWindows:
         monkeypatch.setattr(rlgen, "reinforce_update", spy)
         monkeypatch.setattr(en.Optimizer, "step", kept_step)
         pol = tiny_policy(width=6)
-        cfg = search.SearchConfig(mode="rl", max_evaluations=8, min_good=3,
-                                  max_failing=1, min_batch=4, seed_baselines=())
+        cfg = search.SearchConfig(mode="rl", max_evaluations=8, seed_baselines=())
         result = search.run_rl_search(cfg, task=None, policy=pol, train_cfg=None)
         assert result.batches_applied == 2
         (_, _, first), (params, baseline, batch) = updates

@@ -11,7 +11,7 @@ import pytest
 
 import rnndsl.rlgen as rlgen
 import rnndsl.search as search
-from rnndsl.dsl import OpKind, builtin, render
+from rnndsl.dsl import builtin, render
 from rnndsl.evaluator import ArchPerfRecord, TaskSpec, TrainConfig, make_task
 from rnndsl.randgen import GenConfig, arch_id
 from rnndsl.ranker import Ranker, RankerConfig
@@ -75,24 +75,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(candidates_per_step=10, k_top=28, k_sampled=4)
 
-    def test_batch_rule_consistency(self):
-        with pytest.raises(ValueError):
-            SearchConfig(min_good=4, max_failing=2, min_batch=4)
-
-    @pytest.mark.parametrize("field,value,least", [
-        ("k_top", -3, 0), ("k_sampled", -1, 0), ("ct_enable_after", -5, 0),
-        ("min_good", -1, 0), ("max_failing", -1, 0), ("min_batch", 0, 1),
-        ("starvation_limit", 0, 1),
-    ])
+    @pytest.mark.parametrize("field,value,least", [("k_top", -3, 0), ("k_sampled", -1, 0)])
     def test_counts_below_least_refused(self, field, value, least):
         with pytest.raises(ValueError, match=f"SearchConfig.{field} must be >= {least}, got {value}"):
             SearchConfig(**{field: value})
 
-    def test_zero_top_picks_and_open_ct_gate_allowed(self):
-        # a uniform arm picks by sampling alone; a config that requires
-        # c_tm1 must open the c_t gate from the start
-        cfg = SearchConfig(k_top=0, k_sampled=10, ct_enable_after=0)
-        assert (cfg.k_top, cfg.ct_enable_after) == (0, 0)
+    def test_zero_top_picks_allowed(self):
+        # a uniform arm picks by sampling alone
+        assert SearchConfig(k_top=0, k_sampled=10).k_top == 0
 
 
 class TestRecordStore:
@@ -259,10 +249,7 @@ class TestRLBatchComposition:
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
-        cfg = SearchConfig(
-            mode="rl", max_evaluations=5, min_good=3, max_failing=1, min_batch=4,
-            seed_baselines=(),
-        )
+        cfg = SearchConfig(mode="rl", max_evaluations=5, seed_baselines=())
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
         assert len(batches) == 1
@@ -282,8 +269,8 @@ class TestRLBatchComposition:
 
         monkeypatch.setattr(search, "_episode_result", fake_result)
         monkeypatch.setattr(rlgen, "reinforce_update", fake_update)
-        cfg = SearchConfig(mode="rl", max_evaluations=8, starvation_limit=4,
-                           seed_baselines=())
+        monkeypatch.setattr(search, "STARVATION_LIMIT", 4)
+        cfg = SearchConfig(mode="rl", max_evaluations=8, seed_baselines=())
         policy = Policy(RLConfig(width=8, seed=0))
         result = run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
         assert result.relaxed_batches == 2
@@ -429,13 +416,13 @@ class TestRandomSearch:
         assert a == b
 
     def test_ct_gate_closed_early(self, tmp_path):
-        # far below ct_enable_after: no candidate may carry a memory tap
+        # far below CT_ENABLE_AFTER: no candidate may carry a memory tap
         store, _ = self._run(tmp_path, "c.jsonl")
         assert all(r.ct_node is None for r in store.records)
 
     def test_ct_gate_opens(self, tmp_path, monkeypatch):
         # the seed baseline and step 1's three evaluations reach
-        # ct_enable_after=3 valid h_t-only records, so c_t opens at step 2
+        # CT_ENABLE_AFTER=3 valid h_t-only records, so c_t opens at step 2
         draws, bootstraps = [], []
         draw, bootstrap = search.generate_batch, Ranker.bootstrap_ct_embeddings
 
@@ -449,8 +436,8 @@ class TestRandomSearch:
 
         monkeypatch.setattr(search, "generate_batch", drawn)
         monkeypatch.setattr(Ranker, "bootstrap_ct_embeddings", bootstrapped)
-        cfg = SearchConfig(candidates_per_step=60, k_top=2, k_sampled=1,
-                           max_steps=4, seed=0, ct_enable_after=3)
+        monkeypatch.setattr(search, "CT_ENABLE_AFTER", 3)
+        cfg = SearchConfig(candidates_per_step=60, k_top=2, k_sampled=1, max_steps=4, seed=0)
 
         def run(name):
             store = RecordStore(str(tmp_path / name))
@@ -536,21 +523,34 @@ class TestResume:
         best = getattr(self, search)(store)
         assert best.id != foreign.id and best.to_json() == fresh.to_json()
 
+    @pytest.mark.parametrize("loop", ["_random_best", "_rl_best"])
+    def test_store_of_another_task_refused(self, monkeypatch, loop):
+        def never(*args, **kwargs):
+            raise AssertionError("trained before the refusal")
+
+        monkeypatch.setattr(search, "train_and_score", never)
+        foreign = dataclasses.replace(make_record(builtin("gru"), 0.01), task="char_lm")
+        store = RecordStore()
+        store.append(foreign)
+        with pytest.raises(StoreError) as err:
+            getattr(self, loop)(store)
+        assert str(err.value) == f"{foreign.id}: a char_lm record in a store used for copy_memory"
+        assert store.records == [foreign]
+
 
 class TestLoadConfig:
     def test_defaults_and_sections(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "search": {"max_steps": 2},
-            "gen": {"operator_weights": {"Tanh": 2.0},
-                    "require_sources": ["x_t", "h_tm1"]},
+            "gen": {"max_nodes": 15, "allow_cm1": False},
             "train": {"optimizer": {"kind": "adam", "learning_rate": 0.01}},
         }))
         cfg = load_config(str(path))
         assert cfg["search"].max_steps == 2
         assert cfg["search"].k_top == 28  # untouched default
-        assert cfg["gen"].operator_weights[OpKind.TANH] == 2.0
-        assert cfg["gen"].require_sources == (OpKind.X, OpKind.HM1)
+        assert (cfg["gen"].max_nodes, cfg["gen"].allow_cm1) == (15, False)
+        assert cfg["gen"].max_height == 8  # untouched default
         assert cfg["train"].optimizer.kind == "adam"
         assert cfg["task"].kind  # every section materializes
 
@@ -563,15 +563,15 @@ class TestLoadConfig:
     def test_boundary_values_accepted(self, tmp_path):
         path = tmp_path / "edge.json"
         path.write_text(json.dumps({
-            "search": {"temperature": 0, "k_sampled": 0, "ct_enable_after": 0},
-            "gen": {"require_sources": ["x_t", "c_tm1"]},
+            "search": {"temperature": 0, "k_sampled": 0},
+            "gen": {"max_nodes": 1, "max_height": 1},
             "rl": {"epsilon": 0},
             "train": {"epochs": 0, "failure_check_epoch": 0},
         }))
         cfg = load_config(str(path))
         assert cfg["search"].temperature == 0 and cfg["rl"].epsilon == 0
         assert cfg["train"].epochs == 0
-        assert cfg["gen"].require_sources == (OpKind.X, OpKind.CM1)
+        assert (cfg["gen"].max_nodes, cfg["gen"].max_height) == (1, 1)
 
     def test_owned_fields_take_the_given_values(self):
         cfg = load_config(None, {"seed": ("--seed", 7), "mode": ("the mode", "rl")})
@@ -585,7 +585,7 @@ class TestLoadConfig:
         path.write_text(example.split("```", 1)[0])
         # as `rnndsl search` loads it: the command line owns the seeds and the mode
         cfg = load_config(str(path), {"seed": ("--seed", 0), "mode": ("the argument", "rl")})
-        assert cfg["gen"].operator_weights == {OpKind.TANH: 2.0}
+        assert (cfg["gen"].max_nodes, cfg["gen"].max_height) == (15, 6)
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
