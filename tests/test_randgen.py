@@ -218,8 +218,13 @@ class TestGenerateBatch:
         for arch in generate_batch(cfg, 500):
             assert check_restrictions(arch, cfg).admissible
 
-    def test_no_bare_source_root(self):
-        # a one-leaf tree reads at most one of the required x_t and h_tm1
+    @pytest.mark.parametrize("required", [(OpKind.X,), (OpKind.HM1,)])
+    def test_no_bare_source_root(self, required):
+        # a one-leaf tree reads at most one of the required x_t and h_tm1,
+        # so it is refused and never drawn
+        (leaf,) = required
+        lone = Architecture(ArchNode(leaf, ()))
+        assert "bare_source" in check_restrictions(lone, GenConfig()).violations
         cfg = GenConfig(seed=1)
         batch = generate_batch(cfg, 300, rng=np.random.default_rng(1))
         assert len(batch) == 300
