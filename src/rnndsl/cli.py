@@ -218,6 +218,7 @@ def cmd_rank(args) -> int:
     store = RecordStore.load(args.records)
     if not store.records:
         raise ValueError(f"no records in {args.records}")
+    store.check_task()
     ranker = Ranker(cfg["ranker"])
     if args.action == "fit":
         if args.model:
@@ -242,6 +243,7 @@ def cmd_rank(args) -> int:
 def cmd_report(args) -> int:
     kind = args.kind.replace("-", "_")
     store = RecordStore.load(args.records)
+    store.check_task()
     if kind == "ops_over_time":
         rows = ops_over_time(store)
     elif kind == "search_curve":

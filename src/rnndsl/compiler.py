@@ -375,10 +375,11 @@ def _diverged(t: int, results: list, ops: tuple, div: Optional[int] = None) -> N
 
 
 def _timestep_bind(arch: Architecture, source: str) -> Callable:
-    name, n = f"<cell:{arch_id(arch)}>", 1
+    cell = arch_id(arch)
+    name, n = f"<cell:{cell}>", 1
     while name in linecache.cache:  # live code of another program of this id
         n += 1
-        name = f"<cell:{arch_id(arch)}#{n}>"
+        name = f"<cell:{cell}#{n}>"
     code = builtins.compile(source, name, "exec")
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     weakref.finalize(code, linecache.cache.pop, name, None)

@@ -2,7 +2,9 @@
 
 A cell is a tree of operators over source leaves producing h_t, with an
 optional internal node tapped as the long-term memory c_t. Trees are
-immutable; every operation here is a pure function.
+immutable; every operation here is a pure function. A root that
+`canonicalize` built keeps its canonical text, so a canonical tree is
+canonicalized, rendered and identified without another walk.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ def vocabulary(extended: bool, allow_cm1: bool) -> tuple[list[OpKind], list[OpKi
 class ArchNode:
     op: OpKind
     children: tuple["ArchNode", ...] = ()
+    # the rendered text of a root that `canonicalize` built, else None; a
+    # class attribute, not a field, so it takes no part in ==, hash, repr or
+    # dataclasses.replace
+    _canonical_text = None
 
     def __post_init__(self) -> None:
         if len(self.children) != self.op.arity:
@@ -422,7 +428,9 @@ def render_node(n: ArchNode) -> str:
 
 
 def render(arch: Architecture) -> str:
-    text = render_node(arch.root)
+    text = arch.root._canonical_text
+    if text is None:
+        text = render_node(arch.root)
     if arch.ct_node is not None:
         text += f"|{arch.ct_node}"
     return text
@@ -430,6 +438,11 @@ def render(arch: Architecture) -> str:
 
 # ---------------------------------------------------------------------------
 # Canonicalization
+#
+# The root that canonicalization builds keeps its rendered text. A tree with
+# such a root is canonical, whatever its c_t tap: the canonical order is a
+# fixed point, so the tap keeps its number. Only `canonicalize_with_map`
+# sets the text.
 # ---------------------------------------------------------------------------
 
 def _canon(n: ArchNode, mapping: dict[int, ArchNode]) -> tuple[ArchNode, str]:
@@ -450,23 +463,46 @@ def _canon(n: ArchNode, mapping: dict[int, ArchNode]) -> tuple[ArchNode, str]:
     return new, text
 
 
+def _tap(arch: Architecture, new_root: ArchNode, mapping: dict[int, ArchNode]) -> Optional[int]:
+    if arch.ct_node is None:
+        return None
+    return index_of_node(new_root, mapping[id(node_at_index(arch.root, arch.ct_node))])
+
+
 def canonicalize(arch: Architecture) -> Architecture:
-    """Sort commutative children (and Gate3's two values) by rendered text."""
+    """Sort commutative children (and Gate3's two values) by rendered text.
+    A tree that is canonical already is returned as it is."""
+    if arch.root._canonical_text is not None:
+        return arch
     new_root, _, new_ct = canonicalize_with_map(arch)
     return Architecture(new_root, new_ct)
+
+
+def canonicalize_all(archs: Sequence[Architecture]) -> list[Architecture]:
+    """`canonicalize` of each tree, walking each root object once: the c_t
+    variants of one tree share its root."""
+    walked: dict[int, tuple[ArchNode, dict[int, ArchNode]]] = {}
+    out = []
+    for arch in archs:
+        if arch.root._canonical_text is None:
+            key = id(arch.root)
+            if key not in walked:
+                walked[key] = canonicalize_with_map(Architecture(arch.root))[:2]
+            new_root, mapping = walked[key]
+            arch = Architecture(new_root, _tap(arch, new_root, mapping))
+        out.append(arch)
+    return out
 
 
 def canonicalize_with_map(
     arch: Architecture,
 ) -> tuple[ArchNode, dict[int, ArchNode], Optional[int]]:
-    """Canonicalize, also returning the old-id -> new-node mapping."""
+    """Canonicalize, also returning the old-id -> new-node mapping. The new
+    root keeps its text."""
     mapping: dict[int, ArchNode] = {}
-    new_root, _ = _canon(arch.root, mapping)
-    new_ct = None
-    if arch.ct_node is not None:
-        old_tap = node_at_index(arch.root, arch.ct_node)
-        new_ct = index_of_node(new_root, mapping[id(old_tap)])
-    return new_root, mapping, new_ct
+    new_root, text = _canon(arch.root, mapping)
+    object.__setattr__(new_root, "_canonical_text", text)
+    return new_root, mapping, _tap(arch, new_root, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def generate_batch(
             continue
         cand = canonicalize(Architecture(from_preorder(drawn)))
         for variant in expand_ct_variants(cand):
-            # variants are already canonical: hash the render directly
-            vid = hashlib.sha1(render(variant).encode()).hexdigest()[:12]
+            vid = arch_id(variant)
             if vid in seen:
                 continue
             seen.add(vid)

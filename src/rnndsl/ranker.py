@@ -3,18 +3,20 @@
 Source leaves map to learned embeddings; commutative and unary operators
 use Child-Sum tree cells while ordered operators (Gate3, Sub, Div) use
 N-ary cells with per-position weights. The architecture is canonicalized
-and read unrolled one timestep, so the representation of h_{t-1}/c_{t-1}
-reflects the cell's own graph.
+(a canonical tree, as the generator emits it, is read as it is) and read
+unrolled one timestep, so the representation of h_{t-1}/c_{t-1} reflects
+the cell's own graph.
 
 Each cell's gate matrices are stacked into one i|o|u|f block (per child
-position for an N-ary cell). A `SubtreeMemo` hash-conses the subtrees of
-the trees it is given, groups the distinct ones by (height, label) and
-caps its own size; the encoder runs each new group as array math, level by
-level, in one tape node (in the manner of TensorFlow Fold's dynamic
-batching): `fit` encodes a whole minibatch in one call through a fresh
-memo, and `score` one candidate per call. `score_many` passes one memo to
-each of its `score` calls, so that each candidate encodes only the
-subtrees that no earlier candidate of the call had.
+position for an N-ary cell); a one-child Child-Sum group adds its stacked
+bias once and runs one sigmoid over the block. A `SubtreeMemo` hash-conses
+the subtrees of the trees it is given, groups the distinct ones by
+(height, label) and caps its own size; the encoder runs each new group as
+array math, level by level, in one tape node (in the manner of TensorFlow
+Fold's dynamic batching): `fit` encodes a whole minibatch in one call
+through a fresh memo, and `score` one candidate per call. `score_many`
+passes one memo to each of its `score` calls, so that each candidate
+encodes only the subtrees that no earlier candidate of the call had.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ C_TM2 = "c_tm2"
 # the sources in enum order, then the recurrent leaves one timestep further
 # back, which stand for h_tm1 and c_tm1 inside an unrolled copy
 LEAF_LABELS = [op.value for op in OpKind if op.is_source] + [H_TM2, C_TM2]
-_BACK = {OpKind.HM1: H_TM2, OpKind.CM1: C_TM2}
+# each kind's label, read by a plain lookup (`OpKind.value` is a descriptor
+# call), and the labels inside an unrolled copy
+_LABEL = {op: op.value for op in OpKind}
+_BACK = {**_LABEL, OpKind.HM1: H_TM2, OpKind.CM1: C_TM2}
 
 
 # the cap on the regression target, a log-perplexity: an ok record's
@@ -139,14 +144,14 @@ class SubtreeMemo:
             if i is None:
                 kids = node.children
                 i = seen[id(node)] = (
-                    key_id(node.op.value, tuple(walk(c, seen, leaf) for c in kids))
+                    key_id(_LABEL[node.op], tuple([walk(c, seen, leaf) for c in kids]))
                     if kids else leaf(node.op))
             return i
 
         copies: dict[int, int] = {}
 
         def back(op: OpKind) -> int:
-            return key_id(_BACK.get(op, op.value))
+            return key_id(_BACK[op])
 
         roots = []
         for arch in archs:
@@ -157,7 +162,7 @@ class SubtreeMemo:
                     subs[OpKind.CM1] = node_at_index(arch.root, arch.ct_node)
 
             def own(op: OpKind) -> int:
-                return walk(subs[op], copies, back) if op in subs else key_id(op.value)
+                return walk(subs[op], copies, back) if op in subs else key_id(_LABEL[op])
 
             roots.append(walk(arch.root, {}, own))
         if first and len(heights) > MEMO_ROWS:
@@ -245,8 +250,9 @@ class Ranker:
         first: one product of its children's h with the stacked gate block
         per child position gives every child's i|o|u|f terms; i, o and u
         take their sum (for a Child-Sum cell, U applied to the children's
-        summed h). A memo that outlives the call must serve one parameter
-        version under `no_grad`, as `score_many`'s does.
+        summed h). Each group writes its c and h into the memo's rows. A
+        memo that outlives the call must serve one parameter version under
+        `no_grad`, as `score_many`'s does.
         The reverse pass walks the groups top down, scatter-adds the
         children's gradients (a child can appear twice under one parent, or
         under two parents) and returns one gradient term per parameter.
@@ -265,25 +271,32 @@ class Ranker:
             U, *bias = (p.data for p in self.cells[label])
             kh = H[kids.T]  # [arity, n, h], the children by position
             kc = C[kids.T]
-            if U.ndim == 2:  # one product for all children
-                zp = (kh.reshape(-1, h) @ U.T).reshape(*kh.shape[:2], -1)
+            if U.ndim == 2 and len(kh) == 1:
+                # one child: its stacked bias added once, one sigmoid over
+                # i|o|u|f (the u block's is unused)
+                z = kh[0] @ U.T + bias[0]
+                s = en.sigmoid_fwd(z)[0]
+                io, f = s[:, :2 * h], s[None, :, 3 * h:]
+                u = en.tanh_fwd(z[:, 2 * h:3 * h])[0]
             else:
-                zp = kh @ U.transpose(0, 2, 1)
-            z = zp[0, :, :3 * h]
-            for j in range(1, len(zp)):
-                z = z + zp[j, :, :3 * h]
-            z = z + bias[-1][:3 * h]
-            # a Child-Sum cell's forget bias is b[3h:], an N-ary cell's bf
-            zf = zp[:, :, 3 * h:] + (bias[0][3 * h:] if len(bias) == 1 else bias[0][:, None])
-            io = en.sigmoid_fwd(z[:, :2 * h])[0]
-            u = en.tanh_fwd(z[:, 2 * h:])[0]
-            f = en.sigmoid_fwd(zf)[0]
-            c = io[:, :h] * u
+                if U.ndim == 2:  # one product for all children
+                    zp = (kh.reshape(-1, h) @ U.T).reshape(*kh.shape[:2], -1)
+                else:
+                    zp = kh @ U.transpose(0, 2, 1)
+                z = zp[0, :, :3 * h]
+                for j in range(1, len(zp)):
+                    z = z + zp[j, :, :3 * h]
+                z = z + bias[-1][:3 * h]
+                # a Child-Sum cell's forget bias is b[3h:], an N-ary cell's bf
+                zf = zp[:, :, 3 * h:] + (bias[0][3 * h:] if len(bias) == 1 else bias[0][:, None])
+                io = en.sigmoid_fwd(z[:, :2 * h])[0]
+                u = en.tanh_fwd(z[:, 2 * h:])[0]
+                f = en.sigmoid_fwd(zf)[0]
+            c = np.multiply(io[:, :h], u, out=C[r0:r1])
             for fc in f * kc:
-                c = c + fc
+                c += fc
             tc = en.tanh_fwd(c)[0]
-            H[r0:r1] = io[:, h:] * tc
-            C[r0:r1] = c
+            np.multiply(io[:, h:], tc, out=H[r0:r1])
             saved.append((r0, r1, label, (kids, kh, kc, io, u, f, tc)))
 
         def backward(g):

@@ -21,7 +21,7 @@ import numpy as np
 from . import engine as en
 from . import rlgen
 from .compiler import compile, run_sequence
-from .dsl import Architecture, OpKind, builtin, builtin_names, parse
+from .dsl import Architecture, OpKind, builtin, builtin_names, canonicalize_all, parse
 from .evaluator import ArchPerfRecord, Task, TaskSpec, TrainConfig, from_dict, train_and_score
 from .randgen import (
     RAW_DRAWS_PER_CANDIDATE,
@@ -135,13 +135,18 @@ class RecordStore:
                     store._repair = (end, b"\n")
         return store
 
-    def check_task(self, task: Task) -> None:
-        """Refuse a store that holds a record of another task: its metric is
-        not this task's, yet a run would reuse it by id as its own."""
+    def check_task(self, task: Optional[Task] = None) -> None:
+        """Refuse a store that holds a record of a task other than `task`
+        (by default, other than its first record's): its metric does not
+        compare, yet a run would reuse it by id as its own, a ranker would
+        fit on it and a report would mix it in."""
+        if not self.records:
+            return
+        name = self.records[0].task if task is None else task.name
         for rec in self.records:
-            if rec.task != task.name:
+            if rec.task != name:
                 where = f"{self.path}:{self.lines[rec.id]}" if rec.id in self.lines else rec.id
-                raise StoreError(f"{where}: a {rec.task} record in a store used for {task.name}")
+                raise StoreError(f"{where}: a {rec.task} record in a store used for {name}")
 
     def __contains__(self, rec_id: str) -> bool:
         return rec_id in self.by_id
@@ -187,7 +192,10 @@ def _evaluate(
     evaluated and is the search state; `store` is the log on file and a
     cache by id. A record in the run is reused, one only on file is
     replayed into the run without training, and any other arch is trained,
-    appended to `store` and added to the run."""
+    appended to `store` and added to the run. Each root object is
+    canonicalized once (`canonicalize_all`), and the trees are trained
+    canonical."""
+    archs = canonicalize_all(archs)
     ids = [arch_id(arch) for arch in archs]
     for arch, rec_id in zip(archs, ids):
         if rec_id not in run:

@@ -15,6 +15,31 @@ def random_architectures(n, seed=0, **cfg_overrides):
     return generate_batch(cfg, n, rng=np.random.default_rng(seed))
 
 
+def generated_candidates():
+    """300 extended-DSL candidates, most with a c_t tap; the c_t variants of
+    one raw tree share its root object."""
+    cands = generate_batch(GenConfig(seed=3, extended_dsl=True), 300,
+                           rng=np.random.default_rng(3))
+    assert len(cands) == 300 and sum(a.ct_node is not None for a in cands) >= 200
+    return cands
+
+
+def count_canon(monkeypatch):
+    """Patch the canonicalizing walk to log each node it visits; returns
+    the log."""
+    from rnndsl import dsl
+
+    visited = []
+    walk = dsl._canon
+
+    def logged(n, mapping):
+        visited.append(n)
+        return walk(n, mapping)
+
+    monkeypatch.setattr(dsl, "_canon", logged)
+    return visited
+
+
 def torn_cut(lines, k):
     """The first k lines of a store and the first half of line k + 1, as a
     crash in the middle of an append leaves them."""

@@ -545,6 +545,21 @@ class TestRefusedBeforeWork:
         assert err == f"error[StoreError]: {out}:2: a char_lm record in a store used for copy_memory\n"
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("argv", [
+        ("rank", "fit"), ("rank", "score", "--dsl", TANH_RNN),
+        ("report", "search-curve"), ("report", "ops-over-time"), ("report", "hidden-dump")])
+    def test_store_of_mixed_tasks(self, capsys, tmp_path, no_work, argv):
+        records = tmp_path / "r.jsonl"
+        records.write_text("".join(make_record(cell, task).to_json() + "\n" for cell, task in (
+            ("gru", "char_lm"), ("lstm", "char_lm"), ("tanh_rnn", "copy_memory"))))
+        out = tmp_path / "out.csv"
+        extra = ("--out", str(out)) if argv[0] == "report" else ("--config", self.config(tmp_path))
+        code, stdout, err = run_cli(capsys, *argv, "--records", str(records), *extra)
+        assert (code, stdout) == (1, "")
+        assert err == (f"error[StoreError]: {records}:3: "
+                       "a copy_memory record in a store used for char_lm\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "random", "rl", "rank-fit"])
     def test_output_in_a_missing_directory(self, capsys, tmp_path, no_work, command):
         target = tmp_path / "nodir" / "x"

@@ -1,5 +1,6 @@
 """Expression-tree DSL: grammar, canonical ordering, analysis, builtins."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -30,7 +31,8 @@ from rnndsl.dsl import (
     subtree_uses,
     tree_height,
 )
-from rnndsl.randgen import GenConfig, _draw_plan, arch_id
+from rnndsl.randgen import GenConfig, _draw_plan, arch_id, expand_ct_variants
+from conftest import count_canon, generated_candidates
 from sampling import reference_draw
 
 EXAMPLE_21 = "Mult(Sigmoid(MM(x_t)),Tanh(Add(MM(h_tm1),Mult(MM(c_tm1),MM(x_t)))))"
@@ -286,6 +288,68 @@ class TestAnalyze:
             assert (a.node_count, a.height, a.sources_used) == (
                 b.node_count, b.height, b.sources_used
             )
+
+
+def canonical_trees():
+    """Generated candidates (canonical as drawn), the builtins and the trees
+    of parsed record texts, each canonicalized."""
+    cands = generated_candidates()
+    parsed = [parse(render(a)) for a in cands[::10]]
+    return cands + [canonicalize(a) for a in parsed + [builtin(n) for n in builtin_names()]]
+
+
+class TestCanonicalMark:
+    """A root that `canonicalize` built keeps its canonical text; nothing
+    else carries it."""
+
+    def test_canonical_tree_is_not_walked_again(self, monkeypatch):
+        trees = canonical_trees()
+        fresh = [canonicalize(parse(render(t))) for t in trees]
+        visited = count_canon(monkeypatch)
+        for t, want in zip(trees, fresh):
+            assert canonicalize(t) is t
+            assert (arch_id(t), render(t)) == (arch_id(want), render(want))
+            assert render(t) == render(Architecture(from_preorder(
+                [n.op for n in t.root.walk()]), t.ct_node))
+        assert visited == []
+
+    def test_ct_variants_of_a_canonical_tree_are_canonical(self, monkeypatch):
+        # each canonical root once, without its tap
+        roots = {id(t.root): t.root for t in canonical_trees()}.values()
+        variants = [v for root in roots for v in expand_ct_variants(Architecture(root))
+                    if v.ct_node is not None]
+        assert len(variants) > 100
+        fresh = [canonicalize(parse(render(v))) for v in variants]
+        visited = count_canon(monkeypatch)
+        for v, want in zip(variants, fresh):
+            assert canonicalize(v) is v
+            assert v == want and render(v) == render(want)
+        assert visited == []
+
+    def test_built_and_replaced_trees_are_not_marked(self, monkeypatch):
+        trees = canonical_trees()
+        for t in trees:
+            root = t.root
+            assert root._canonical_text is not None
+            # only the root carries the mark
+            assert all(n._canonical_text is None for n in list(root.walk())[1:])
+            kinds = [n.op for n in root.walk()]
+            unmarked = [parse(render(t)).root, from_preorder(kinds), dataclasses.replace(root)]
+            for other in unmarked:
+                assert other == root and other._canonical_text is None
+        visited = count_canon(monkeypatch)
+        for t in trees[:20]:
+            assert canonicalize(Architecture(dataclasses.replace(t.root), t.ct_node)) == t
+        assert len(visited) == sum(len(list(t.root.walk())) for t in trees[:20])
+
+    def test_mark_not_in_eq_hash_or_repr(self):
+        assert "_canonical_text" not in {f.name for f in dataclasses.fields(ArchNode)}
+        for t in canonical_trees():
+            twin = Architecture(from_preorder([n.op for n in t.root.walk()]), t.ct_node)
+            assert twin.root._canonical_text is None
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t)
+            assert twin.root == t.root and hash(twin.root) == hash(t.root)
+            assert repr(twin.root) == repr(t.root)
 
 
 class TestEnumerateCtTaps:

@@ -33,7 +33,7 @@ from rnndsl.ranker import (
     SubtreeMemo,
     select,
 )
-from conftest import random_architectures
+from conftest import count_canon, generated_candidates, random_architectures
 
 
 @dataclass(frozen=True)
@@ -308,15 +308,6 @@ def counted_copy(arch):
     return out, made
 
 
-def generated_candidates():
-    """300 extended-DSL candidates, most with a c_t tap; the c_t variants of
-    one raw tree share its root object."""
-    cands = generate_batch(GenConfig(seed=3, extended_dsl=True), 300,
-                           rng=np.random.default_rng(3))
-    assert len(cands) == 300 and sum(a.ct_node is not None for a in cands) >= 200
-    return cands
-
-
 class TestEncodeOnce:
     def test_scores_match_per_node_encoding(self, monkeypatch):
         r = tiny_ranker(hidden=8)
@@ -358,6 +349,12 @@ class TestEncodeOnce:
         monkeypatch.setattr(Ranker, "score", counted)
         r.score_many(cands)
         assert calls == cands
+
+    def test_generated_candidates_not_canonicalized_again(self, monkeypatch):
+        cands = generated_candidates()
+        visited = count_canon(monkeypatch)
+        tiny_ranker(hidden=4).score_many(cands)
+        assert visited == []
 
     def test_gru_repeated_subtrees_encoded_once(self):
         arch = canonicalize(builtin("gru"))

@@ -5,15 +5,16 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import rnndsl.rlgen as rlgen
 import rnndsl.search as search
-from rnndsl.dsl import builtin, render
+from rnndsl.dsl import builtin, canonicalize, parse, render
 from rnndsl.evaluator import ArchPerfRecord, TaskSpec, TrainConfig, make_task
-from rnndsl.randgen import GenConfig, arch_id
+from rnndsl.randgen import GenConfig, arch_id, expand_ct_variants
 from rnndsl.ranker import Ranker, RankerConfig
 from rnndsl.rlgen import Policy, RLConfig
 from rnndsl.search import (
@@ -29,7 +30,7 @@ from rnndsl.search import (
     search_curve,
     write_csv,
 )
-from conftest import assert_resumes_at_every_cut
+from conftest import assert_resumes_at_every_cut, count_canon
 
 
 def make_record(arch, metric, status="ok", batch=0, source="random"):
@@ -300,6 +301,24 @@ class TestRLBatchComposition:
             r"\(0 evaluations done\)"
         )):
             run_rl_search(cfg, task=None, policy=policy, train_cfg=None)
+
+    def test_episode_tree_canonicalized_once(self, monkeypatch):
+        # canonical order swaps the Add's children, so the taps are numbered
+        # in another order than in the drawn tree
+        raw = parse("Add(Tanh(Mult(MM(c_tm1),MM(x_t))),Sigmoid(Mult(MM(c_tm1),MM(h_tm1))))")
+        want = [canonicalize(v) for v in expand_ct_variants(raw)]
+        taps = [a.ct_node for a in want]
+        assert len(taps) == 4 and taps != sorted(taps)
+        visited = count_canon(monkeypatch)
+        run = RecordStore()
+        _, _, dispatched = search._episode_result(
+            SimpleNamespace(arch=raw), tiny_task(), tiny_train(), rlgen.RewardConfig(),
+            RecordStore(), run, 1)
+        assert dispatched == 4
+        assert sum(n is raw.root for n in visited) == 1
+        assert len(visited) == len(list(raw.root.walk()))
+        # the records keep the drawn tree's tap order
+        assert [(r.id, r.ct_node) for r in run.records] == [(arch_id(a), a.ct_node) for a in want]
 
     def test_desk_store_pinned(self, tmp_path):
         """The first 24 evaluations of the acceptance-09 RL search, byte
